@@ -117,7 +117,7 @@ class Geometry:
         t1 = pt_transpose(dgam, (0, 2, 3, 1))  # [a,b,c,d] = d_a Gamma^d_{bc}
         t2 = pt_transpose(dgam, (2, 0, 3, 1))  # [a,b,c,d] = d_b Gamma^d_{ac}
         q1 = contract("fac,dbf->abcd", gam, gam)
-        q2 = contract("fbc,daf->abcd", gam, gam)
+        q2 = pt_transpose(q1, (1, 0, 2, 3))  # Gamma^f_{bc} Gamma^d_{af}
         return -t1 + t2 + (q1 - q2).truncate(t1.basis.order)
 
     @cached_property

@@ -16,6 +16,16 @@ Two layers sit on top of the basis:
 * `PolyTensor` + `contract` -- tensors whose components are jets, with an
   einsum-like contraction that convolves the coefficient axis.  This is what
   the curvature pipeline runs on.
+
+Curvature tensors are mostly zero components: the ambient curvature vanishes
+on every t- and rho-slot, and a product of spheres has few nonzero base
+components.  `contract` therefore finds the components of each operand that
+are nonzero at some batch point and joins the two supports on their shared
+letters.  When the joined pairs are a small share of all component pairs it
+multiplies only those; otherwise one dense einsum over every pair is faster.
+`PolyTensor` itself stays dense.  The sparse kernel and `TaylorScalar`
+multiplication share one jet product, `_jet_mul`; the dense kernel runs the
+same `_pair_table` gather and reduceat around its einsum.
 """
 
 from __future__ import annotations
@@ -124,7 +134,28 @@ def _diff_table(nvars: int, order: int, var: int):
     return gather, factor
 
 
-_CHUNK = 1 << 23  # max scratch elements per contraction chunk
+# Largest gathered array of one contraction chunk, in elements (2 MiB of
+# float64).  Per call, both kernels ran fastest at 2^17 to 2^19 on the
+# benchmark's quadrature and ambient calls: larger chunks leave the cache,
+# smaller ones pay NumPy's per-call overhead.
+_CHUNK = 1 << 18
+
+# A call takes the sparse path when its joined pairs are at most this share
+# of all component pairs.  On every `jets.contract` call of the benchmark's
+# quadrature and ambient-p8 workloads, the sparse kernel won in total in each
+# share bucket up to [0.3, 0.4) (by 1.7x there) and lost by 4x to 11x from
+# 0.7 up; no call fell in between.
+_SPARSE_SHARE = 0.4
+
+
+def _jet_mul(x, y, nvars: int, order_x: int, order_y: int, order_out: int):
+    """Truncated product of coefficient arrays; leading axes broadcast."""
+    I, J, uniq_k, seg_starts = _pair_table(nvars, order_x, order_y, order_out)
+    prod = x[..., I] * y[..., J]
+    out = np.zeros(prod.shape[:-1] + (basis(nvars, order_out).size,),
+                   dtype=prod.dtype)
+    out[..., uniq_k] = np.add.reduceat(prod, seg_starts, axis=-1)
+    return out
 
 
 class PolyTensor:
@@ -211,51 +242,123 @@ def contract(pattern: str, a: PolyTensor, b: PolyTensor, order: int | None = Non
 
     `pattern` names only the component axes, e.g. ``'ae,eb->ab'``; batch axes
     are broadcast and the jet axis is convolved and truncated to `order`.
+
+    Only component pairs whose jets are both nonzero at some batch point can
+    contribute.  When they are at most `_SPARSE_SHARE` of all component pairs
+    (the product of every letter's dimension), only those pairs are
+    multiplied; otherwise one einsum runs over every pair.  NaN and inf count
+    as nonzero, so a non-finite jet reaches every output its nonzero partners
+    reach.
     """
     if order is None:
         order = min(a.basis.order, b.basis.order)
     order = min(order, a.basis.order + b.basis.order)
-    I, J, uniq_k, seg_starts = _pair_table(
-        a.basis.nvars, a.basis.order, b.basis.order, order)
-    bout = basis(a.basis.nvars, order)
     ins, outs = pattern.split("->")
     in_a, in_b = ins.split(",")
-    ein = f"...{in_a}P,...{in_b}P->...{outs}P"
-
     batch_shape = np.broadcast_shapes(
         a.coeffs.shape[: a.batch_ndim], b.coeffs.shape[: b.batch_ndim])
-    batch_ndim = len(batch_shape)
-
-    # probe output component shape
     dims = {}
     for letters, arr in ((in_a, a), (in_b, b)):
-        for ax, letter in enumerate(letters):
-            dims[letter] = arr.comp_shape[ax]
-    out_comp = tuple(dims[c] for c in outs)
-    out = np.zeros(batch_shape + out_comp + (bout.size,))
+        dims.update(zip(letters, arr.comp_shape))
+    bout = basis(a.basis.nvars, order)
+    out = np.zeros(batch_shape + tuple(dims[c] for c in outs) + (bout.size,))
+    nbatch = math.prod(batch_shape)
+    join = _support_join(in_a, in_b, a, b, dims)
+    dense_pairs = math.prod(dims.values())
+    if join is not None and join[2].sum() <= _SPARSE_SHARE * dense_pairs:
+        _contract_sparse(in_a, in_b, outs, a, b, dims, join, out, order, nbatch)
+    else:
+        _contract_dense(in_a, in_b, outs, a, b, dims, out, order, nbatch)
+    return PolyTensor(out, bout, len(batch_shape))
 
-    npairs = len(I)
-    # chunk the pair axis only between segments so reduceat stays valid;
-    # the scratch per pair is dominated by the widest of the two gathered
-    # operands and the einsum product
-    nbatch = max(int(np.prod(batch_shape, dtype=np.int64)), 1)
-    widest = max(int(np.prod(a.comp_shape, dtype=np.int64)),
-                 int(np.prod(b.comp_shape, dtype=np.int64)),
-                 int(np.prod(out_comp, dtype=np.int64)), 1)
-    est = nbatch * widest
-    nseg_per_chunk = max(1, int(_CHUNK // max(est, 1)))
+
+def _support(x: PolyTensor, letters: str):
+    """Size and coordinates (one array per letter) of the support of `x`:
+    the components whose jet is nonzero, NaN or inf at some batch point."""
+    axes = tuple(range(x.batch_ndim)) + (x.coeffs.ndim - 1,)
+    flat = np.flatnonzero(np.any(x.coeffs != 0, axis=axes))
+    coords = np.unravel_index(flat, x.comp_shape) if letters else ()
+    return len(flat), dict(zip(letters, coords))
+
+
+def _support_join(in_a, in_b, a, b, dims):
+    """Join the supports of `a` and `b` on the letters they share.
+
+    Returns (coords_a, coords_b, counts, lo, order_b): support entry i of `a`
+    pairs with the entries order_b[lo[i] : lo[i] + counts[i]] of `b`.  None
+    when a letter repeats within one operand (a diagonal), which the join
+    does not cover.
+    """
+    if len(set(in_a)) < len(in_a) or len(set(in_b)) < len(in_b):
+        return None
+    (na, ca), (nb, cb) = _support(a, in_a), _support(b, in_b)
+    key_a, key_b = np.zeros(na, np.int64), np.zeros(nb, np.int64)
+    for c in in_a:
+        if c in cb:
+            key_a = key_a * dims[c] + ca[c]
+            key_b = key_b * dims[c] + cb[c]
+    order_b = np.argsort(key_b, kind="stable")
+    lo = np.searchsorted(key_b[order_b], key_a, side="left")
+    counts = np.searchsorted(key_b[order_b], key_a, side="right") - lo
+    return ca, cb, counts, lo, order_b
+
+
+def _gather(x: PolyTensor, letters: str, coords, rows):
+    """Jets of the support entries `rows` of `x`: shape (*batch, rows, P)."""
+    if not letters:
+        return x.coeffs[..., None, :]
+    idx = tuple(coords[c][rows] for c in letters)
+    return x.coeffs[(Ellipsis,) + idx + (slice(None),)]
+
+
+def _contract_sparse(in_a, in_b, outs, a, b, dims, join, out, order, nbatch):
+    """Multiply only the joined pairs and sum them by output component."""
+    ca, cb, counts, lo, order_b = join
+    total = int(counts.sum())
+    starts = np.cumsum(counts) - counts
+    ia = np.repeat(np.arange(len(counts)), counts)
+    ib = order_b[np.arange(total) + np.repeat(lo - starts, counts)]
+    comp = np.zeros(total, np.int64)
+    for c in outs:
+        comp = comp * dims[c] + (ca[c][ia] if c in ca else cb[c][ib])
+    by_comp = np.argsort(comp, kind="stable")
+    ia, ib, comp = ia[by_comp], ib[by_comp], comp[by_comp]
+    nv, oa, ob = a.basis.nvars, a.basis.order, b.basis.order
+    # a chunk's scratch is its pair count times the batch times the jet
+    # pairs of one product, the widest gathered array
+    jet_pairs = len(_pair_table(nv, oa, ob, order)[0])
+    step = max(1, _CHUNK // max(nbatch * jet_pairs, 1))
+    flat_out = out.reshape(out.shape[: out.ndim - 1 - len(outs)]
+                           + (-1, out.shape[-1]))
+    for s in range(0, total, step):
+        sl = slice(s, s + step)
+        prod = _jet_mul(_gather(a, in_a, ca, ia[sl]),
+                        _gather(b, in_b, cb, ib[sl]), nv, oa, ob, order)
+        uniq, first = np.unique(comp[sl], return_index=True)
+        flat_out[..., uniq, :] += np.add.reduceat(prod, first, axis=-2)
+
+
+def _contract_dense(in_a, in_b, outs, a, b, dims, out, order, nbatch):
+    """One einsum over every component pair, jet pair by jet pair."""
+    I, J, uniq_k, seg_starts = _pair_table(
+        a.basis.nvars, a.basis.order, b.basis.order, order)
+    ein = f"...{in_a}P,...{in_b}P->...{outs}P"
+    # chunk the pair axis only between segments so reduceat stays valid; a
+    # chunk's scratch is its pair count times the batch times the widest of
+    # the two gathered operands and the product
+    widest = max(math.prod(a.comp_shape), math.prod(b.comp_shape),
+                 math.prod(dims[c] for c in outs))
+    step = max(1, _CHUNK // max(nbatch * widest, 1))
+    bounds = np.append(seg_starts, len(I))
     s = 0
     while s < len(seg_starts):
-        e = min(s + max(nseg_per_chunk, 1), len(seg_starts))
-        lo = seg_starts[s]
-        hi = seg_starts[e] if e < len(seg_starts) else npairs
-        ga = a.coeffs[..., I[lo:hi]]
-        gb = b.coeffs[..., J[lo:hi]]
-        prod = np.einsum(ein, ga, gb, optimize=True)
-        sums = np.add.reduceat(prod, seg_starts[s:e] - lo, axis=-1)
-        out[..., uniq_k[s:e]] = sums
+        lo = bounds[s]
+        e = max(s + 1, int(np.searchsorted(bounds, lo + step, "right")) - 1)
+        prod = np.einsum(ein, a.coeffs[..., I[lo:bounds[e]]],
+                         b.coeffs[..., J[lo:bounds[e]]], optimize=True)
+        out[..., uniq_k[s:e]] = np.add.reduceat(prod, seg_starts[s:e] - lo,
+                                                axis=-1)
         s = e
-    return PolyTensor(out, bout, batch_ndim)
 
 
 def poly_matrix_inverse(g: PolyTensor, order: int) -> PolyTensor:
@@ -338,13 +441,9 @@ class TaylorScalar:
         if not isinstance(other, TaylorScalar):
             return TaylorScalar(self.basis, self.coeffs * np.asarray(other)[..., None]
                                 if np.ndim(other) else self.coeffs * other)
-        I, J, uniq_k, seg_starts = _pair_table(
-            self.basis.nvars, self.basis.order, other.basis.order, self.basis.order)
-        prod = self.coeffs[..., I] * other.coeffs[..., J]
-        sums = np.add.reduceat(prod, seg_starts, axis=-1)
-        out = np.zeros(prod.shape[:-1] + (self.basis.size,), dtype=prod.dtype)
-        out[..., uniq_k] = sums
-        return TaylorScalar(self.basis, out)
+        return TaylorScalar(self.basis, _jet_mul(
+            self.coeffs, other.coeffs, self.basis.nvars, self.basis.order,
+            other.basis.order, self.basis.order))
 
     __rmul__ = __mul__
 

@@ -1,8 +1,13 @@
 """Truncated multivariate Taylor (jet) arithmetic."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rcint import jets
 from rcint.jets import (
     PolyTensor,
     TaylorScalar,
@@ -72,6 +77,117 @@ class TestContract:
         out = contract("a,a->", p, q, 0)
         assert np.allclose(out.value(),
                            np.sum(p.value() * q.value(), axis=-1))
+
+
+def _both_paths(pattern, a, b, order=None, chunk=jets._CHUNK):
+    """`contract` forced onto the sparse path, then onto the dense path."""
+    saved = jets._SPARSE_SHARE, jets._CHUNK
+    out = []
+    try:
+        jets._CHUNK = chunk
+        for share in (math.inf, -1.0):
+            jets._SPARSE_SHARE = share
+            out.append(contract(pattern, a, b, order))
+    finally:
+        jets._SPARSE_SHARE, jets._CHUNK = saved
+    return out
+
+
+def _sparse_poly(b, comp_shape, batch, density, rng):
+    coeffs = rng.standard_normal(batch + comp_shape + (b.size,))
+    coeffs *= (rng.uniform(size=comp_shape) < density)[..., None]
+    return PolyTensor(coeffs, b, len(batch))
+
+
+def _assert_paths_agree(pattern, a, b, order=None, chunk=jets._CHUNK):
+    sparse, dense = _both_paths(pattern, a, b, order, chunk)
+    assert sparse.coeffs.shape == dense.coeffs.shape
+    assert sparse.batch_ndim == dense.batch_ndim
+    assert sparse.basis is dense.basis
+    np.testing.assert_allclose(sparse.coeffs, dense.coeffs, rtol=1e-12,
+                               atol=1e-12)
+
+
+@st.composite
+def _contractions(draw):
+    letters = "abcd"
+    dims = {c: draw(st.integers(1, 3)) for c in letters}
+    in_a = "".join(draw(st.permutations(letters))[: draw(st.integers(0, 3))])
+    in_b = "".join(draw(st.permutations(letters))[: draw(st.integers(0, 3))])
+    union = sorted(set(in_a + in_b))
+    outs = "".join(c for c in draw(st.permutations(union))
+                   if draw(st.booleans()))
+    nvars = draw(st.integers(1, 3))
+    order_a, order_b = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    order = draw(st.none() | st.integers(0, 6))
+    batches = st.sampled_from([(), (1,), (3,)])
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = _sparse_poly(basis(nvars, order_a), tuple(dims[c] for c in in_a),
+                     draw(batches), draw(st.floats(0, 1)), rng)
+    b = _sparse_poly(basis(nvars, order_b), tuple(dims[c] for c in in_b),
+                     draw(batches), draw(st.floats(0, 1)), rng)
+    chunk = draw(st.sampled_from([jets._CHUNK, 1, 40]))
+    return f"{in_a},{in_b}->{outs}", a, b, order, chunk
+
+
+class TestContractPaths:
+    """The support-sparse kernel and the dense einsum kernel agree."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_contractions())
+    def test_sparse_matches_dense(self, case):
+        _assert_paths_agree(*case)
+
+    @pytest.mark.parametrize("pattern", [
+        ",->", ",ab->ab", "ab,->ab",  # rank-0 operands
+        "ab,ab->ab",  # a letter shared and kept
+        "ab,ab->",  # every letter shared and summed
+        "ab,c->ac",  # b summed in one operand only
+        "ab,bc->ac", "abcd,cdef->abef", "a,b->ab", "ba,bc->ca",
+    ])
+    @pytest.mark.parametrize("batches", [((), ()), ((), (4,)), ((1,), (4,)),
+                                         ((4,), (4,))])
+    def test_patterns_and_batches(self, pattern, batches):
+        rng = np.random.default_rng(len(pattern))
+        ins = pattern.split("->")[0].split(",")
+        b = basis(2, 3)
+        a_, b_ = (_sparse_poly(b, (3,) * len(s), batch, 0.5, rng)
+                  for s, batch in zip(ins, batches))
+        _assert_paths_agree(pattern, a_, b_)
+        _assert_paths_agree(pattern, a_, b_, 2)
+
+    @pytest.mark.parametrize("pattern", ["ab,bc->ac", ",ab->ab", ",->"])
+    def test_all_zero_operand(self, pattern):
+        b = basis(3, 2)
+        ins = pattern.split("->")[0].split(",")
+        zero = PolyTensor(np.zeros((2,) * len(ins[0]) + (b.size,)), b)
+        other = _random_poly(b, (2,) * len(ins[1]), seed=10)
+        for out in _both_paths(pattern, zero, other):
+            assert out.coeffs.shape == (2,) * len(pattern.split("->")[1]) + (
+                b.size,)
+            assert not out.coeffs.any()
+
+    def test_nan_reaches_output_through_nonzero_partner(self):
+        b = basis(2, 2)
+        x = np.zeros((3, 3, b.size))
+        x[0, 1, 2] = np.nan
+        x[2, 2] = 1.0
+        y = np.zeros((3, 3, b.size))
+        y[1, 0, 0] = 2.0
+        for out in _both_paths("ab,bc->ac", PolyTensor(x, b), PolyTensor(y, b)):
+            assert np.isnan(out.coeffs[0, 0]).any()
+            assert np.isfinite(out.coeffs[2]).all()
+
+    def test_sparse_path_runs_by_default_on_sparse_input(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(jets, "_contract_dense",
+                            lambda *args: calls.append(args))
+        b = basis(2, 2)
+        x = np.zeros((10, 10, b.size))
+        x[np.arange(10), np.arange(10)] = 1.0
+        out = contract("ab,bc->ac", PolyTensor(x, b), PolyTensor(x, b))
+        assert not calls
+        assert np.array_equal(out.coeffs[..., 0], np.eye(10))
 
 
 class TestDiff:
