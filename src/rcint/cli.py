@@ -248,6 +248,7 @@ SUITES = {
 # ---------------------------------------------------------------------------
 # output formatting
 
+_FORMATS = ("json", "csv", "table")
 _CSV_FIELDS = ["check_id", "anchor", "lhs", "rhs", "abs_err", "rel_err",
                "tol", "passed", "criterion"]
 
@@ -294,14 +295,14 @@ def _build_parser():
     v.add_argument("--config", help="JSON config file mirroring the flags")
     v.add_argument("--manifold", help="restrict to one catalog manifold")
     v.add_argument("--tol", type=float, help="tolerance override")
-    v.add_argument("--seed", type=int, default=0, help="fuzz seed")
+    v.add_argument("--seed", type=int, help="fuzz seed (default 0)")
     v.add_argument("--samples", type=int, help="fuzz sample count")
     v.add_argument("--n", "--dim", dest="n", type=int,
                    help="dimension selector for dimension-indexed suites")
     v.add_argument("--jet-order", type=int,
                    help="cap on metric jet order (guard rail)")
-    v.add_argument("--format", choices=["json", "csv", "table"],
-                   default="json")
+    v.add_argument("--format", choices=_FORMATS,
+                   help="report format (default json)")
     v.add_argument("--out", help="write the report stream to this path")
 
     r = sub.add_parser("rvol", help="renormalized volume (finite part)")
@@ -311,6 +312,10 @@ def _build_parser():
 
     sub.add_parser("list-suites", help="list suites with source anchors")
     return p
+
+
+#: flag defaults, applied after the config file merge so its keys count
+_VERIFY_DEFAULTS = {"seed": 0, "format": "json"}
 
 
 def _apply_config_file(args):
@@ -332,8 +337,8 @@ def _apply_config_file(args):
         # explicit flags win over the config file
         if attr == "suites":
             if not args.suites:
-                args.suites = list(val)
-        elif getattr(args, attr, None) in (None, 0) or attr == "seed":
+                args.suites = val
+        elif getattr(args, attr, None) is None:
             setattr(args, attr, val)
     return args
 
@@ -342,7 +347,21 @@ class ConfigError(Exception):
     pass
 
 
+#: verify setting -> the type its value must have (flags or config file)
+_SETTING_TYPES = {"manifold": str, "tol": (int, float), "seed": int,
+                  "samples": int, "n": int, "jet_order": int,
+                  "format": str, "out": str}
+
+
 def _validate(args):
+    if not isinstance(args.suites, list) or not all(
+            isinstance(s, str) for s in args.suites):
+        raise ConfigError("suites must be a list of suite names")
+    for attr, kind in _SETTING_TYPES.items():
+        val = getattr(args, attr)
+        if val is not None and (isinstance(val, bool)
+                                or not isinstance(val, kind)):
+            raise ConfigError(f"{attr} has the wrong type: {val!r}")
     if not args.suites:
         raise ConfigError("no suites given; see `rcint list-suites`")
     for s in args.suites:
@@ -354,8 +373,14 @@ def _validate(args):
             get_model(args.manifold)
         except KeyError as exc:
             raise ConfigError(str(exc))
+    if args.format not in _FORMATS:
+        raise ConfigError(f"--format must be one of {', '.join(_FORMATS)}")
     if args.tol is not None and args.tol <= 0:
         raise ConfigError("--tol must be positive")
+    if args.seed < 0:
+        raise ConfigError("--seed must be non-negative")
+    if args.samples is not None and args.samples < 1:
+        raise ConfigError("--samples must be at least 1")
     if args.n is not None and args.n not in (4, 5, 6, 8):
         raise ConfigError("--n must be one of 4, 5, 6, 8")
     if args.jet_order is not None and args.jet_order < 2:
@@ -411,6 +436,9 @@ def main(argv=None) -> int:
         if args.command == "rvol":
             return _run_rvol(args)
         args = _apply_config_file(args)
+        for attr, val in _VERIFY_DEFAULTS.items():
+            if getattr(args, attr) is None:
+                setattr(args, attr, val)
         _validate(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,11 +10,14 @@ antisymmetric is
 
 where delta is the *normalized* generalized Kronecker delta
 (1/k!) det(delta^{a_i}_{b_j}).  Expanding delta as a signed sum over
-S_{2l} gives (2l)! complete contractions; the optimized evaluator groups
+S_{2l} gives (2l)! complete contractions; the optimized evaluators group
 permutations into equivalence classes under relabelings that preserve the
 term value for any T with the pair symmetries (conjugation by pair-block
-permutations and inversion), so only one contraction per class is computed.
-A naive full-permutation evaluator is kept as an independent oracle.
+permutations and inversion), so only one complete contraction per class is
+needed.  The dense evaluator computes one einsum per class.  The jet
+evaluator runs a plan made once per l, in which each distinct self-trace and
+pairwise contraction of the class terms is computed once.  A naive
+full-permutation evaluator is kept as an independent oracle.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 import string
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -73,35 +77,6 @@ def _perm_sign(perm):
 
 
 @lru_cache(maxsize=None)
-def _pair_block_group(ell: int):
-    """The hyperoctahedral group on 2*ell points: permute the ell blocks
-    {2j, 2j+1} and optionally swap within blocks."""
-    out = []
-    for block_perm in itertools.permutations(range(ell)):
-        for swaps in itertools.product((False, True), repeat=ell):
-            pi = [0] * (2 * ell)
-            for j in range(ell):
-                a, b = 2 * block_perm[j], 2 * block_perm[j] + 1
-                if swaps[j]:
-                    a, b = b, a
-                pi[2 * j], pi[2 * j + 1] = a, b
-            out.append(tuple(pi))
-    return tuple(out)
-
-
-def _compose(p, q):
-    """(p o q)(i) = p[q[i]]."""
-    return tuple(p[i] for i in q)
-
-
-def _invert(p):
-    inv = [0] * len(p)
-    for i, v in enumerate(p):
-        inv[v] = i
-    return tuple(inv)
-
-
-@lru_cache(maxsize=None)
 def _pf_classes(ell: int):
     """Group S_{2l} into classes with equal contraction value.
 
@@ -110,25 +85,45 @@ def _pf_classes(ell: int):
     sigma -> pi o sigma o pi^{-1} for pi in the pair-block group (dummy
     index relabeling; the two antisymmetry sign flips cancel) and under
     sigma -> sigma^{-1} (pair-exchange symmetry).  Signs are constant on
-    each class, so the delta expansion collapses to one einsum per class.
+    each class, so the delta expansion collapses to one term per class.
 
-    Returns a list of (signed_multiplicity, representative sigma).
+    The orbits are labelled, not enumerated.  Each permutation, as its
+    index in the lexicographic list of S_{2l}, is mapped through inversion
+    and conjugation by the in-block swap, the swap of blocks 0 and 1 and
+    the block cycle, which generate the pair-block group.  The least index
+    is propagated along these maps until it is constant on each orbit; it
+    marks the orbit's lexicographically first member, its representative.
+
+    Returns a list of (signed_multiplicity, representative sigma), in the
+    lexicographic order of the representatives.
     """
-    group = _pair_block_group(ell)
-    seen = {}
-    classes = []
-    for sigma in itertools.permutations(range(2 * ell)):
-        if sigma in seen:
-            continue
-        orbit = set()
-        for pi in group:
-            pinv = _invert(pi)
-            for s in (sigma, _invert(sigma)):
-                orbit.add(_compose(pi, _compose(s, pinv)))
-        for s in orbit:
-            seen[s] = True
-        classes.append((_perm_sign(sigma) * len(orbit), sigma))
-    return classes
+    m = 2 * ell
+    perms = list(itertools.permutations(range(m)))
+    arr = np.array(perms, dtype=np.int64)
+
+    def lex_index(p):
+        idx = np.zeros(len(p), np.int64)
+        for i in range(m):  # Lehmer code in Horner form
+            idx = idx * (m - i) + (p[:, i + 1:] < p[:, i:i + 1]).sum(axis=1)
+        return idx
+
+    gens = [np.array([1, 0] + list(range(2, m))), (np.arange(m) + 2) % m]
+    if ell > 1:
+        gens.append(np.array([2, 3, 0, 1] + list(range(4, m))))
+    images = [lex_index(np.argsort(arr, axis=1))]
+    images += [lex_index(pi[arr[:, np.argsort(pi)]]) for pi in gens]
+    label = np.arange(len(perms))
+    while True:
+        new = label
+        for img in images:
+            new = np.minimum(new, new[img])
+        if np.array_equal(new, label):
+            break
+        label = new
+    roots = np.flatnonzero(label == np.arange(len(perms)))
+    sizes = np.bincount(label)[roots]
+    return [(_perm_sign(perms[r]) * int(n), perms[r])
+            for r, n in zip(roots, sizes)]
 
 
 def _term_subscripts(sigma, ell):
@@ -213,55 +208,94 @@ def raise_last_two(T: PolyTensor, ginv: PolyTensor, order=None) -> PolyTensor:
 def pf_ell_poly(Tud: PolyTensor, ell: int, order=None) -> PolyTensor:
     """Pf_l of a jet-valued tensor T_{ab}{}^{cd} (scalar PolyTensor).
 
-    Each class contraction is evaluated by repeated pairwise contraction,
-    always joining the two factors sharing the most letters to keep
-    intermediate ranks small.
+    Runs the straight-line program of `_pf_plan`: every distinct self-trace
+    and pairwise contraction of the class expansion is computed once, and
+    the class terms are summed in class order.  Each intermediate is
+    released after its last use.
     """
     if order is None:
         order = Tud.basis.order
     dim = Tud.comp_shape[-1]
     if 2 * ell > dim:
         raise ValueError(f"Pf_{ell} requires dimension >= {2 * ell}, got {dim}")
+    steps, finals = _pf_plan(ell)
+    uses = Counter(x for _, _, *ops in steps for x in ops)
+    uses.update(v for _, v in finals)
+    vals = [Tud]
+    for kind, how, *ops in steps:
+        args = [vals[x] for x in ops]
+        for x in ops:
+            uses[x] -= 1
+            if not uses[x]:
+                vals[x] = None
+        if kind == "trace":
+            vals.append(pt_trace(*args, *how))
+        else:
+            vals.append(jcontract(how, *args, order))
     total = None
-    for mult, sigma in _pf_classes(ell):
-        subs = _term_subscripts(sigma, ell)
-        term = _contract_term_poly(subs, Tud, order)
-        term = float(mult) * term
+    for mult, v in finals:
+        term = float(mult) * vals[v]
         total = term if total is None else total + term
     return _pf_prefactor(ell) * total
 
 
-def _contract_term_poly(subs, Tud, order):
-    factors = []
-    for s in subs:
-        t, s2 = Tud, s
-        # resolve self-traces (repeated letter within one factor)
-        while len(set(s2)) < len(s2):
-            for i in range(len(s2)):
-                j = s2.find(s2[i], i + 1)
-                if j > 0:
-                    t = pt_trace(t, i, j)
-                    s2 = s2[:i] + s2[i + 1:j] + s2[j + 1:]
-                    break
-        factors.append((s2, t))
-    while len(factors) > 1:
-        best = None
-        for i in range(len(factors)):
-            for j in range(i + 1, len(factors)):
-                shared = len(set(factors[i][0]) & set(factors[j][0]))
-                if best is None or shared > best[0]:
-                    best = (shared, i, j)
-        _, i, j = best
-        si, ti = factors[i]
-        sj, tj = factors[j]
-        out = "".join(c for c in si + sj if (si + sj).count(c) == 1)
-        merged = jcontract(f"{si},{sj}->{out}", ti, tj, order)
-        factors = [f for k, f in enumerate(factors) if k not in (i, j)]
-        factors.append((out, merged))
-    s, t = factors[0]
-    if s:
-        raise AssertionError("incomplete contraction")
-    return t
+@lru_cache(maxsize=None)
+def _pf_plan(ell: int):
+    """The class expansion of Pf_l on jets as a straight-line program.
+
+    Walks `_pf_classes(ell)` once.  Within a class, each factor's
+    self-traces are resolved first; then the two factors sharing the most
+    letters are contracted, repeatedly, until one scalar is left.  A trace
+    is keyed by its axes and operand, a contraction by its pattern with
+    letters renamed in order of first appearance and by its operands.
+    Renaming letters does not change the array a contraction computes, so
+    each distinct key becomes one step and every class term keeps its
+    value.
+
+    Returns (steps, finals).  Value 0 is T_{ab}{}^{cd}, and step k computes
+    value k + 1 as ("trace", (i, j), x), the trace of value x over axes i
+    and j, or ("merge", pattern, x, y).  finals holds one (signed
+    multiplicity, value) pair per class, in class order.
+    """
+    steps, index = [], {}
+
+    def step(*key):
+        if key not in index:
+            steps.append(key)
+            index[key] = len(steps)
+        return index[key]
+
+    finals = []
+    for mult, sigma in _pf_classes(ell):
+        factors = []
+        for s in _term_subscripts(sigma, ell):
+            v = 0
+            while len(set(s)) < len(s):
+                i = next(i for i, c in enumerate(s) if s.count(c) > 1)
+                j = s.index(s[i], i + 1)
+                v = step("trace", (i, j), v)
+                s = s[:i] + s[i + 1:j] + s[j + 1:]
+            factors.append((s, v))
+        while len(factors) > 1:
+            best = None
+            for i in range(len(factors)):
+                for j in range(i + 1, len(factors)):
+                    shared = len(set(factors[i][0]) & set(factors[j][0]))
+                    if best is None or shared > best[0]:
+                        best = (shared, i, j)
+            _, i, j = best
+            (si, vi), (sj, vj) = factors[i], factors[j]
+            out = "".join(c for c in si + sj if (si + sj).count(c) == 1)
+            rename = {c: string.ascii_lowercase[k]
+                      for k, c in enumerate(dict.fromkeys(si + sj))}
+            pattern = "".join(rename.get(c, c) for c in f"{si},{sj}->{out}")
+            factors = [f for k, f in enumerate(factors) if k not in (i, j)]
+            factors.append((out, step("merge", pattern, vi, vj)))
+        s, v = factors[0]
+        if s:
+            raise AssertionError("incomplete contraction")
+        finals.append((mult, v))
+    return tuple(steps), tuple(finals)
 
 
 # ---------------------------------------------------------------------------

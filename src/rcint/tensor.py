@@ -18,6 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .invariants import _perm_sign
+
 DEFAULT_RTOL = 1e-10
 
 UPPER = "u"
@@ -204,22 +206,6 @@ def symmetrize(t: DenseTensor, slots) -> DenseTensor:
 
 def antisymmetrize(t: DenseTensor, slots) -> DenseTensor:
     return _permute_average(t, slots, signed=True)
-
-
-def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, clen = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
 
 
 # ---------------------------------------------------------------------------

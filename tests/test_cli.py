@@ -151,3 +151,45 @@ class TestConfigFile:
         cfg.write_text("{not json")
         code, _, _ = _run(capsys, "verify", "kronecker", "--config", str(cfg))
         assert code == EXIT_CONFIG
+
+    def test_config_format_applies(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"format": "csv"}))
+        code, out, _ = _run(capsys, "verify", "rvol", "--config", str(cfg))
+        assert code == EXIT_OK
+        assert out.splitlines()[0].startswith("check_id,anchor")
+
+    @pytest.mark.parametrize("seed", ["7", "0"])
+    def test_explicit_seed_wins_over_config(self, capsys, tmp_path, seed):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 3}))
+        argv = ("verify", "pfaffian-identities", "--n", "4", "--samples", "2",
+                "--seed", seed)
+        _, with_cfg, _ = _run(capsys, *argv, "--config", str(cfg))
+        _, without, _ = _run(capsys, *argv)
+        _, cfg_seed, _ = _run(capsys, *argv[:-1], "3")
+        assert with_cfg == without != cfg_seed
+
+    @pytest.mark.parametrize("doc", [
+        {"seed": "x"}, {"seed": True}, {"tol": "a"}, {"samples": 2.5},
+        {"format": "xml"}, {"suites": "pfaffian-identities"}, {"suites": 5},
+        {"suites": ["pfaffian-identities", 1]},
+    ])
+    def test_wrong_config_types_rejected(self, capsys, tmp_path, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        argv = [] if "suites" in doc else ["pfaffian-identities", "--n", "4"]
+        code, out, _ = _run(capsys, "verify", *argv, "--config", str(cfg))
+        assert code == EXIT_CONFIG
+        assert out == ""
+
+
+class TestRejectedBeforeComputation:
+    @pytest.mark.parametrize("flags", [("--samples", "-3"),
+                                       ("--samples", "0"),
+                                       ("--seed", "-1")])
+    def test_out_of_range_values(self, capsys, flags):
+        code, out, _ = _run(capsys, "verify", "pfaffian-identities",
+                            "--n", "4", *flags)
+        assert code == EXIT_CONFIG
+        assert out == ""

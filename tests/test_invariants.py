@@ -7,10 +7,15 @@ import math
 import numpy as np
 import pytest
 
-from rcint.geometry import get_model
+import rcint.invariants as inv
+from rcint.geometry import get_model, pt_trace
 from rcint.invariants import (
     STRAIGHTENABLE_FIELDS,
+    _perm_sign,
     _pf_classes,
+    _pf_plan,
+    _pf_prefactor,
+    _term_subscripts,
     curvature_symmetry_residuals,
     divergence_construction,
     double_factorial,
@@ -26,6 +31,7 @@ from rcint.invariants import (
     random_weyl,
     weyl_norm2_field,
 )
+from rcint.jets import PolyTensor, basis, contract as jcontract
 
 
 class TestHelpers:
@@ -99,6 +105,110 @@ class TestPfEll:
             jet = pf_ell_poly(Wud, ell).value()
             direct = pf_ell(geo.weyl.value(), ell, geo.g.value())
             assert jet == pytest.approx(direct, rel=1e-11)
+
+
+def _brute_pf_classes(ell):
+    """The class list by explicit orbits: conjugate every permutation and
+    its inverse by each element of the pair-block group."""
+    def invert(p):
+        return tuple(sorted(range(len(p)), key=p.__getitem__))
+
+    group = []
+    for blocks in itertools.permutations(range(ell)):
+        for swaps in itertools.product((False, True), repeat=ell):
+            pi = []
+            for j, swap in zip(blocks, swaps):
+                pi += [2 * j + 1, 2 * j] if swap else [2 * j, 2 * j + 1]
+            group.append(tuple(pi))
+    seen, classes = set(), []
+    for sigma in itertools.permutations(range(2 * ell)):
+        if sigma in seen:
+            continue
+        orbit = {tuple(pi[s[k]] for k in invert(pi))
+                 for pi in group for s in (sigma, invert(sigma))}
+        seen |= orbit
+        classes.append((_perm_sign(sigma) * len(orbit), sigma))
+    return classes
+
+
+def _per_class_pf_poly(Tud, ell, order):
+    """Pf_l on jets with each class contracted on its own: self-traces
+    first, then repeatedly the two factors sharing the most letters."""
+    total = None
+    for mult, sigma in _pf_classes(ell):
+        factors = []
+        for s in _term_subscripts(sigma, ell):
+            t = Tud
+            while len(set(s)) < len(s):
+                i = next(i for i, c in enumerate(s) if s.count(c) > 1)
+                j = s.index(s[i], i + 1)
+                t = pt_trace(t, i, j)
+                s = s[:i] + s[i + 1:j] + s[j + 1:]
+            factors.append((s, t))
+        while len(factors) > 1:
+            best = None
+            for i in range(len(factors)):
+                for j in range(i + 1, len(factors)):
+                    shared = len(set(factors[i][0]) & set(factors[j][0]))
+                    if best is None or shared > best[0]:
+                        best = (shared, i, j)
+            _, i, j = best
+            (si, ti), (sj, tj) = factors[i], factors[j]
+            out = "".join(c for c in si + sj if (si + sj).count(c) == 1)
+            merged = jcontract(f"{si},{sj}->{out}", ti, tj, order)
+            factors = [f for k, f in enumerate(factors) if k not in (i, j)]
+            factors.append((out, merged))
+        term = float(mult) * factors[0][1]
+        total = term if total is None else total + term
+    return _pf_prefactor(ell) * total
+
+
+def _weyl_jet(dim, order, seed, live=None, nvars=3, batch=2):
+    """Random jets whose every coefficient is a Weyl-type tensor; with
+    `live`, only index values below it carry nonzero components."""
+    b = basis(nvars, order)
+    live = live or dim
+    W = random_weyl(live, seed=seed, nsamples=batch * b.size)
+    coeffs = np.zeros((batch, b.size) + (dim,) * 4)
+    coeffs[:, :, :live, :live, :live, :live] = W.reshape(
+        (batch, b.size) + (live,) * 4)
+    return PolyTensor(np.moveaxis(coeffs, 1, -1), b, 1)
+
+
+class TestPfPlan:
+    @pytest.mark.parametrize("ell", [1, 2, 3, 4])
+    def test_classes_match_orbit_enumeration(self, ell):
+        assert _pf_classes(ell) == _brute_pf_classes(ell)
+
+    @pytest.mark.parametrize("dim,ell,live", [(6, 2, None), (8, 2, 6),
+                                              (6, 3, None), (8, 3, None),
+                                              (8, 3, 6)])
+    def test_matches_per_class_evaluation(self, dim, ell, live):
+        # Dense jets take only the einsum kernel of contract; jets living on
+        # six of eight index values also reach its sparse kernel.
+        Tud = _weyl_jet(dim, 2, seed=dim + ell, live=live)
+        got = pf_ell_poly(Tud, ell)
+        assert np.array_equal(got.coeffs, _per_class_pf_poly(Tud, ell, 2).coeffs)
+
+    def test_ell4_order0(self):
+        # one point, because pf_ell_brute sums 8! einsums
+        Tud = _weyl_jet(8, 0, seed=48, batch=1)
+        got = pf_ell_poly(Tud, 4)
+        assert np.array_equal(got.coeffs, _per_class_pf_poly(Tud, 4, 0).coeffs)
+        assert got.value() == pytest.approx(pf_ell_brute(Tud.value(), 4),
+                                            rel=1e-12, abs=1e-12)
+
+    def test_one_contraction_per_merge_step(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0])
+            return jcontract(*args)
+
+        monkeypatch.setattr(inv, "jcontract", counting)
+        pf_ell_poly(_weyl_jet(8, 0, seed=1), 4)
+        merges = [s for s in _pf_plan(4)[0] if s[0] == "merge"]
+        assert len(calls) == len(merges) < 513
 
 
 class TestRandomWeyl:
