@@ -298,9 +298,7 @@ def _build_parser():
     v.add_argument("--seed", type=int, help="fuzz seed (default 0)")
     v.add_argument("--samples", type=int, help="fuzz sample count")
     v.add_argument("--n", "--dim", dest="n", type=int,
-                   help="dimension selector for dimension-indexed suites")
-    v.add_argument("--jet-order", type=int,
-                   help="cap on metric jet order (guard rail)")
+                   help="dimension for pfaffian-identities")
     v.add_argument("--format", choices=_FORMATS,
                    help="report format (default json)")
     v.add_argument("--out", help="write the report stream to this path")
@@ -329,7 +327,7 @@ def _apply_config_file(args):
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")
     allowed = {"suites", "manifold", "tol", "seed", "samples", "n",
-               "jet_order", "format", "out"}
+               "format", "out"}
     for key, val in doc.items():
         attr = key.replace("-", "_")
         if attr not in allowed:
@@ -349,8 +347,7 @@ class ConfigError(Exception):
 
 #: verify setting -> the type its value must have (flags or config file)
 _SETTING_TYPES = {"manifold": str, "tol": (int, float), "seed": int,
-                  "samples": int, "n": int, "jet_order": int,
-                  "format": str, "out": str}
+                  "samples": int, "n": int, "format": str, "out": str}
 
 
 def _validate(args):
@@ -381,24 +378,20 @@ def _validate(args):
         raise ConfigError("--seed must be non-negative")
     if args.samples is not None and args.samples < 1:
         raise ConfigError("--samples must be at least 1")
-    if args.n is not None and args.n not in (4, 5, 6, 8):
-        raise ConfigError("--n must be one of 4, 5, 6, 8")
-    if args.jet_order is not None and args.jet_order < 2:
-        raise ConfigError("--jet-order must be at least 2")
+    if args.n is not None:
+        if "pfaffian-identities" not in args.suites:
+            raise ConfigError("--n applies only to pfaffian-identities")
+        if args.n not in (4, 5, 6, 8):
+            raise ConfigError("--n must be one of 4, 5, 6, 8")
 
 
-def _run_verify(args) -> int:
+def _run_verify(args, out_stream) -> int:
     reports = []
     for name in args.suites:
         runner = SUITES[name][2]
         for rep in runner(args):
             reports.append(rep)
-    out_stream = open(args.out, "w") if args.out else sys.stdout
-    try:
-        _emit(reports, args.format, out_stream)
-    finally:
-        if args.out:
-            out_stream.close()
+    _emit(reports, args.format, out_stream)
     _summary(reports, sys.stdout)
     if all(r.passed for r in reports):
         return EXIT_OK
@@ -440,14 +433,21 @@ def main(argv=None) -> int:
             if getattr(args, attr) is None:
                 setattr(args, attr, val)
         _validate(args)
+        try:
+            out_stream = open(args.out, "w") if args.out else sys.stdout
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out file: {exc}")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        return _run_verify(args)
+        return _run_verify(args, out_stream)
     except Exception as exc:  # noqa: BLE001 - numerical failure surface
         print(f"internal numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    finally:
+        if args.out:
+            out_stream.close()
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ polynomials around a batch of points and derives Christoffel symbols,
 curvature, Schouten/Weyl/Cotton tensors, covariant derivatives and
 Laplacians, all as `PolyTensor`s.  Each derivative costs one order of the
 jet, so a caller that needs k derivatives of curvature builds the metric at
-order >= k + 2.
+order >= k + 2.  `raise_slots` is the one index-raising path for jets.
 
 Conventions (verified against round spheres in the test suite):
 
@@ -62,6 +62,21 @@ def _letters(n, banned="P"):
     pool = [c for c in string.ascii_lowercase + string.ascii_uppercase
             if c not in banned]
     return pool[:n]
+
+
+def raise_slots(t: PolyTensor, ginv: PolyTensor, slots,
+                order=None) -> PolyTensor:
+    """Raise the listed component axes of `t` with the inverse metric.
+
+    One contraction per slot, T^{..x..} = T_{..d..} g^{dx}; the raised
+    index stays in the slot's place.  `order` is passed to each `contract`.
+    """
+    *names, new = _letters(t.rank + 1)
+    idx = "".join(names)
+    for s in slots:
+        out = idx[:s] + new + idx[s + 1:]
+        t = contract(f"{idx},{idx[s]}{new}->{out}", t, ginv, order)
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -180,17 +195,7 @@ class Geometry:
 
     def raise_all(self, t: PolyTensor) -> PolyTensor:
         """All-lower tensor with every slot raised by the inverse metric."""
-        out = t
-        k = t.rank
-        names = _letters(k + 2)
-        for i in range(k):
-            idx = names[2: 2 + k]
-            tin = "".join(idx)
-            tout = idx.copy()
-            tout[i] = names[0]
-            pat = f"{tin},{names[0]}{idx[i]}->{''.join(tout)}"
-            out = contract(pat, out, self.ginv, out.basis.order)
-        return out
+        return raise_slots(t, self.ginv, range(t.rank), t.basis.order)
 
     def norm_squared(self, t: PolyTensor) -> PolyTensor:
         """|T|^2 for an all-lower-index tensor field."""

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import Geometry, Model, get_model
+from .geometry import Geometry, Model, get_model, raise_slots
 from .jets import contract as jcontract
 from .invariants import (
     STRAIGHTENABLE_FIELDS,
@@ -25,6 +25,7 @@ from .invariants import (
     pf_ell,
     pf_ell_weyl_field,
     pfaffian,
+    raise_array,
     weyl_norm2_field,
 )
 from .reports import CheckReport
@@ -280,8 +281,8 @@ def verify_worked_examples(model: Model, tol_pointwise=1e-8, tol_int=1e-6):
         lap = geo.laplacian(W).value()
         Wv = W.value()
         gi = geo.ginv.value()
-        Wud = np.einsum("...abef,...ec,...fd->...abcd", Wv, gi, gi)
-        Wm = np.einsum("...aebf,...ec,...fd->...acbd", Wv, gi, gi)
+        Wud = raise_array(Wv, gi, (2, 3))
+        Wm = raise_array(Wv, gi, (1, 3))
         n = model.dim
         rhs = (4 * model.lam * (n - 1) * Wv
                - np.einsum("...abef,...efcd->...abcd", Wud, Wv)
@@ -359,21 +360,13 @@ def _w3_rank2_fields(geo: Geometry):
     W = geo.weyl
     gi = geo.ginv
     Wuuu = geo.raise_all(W)
-    Wfu = jcontract("acde,ax->xcde", W, gi)           # W^a_cde
+    Wfu = raise_slots(W, gi, (0,))                    # W^a_cde
     B = jcontract("cefg,defg->cd", Wuuu, Wfu)         # B^cd
     T1 = jcontract("acbd,cd->ab", W, B)
-    W2u = jcontract("bcfg,cx->bxfg", W, gi)           # W_b^c_fg
+    W2u = raise_slots(W, gi, (1,))                    # W_b^c_fg
     V = jcontract("bcfg,defg->bcde", W2u, Wuuu)       # V_b^cde
     T2 = jcontract("acde,bcde->ab", W, V)
     return T1, T2
-
-
-def _weyl_first_low(geo: Geometry):
-    """W_a^bcd (last three slots raised)."""
-    W, gi = geo.weyl, geo.ginv
-    t = jcontract("abcd,bx->axcd", W, gi)
-    t = jcontract("axcd,cy->axyd", t, gi)
-    return jcontract("axyd,dz->axyz", t, gi)
 
 
 def remark_divergence_scalars(model: Model, tol=1e-8):
@@ -401,20 +394,15 @@ def weyl_squared_divergence_scalar(geo: Geometry):
     (n-4) grad^a (W_abcd C^cdb), hence zero in dimension four and at all
     Einstein metrics."""
     W = geo.weyl
-    T = jcontract("acde,bcde->ab", W, _weyl_first_low(geo))
+    T = jcontract("acde,bcde->ab", W, raise_slots(W, geo.ginv, (1, 2, 3)))
     return _div_div(geo, T) - 0.25 * geo.laplacian(geo.norm_squared(W))
 
 
 def cotton_divergence_scalar(geo: Geometry):
     """grad^a (W_abcd C^cdb) with the Cotton tensor raised on all slots."""
-    C = geo.cotton
-    gi = geo.ginv
-    Cu = jcontract("cdb,cx->xdb", C, gi)
-    Cu = jcontract("xdb,dy->xyb", Cu, gi)
-    Cu = jcontract("xyb,bz->xyz", Cu, gi)
-    V = jcontract("abcd,cdb->a", geo.weyl, Cu)
+    V = jcontract("abcd,cdb->a", geo.weyl, geo.raise_all(geo.cotton))
     dV = geo.covariant_derivative(V)
-    return jcontract("ea,ea->", dV, gi)
+    return jcontract("ea,ea->", dV, geo.ginv)
 
 
 def divergence_identity_checks(tol_pointwise=1e-8, tol_int=1e-6):

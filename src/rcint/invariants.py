@@ -26,13 +26,12 @@ import itertools
 import math
 import string
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .jets import PolyTensor, contract as jcontract
-from .geometry import Geometry, pt_trace
+from .jets import PolyTensor, const_poly, contract as jcontract
+from .geometry import Geometry, pt_trace, pt_transpose, raise_slots
 from .reports import CheckReport
 
 
@@ -45,15 +44,6 @@ def double_factorial(m: int) -> int:
         out *= m
         m -= 2
     return out
-
-
-@dataclass
-class InvariantValue:
-    """A named scalar invariant value together with its scaling weight."""
-
-    name: str
-    weight: int
-    value: float
 
 
 # ---------------------------------------------------------------------------
@@ -138,14 +128,24 @@ def _pf_prefactor(ell):
     return 2.0 ** (-ell) * double_factorial(2 * ell - 1) / math.factorial(2 * ell)
 
 
+def raise_array(t, gi, slots):
+    """Raise the listed slots of a batched rank-4 array with the inverse
+    metric `gi`, one einsum per slot; the raised index stays in the slot's
+    place.  The dense counterpart of `geometry.raise_slots`."""
+    for s in slots:
+        out = "abcd"[:s] + "z" + "abcd"[s + 1:]
+        t = np.einsum(f"...abcd,...{'abcd'[s]}z->...{out}", t, gi,
+                      optimize=True)
+    return t
+
+
 def _raise_pair(T, metric):
     """T_{ab}{}^{cd} for batched arrays; identity metric short-circuits."""
     T = np.asarray(T, dtype=np.float64)
     if metric is None:
         return T
-    g = np.asarray(metric, dtype=np.float64)
-    gi = np.linalg.inv(g)
-    return np.einsum("...abef,...ec,...fd->...abcd", T, gi, gi)
+    return raise_array(T, np.linalg.inv(np.asarray(metric, dtype=np.float64)),
+                       (2, 3))
 
 
 def pf_ell(T, ell: int, metric=None):
@@ -201,8 +201,7 @@ def pfaffian(Rm, metric=None):
 
 def raise_last_two(T: PolyTensor, ginv: PolyTensor, order=None) -> PolyTensor:
     """T_{ab}{}^{cd} from all-lower jets T_{abcd}."""
-    half = jcontract("abed,ec->abcd", T, ginv, order)
-    return jcontract("abce,ed->abcd", half, ginv, order)
+    return raise_slots(T, ginv, (2, 3), order)
 
 
 def pf_ell_poly(Tud: PolyTensor, ell: int, order=None) -> PolyTensor:
@@ -213,6 +212,9 @@ def pf_ell_poly(Tud: PolyTensor, ell: int, order=None) -> PolyTensor:
     the class terms are summed in class order.  Each intermediate is
     released after its last use.
     """
+    if ell == 0:
+        return const_poly(np.ones(Tud.coeffs.shape[:Tud.batch_ndim]),
+                          Tud.basis, Tud.batch_ndim)
     if order is None:
         order = Tud.basis.order
     dim = Tud.comp_shape[-1]
@@ -309,24 +311,15 @@ def _variants(W, metric):
         gi = np.eye(W.shape[-1])
     else:
         gi = np.linalg.inv(np.asarray(metric, dtype=np.float64))
-
-    def raise_slots(t, slots):
-        for s in slots:
-            sub = "abcd"
-            out = sub[:s] + "z" + sub[s + 1:]
-            t = np.einsum(f"...{sub},...{sub[s]}z->...{out}", t, gi,
-                          optimize=True)
-        return t
-
     return {
         "llll": W,
-        "uuuu": raise_slots(W, (0, 1, 2, 3)),
-        "lluu": raise_slots(W, (2, 3)),
-        "uull": raise_slots(W, (0, 1)),
-        "ulul": raise_slots(W, (0, 2)),
-        "lulu": raise_slots(W, (1, 3)),
-        "luuu": raise_slots(W, (1, 2, 3)),
-        "ulll": raise_slots(W, (0,)),
+        "uuuu": raise_array(W, gi, (0, 1, 2, 3)),
+        "lluu": raise_array(W, gi, (2, 3)),
+        "uull": raise_array(W, gi, (0, 1)),
+        "ulul": raise_array(W, gi, (0, 2)),
+        "lulu": raise_array(W, gi, (1, 3)),
+        "luuu": raise_array(W, gi, (1, 2, 3)),
+        "ulll": raise_array(W, gi, (0,)),
     }
 
 
@@ -535,15 +528,10 @@ def divergence_construction(geo: Geometry, T: PolyTensor, w: float,
 
 
 def _symmetrize_poly(t: PolyTensor) -> PolyTensor:
-    k = t.rank
-    nb = t.batch_ndim
-    acc = None
-    for perm in itertools.permutations(range(k)):
-        axes = (tuple(range(nb)) + tuple(nb + p for p in perm)
-                + (t.coeffs.ndim - 1,))
-        term = np.transpose(t.coeffs, axes)
-        acc = term if acc is None else acc + term
-    return PolyTensor(acc / math.factorial(k), t.basis, nb)
+    """Average of `t` over every permutation of its component axes."""
+    perms = list(itertools.permutations(range(t.rank)))
+    acc = sum(pt_transpose(t, p).coeffs for p in perms)
+    return PolyTensor(acc / len(perms), t.basis, t.batch_ndim)
 
 
 # ---------------------------------------------------------------------------
@@ -564,9 +552,7 @@ def w31_field(geo: Geometry) -> PolyTensor:
 
 def w32_field(geo: Geometry) -> PolyTensor:
     """W_a{}^c{}_b{}^d W_c{}^e{}_d{}^f W_e{}^a{}_f{}^b; weight -6 (k = 3)."""
-    W = geo.weyl
-    tmp = jcontract("aebf,ec->acbf", W, geo.ginv)
-    Wm = jcontract("acbe,ed->acbd", tmp, geo.ginv)
+    Wm = raise_slots(geo.weyl, geo.ginv, (1, 3))
     t = jcontract("acbd,cedf->abef", Wm, Wm)
     return jcontract("abef,eafb->", t, Wm)
 

@@ -116,8 +116,22 @@ class TestConfigErrors:
         assert code == EXIT_CONFIG
 
     def test_bad_jet_order(self, capsys):
-        code, _, _ = _run(capsys, "verify", "kronecker", "--jet-order", "1")
+        # argparse rejects the unknown flag with exit 2
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "kronecker", "--jet-order", "1"])
+        assert exc.value.code == EXIT_CONFIG
+
+    def test_n_without_a_suite_that_reads_it(self, capsys):
+        code, out, err = _run(capsys, "verify", "kronecker", "--n", "8")
         assert code == EXIT_CONFIG
+        assert out == "" and "--n" in err
+
+    def test_unwritable_out_rejected_before_computation(self, capsys,
+                                                         tmp_path):
+        path = tmp_path / "missing" / "x.jsonl"
+        code, out, err = _run(capsys, "verify", "rvol", "--out", str(path))
+        assert code == EXIT_CONFIG
+        assert out == "" and "--out" in err
 
     def test_no_suites(self, capsys):
         code, _, _ = _run(capsys, "verify")
@@ -145,6 +159,22 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"bogus": 1}))
         code, _, _ = _run(capsys, "verify", "kronecker", "--config", str(cfg))
         assert code == EXIT_CONFIG
+
+    def test_jet_order_key_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"jet_order": 4}))
+        code, _, err = _run(capsys, "verify", "kronecker", "--config",
+                            str(cfg))
+        assert code == EXIT_CONFIG
+        assert "unknown config key 'jet_order'" in err
+
+    def test_config_n_without_a_suite_that_reads_it(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 6}))
+        code, out, _ = _run(capsys, "verify", "kronecker", "--config",
+                            str(cfg))
+        assert code == EXIT_CONFIG
+        assert out == ""
 
     def test_malformed_json_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

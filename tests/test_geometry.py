@@ -12,7 +12,9 @@ from rcint.geometry import (
     sphere,
     sphere_volume,
     pt_transpose,
+    raise_slots,
 )
+from rcint.jets import PolyTensor, basis, contract, poly_matrix_inverse
 
 
 def _sample_points(model, count=4, seed=0, spread=0.2):
@@ -134,6 +136,62 @@ class TestCurvatureIdentities:
         div = np.einsum("...ab,...abc->...c", gi, dric.value())
         dscal = geo.covariant_derivative(geo.scalar_curvature).value()
         assert np.abs(div - 0.5 * dscal).max() < 1e-8
+
+
+def _random_metric_jet(dim=4, order=2, batch=2, seed=0):
+    """A symmetric, positive-definite metric jet at `batch` points."""
+    rng = np.random.default_rng(seed)
+    b = basis(dim, order)
+    coeffs = 0.1 * rng.normal(size=(batch, dim, dim, b.size))
+    coeffs = coeffs + np.swapaxes(coeffs, 1, 2)
+    coeffs[..., 0] += 2.0 * np.eye(dim)
+    return PolyTensor(coeffs, b, 1)
+
+
+#: slots -> the same raising written as an explicit contraction chain; the
+#: rank-3 entry is the Cotton tensor's
+_RAISE_CHAINS = {
+    (2, 3): ["abcd,cx->abxd", "abxd,dy->abxy"],
+    (1, 3): ["abcd,bx->axcd", "axcd,dy->axcy"],
+    (0,): ["abcd,ax->xbcd"],
+    (1,): ["abcd,bx->axcd"],
+    (1, 2, 3): ["abcd,bx->axcd", "axcd,cy->axyd", "axyd,dz->axyz"],
+    (0, 1, 2, 3): ["abcd,ax->xbcd", "xbcd,by->xycd", "xycd,cz->xyzd",
+                   "xyzd,dw->xyzw"],
+    (0, 1, 2): ["abc,ax->xbc", "xbc,by->xyc", "xyc,cz->xyz"],
+}
+
+
+class TestRaiseSlots:
+    @pytest.mark.parametrize("slots", list(_RAISE_CHAINS))
+    def test_matches_contraction_chain(self, slots):
+        g = _random_metric_jet()
+        ginv = poly_matrix_inverse(g, 2)
+        chain = _RAISE_CHAINS[slots]
+        rank = chain[0].index(",")
+        rng = np.random.default_rng(len(slots))
+        t = PolyTensor(rng.normal(size=(2,) + (4,) * rank + (g.basis.size,)),
+                       g.basis, 1)
+        want = t
+        for pattern in chain:
+            want = contract(pattern, want, ginv)
+        got = raise_slots(t, ginv, slots)
+        assert got.basis is want.basis
+        np.testing.assert_allclose(got.coeffs, want.coeffs, rtol=1e-13,
+                                   atol=1e-13)
+
+    def test_raise_all_then_lower_roundtrip(self):
+        m = perturbed_sphere(4, amp=0.1)
+        geo = m.geometry(_sample_points(m, count=2, seed=9, spread=0.1),
+                         order=4)
+        rm = geo.riemann
+        back = geo.raise_all(rm)
+        assert back.basis.order == rm.basis.order
+        for pattern in ("xbcd,xa->abcd", "axcd,xb->abcd", "abxd,xc->abcd",
+                        "abcx,xd->abcd"):
+            back = contract(pattern, back, geo.g, rm.basis.order)
+        scale = np.abs(rm.coeffs).max()
+        assert np.abs(back.coeffs - rm.coeffs).max() <= 1e-12 * scale
 
 
 class TestModelRegistry:

@@ -27,6 +27,7 @@ from rcint.invariants import (
     pf_ell_brute,
     pf_ell_poly,
     pfaffian,
+    raise_array,
     raise_last_two,
     random_weyl,
     weyl_norm2_field,
@@ -105,6 +106,29 @@ class TestPfEll:
             jet = pf_ell_poly(Wud, ell).value()
             direct = pf_ell(geo.weyl.value(), ell, geo.g.value())
             assert jet == pytest.approx(direct, rel=1e-11)
+
+    def test_pf_ell_poly_zero_is_one(self):
+        Tud = _weyl_jet(4, 2, seed=3)
+        one = pf_ell_poly(Tud, 0)
+        assert one.basis is Tud.basis and one.batch_ndim == 1
+        assert one.coeffs.shape == (2, Tud.basis.size)
+        assert np.array_equal(one.value(), pf_ell(Tud.value(), 0))
+        assert not one.coeffs[:, 1:].any()
+
+    @pytest.mark.parametrize("slots,pattern", [
+        ((2, 3), "...abef,...ec,...fd->...abcd"),
+        ((1, 3), "...aebf,...ec,...fd->...acbd"),
+        ((0, 1, 2, 3), "...efgh,...ea,...fb,...gc,...hd->...abcd"),
+    ])
+    def test_raise_array_matches_einsum(self, slots, pattern):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(3, 5, 5))
+        g = a @ np.swapaxes(a, 1, 2) + 3 * np.eye(5)
+        T = rng.normal(size=(3, 5, 5, 5, 5))
+        gi = np.linalg.inv(g)
+        want = np.einsum(pattern, T, *[gi] * len(slots))
+        np.testing.assert_allclose(raise_array(T, gi, slots), want,
+                                   rtol=1e-12, atol=1e-12)
 
 
 def _brute_pf_classes(ell):

@@ -1,135 +1,32 @@
-"""Tests for the dense-tensor layer and generalized Kronecker deltas."""
+"""Tests for the exact generalized Kronecker deltas."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+from rcint.invariants import _perm_sign
 from rcint.tensor import (
-    ContractionSpec,
-    DenseTensor,
     TensorError,
-    antisymmetrize,
-    contract,
-    generalized_kronecker,
-    identity_metric,
     kronecker_component,
     kronecker_recursion_residual,
-    raise_lower,
-    symmetrize,
-    tensor_product,
 )
 
 
-class TestDenseTensor:
-    def test_shape_validation(self):
-        with pytest.raises(TensorError):
-            DenseTensor(3, ("l", "l"), np.zeros((3, 4)))
-
-    def test_variance_validation(self):
-        with pytest.raises(TensorError):
-            DenseTensor(2, ("l", "x"), np.zeros((2, 2)))
-
-    def test_nonfinite_rejected(self):
-        comps = np.zeros((2, 2))
-        comps[0, 0] = np.nan
-        with pytest.raises(TensorError):
-            DenseTensor(2, ("l", "l"), comps)
-
-    def test_tensor_product(self):
-        a = DenseTensor(2, ("l",), np.array([1.0, 2.0]))
-        b = DenseTensor(2, ("u",), np.array([3.0, 4.0]))
-        ab = tensor_product(a, b)
-        assert ab.variance == ("l", "u")
-        assert np.allclose(ab.components, np.outer([1, 2], [3, 4]))
-
-
-class TestContract:
-    def test_trace_with_metric_insertion(self):
-        # g^{ab} T_ab for a non-identity metric.
-        rng = np.random.default_rng(0)
-        g = np.diag([1.0, 2.0, 4.0])
-        metric = DenseTensor(3, ("l", "l"), g)
-        T = DenseTensor(3, ("l", "l"), rng.normal(size=(3, 3)))
-        spec = ContractionSpec([T], [(((0, 0)), ((0, 1)))])
-        out = contract(spec, metric)
-        want = np.einsum("ab,ab->", np.linalg.inv(g), T.components)
-        assert out.rank == 0
-        assert out.components == pytest.approx(want)
-
-    def test_mixed_variance_trace_no_metric_needed(self):
-        rng = np.random.default_rng(1)
-        g = rng.normal(size=(3, 3))
-        g = g @ g.T + 3 * np.eye(3)
-        metric = DenseTensor(3, ("l", "l"), g)
-        T = DenseTensor(3, ("u", "l"), rng.normal(size=(3, 3)))
-        spec = ContractionSpec([T], [(((0, 0)), ((0, 1)))])
-        out = contract(spec, metric)
-        assert out.components == pytest.approx(np.trace(T.components))
-
-    def test_two_factor_contraction(self):
-        rng = np.random.default_rng(2)
-        metric = identity_metric(4)
-        A = DenseTensor(4, ("l", "l"), rng.normal(size=(4, 4)))
-        B = DenseTensor(4, ("u", "u"), rng.normal(size=(4, 4)))
-        spec = ContractionSpec([A, B], [((0, 1), (1, 0))],
-                               free_order=[(0, 0), (1, 1)])
-        out = contract(spec, metric)
-        assert np.allclose(out.components, A.components @ B.components)
-
-    def test_duplicate_slot_rejected(self):
-        metric = identity_metric(2)
-        T = DenseTensor(2, ("l", "l", "l"), np.zeros((2, 2, 2)))
-        spec = ContractionSpec([T], [((0, 0), (0, 1)), ((0, 0), (0, 2))])
-        with pytest.raises(TensorError):
-            contract(spec, metric)
-
-    def test_dimension_mismatch_rejected(self):
-        A = DenseTensor(2, ("l",), np.zeros(2))
-        B = DenseTensor(3, ("l",), np.zeros(3))
-        spec = ContractionSpec([A, B], [((0, 0), (1, 0))])
-        with pytest.raises(TensorError):
-            spec.validate()
-
-
-class TestRaiseLower:
-    def test_raise_then_lower_roundtrip(self):
-        rng = np.random.default_rng(3)
-        g = rng.normal(size=(4, 4))
-        g = g @ g.T + 4 * np.eye(4)
-        metric = DenseTensor(4, ("l", "l"), g)
-        T = DenseTensor(4, ("l", "l"), rng.normal(size=(4, 4)))
-        up = raise_lower(T, 0, metric)
-        assert up.variance == ("u", "l")
-        back = raise_lower(up, 0, metric)
-        assert np.allclose(back.components, T.components)
-
-
-class TestSymmetrize:
-    def test_symmetrize_projects(self):
-        rng = np.random.default_rng(4)
-        T = DenseTensor(3, ("l", "l"), rng.normal(size=(3, 3)))
-        S = symmetrize(T, (0, 1))
-        assert np.allclose(S.components, S.components.T)
-        assert np.allclose(symmetrize(S, (0, 1)).components, S.components)
-
-    def test_antisymmetrize_projects(self):
-        rng = np.random.default_rng(5)
-        T = DenseTensor(3, ("l", "l", "l"), rng.normal(size=(3, 3, 3)))
-        A = antisymmetrize(T, (0, 2))
-        swapped = np.transpose(A.components, (2, 1, 0))
-        assert np.allclose(swapped, -A.components)
-
-    def test_sym_plus_antisym_is_identity_rank2(self):
-        rng = np.random.default_rng(6)
-        T = DenseTensor(3, ("l", "l"), rng.normal(size=(3, 3)))
-        total = symmetrize(T, (0, 1)).components + antisymmetrize(T, (0, 1)).components
-        assert np.allclose(total, T.components)
-
-    def test_mixed_variance_rejected(self):
-        T = DenseTensor(2, ("u", "l"), np.zeros((2, 2)))
-        with pytest.raises(TensorError):
-            symmetrize(T, (0, 1))
+def generalized_kronecker(k, dim):
+    """The rank-2k normalized delta as a dense array, built from its
+    signed-permutation definition; the oracle for `kronecker_component`.
+    For k > dim it is the zero array."""
+    comps = np.zeros((dim,) * (2 * k))
+    if k <= dim:
+        for a in itertools.product(range(dim), repeat=k):
+            if len(set(a)) != k:
+                continue
+            for perm in itertools.permutations(range(k)):
+                b = tuple(a[p] for p in perm)
+                comps[a + b] = _perm_sign(perm) / math.factorial(k)
+    return comps
 
 
 class TestKronecker:
@@ -138,16 +35,12 @@ class TestKronecker:
         delta = generalized_kronecker(k, dim)
         for a in itertools.product(range(dim), repeat=k):
             for b in itertools.product(range(dim), repeat=k):
-                assert delta.components[a + b] == pytest.approx(
+                assert delta[a + b] == pytest.approx(
                     float(kronecker_component(a, b)), abs=1e-14)
 
     def test_zero_beyond_dimension(self):
         delta = generalized_kronecker(3, 2)
-        assert delta.max_abs() == 0.0
-
-    def test_materialization_cap(self):
-        with pytest.raises(TensorError):
-            generalized_kronecker(5, 8)
+        assert np.abs(delta).max() == 0.0
 
     def test_recursion_residual_exactly_zero(self):
         for n in range(2, 9):
