@@ -7,6 +7,11 @@ Laplacians, all as `PolyTensor`s.  Each derivative costs one order of the
 jet, so a caller that needs k derivatives of curvature builds the metric at
 order >= k + 2.  `raise_slots` is the one index-raising path for jets.
 
+Each field is built only to the order it keeps.  For a metric jet of order
+K: g at K; g^{-1} and Gamma at K - 1; Rm, Ric, Scal, Schouten and Weyl at
+K - 2; Cotton at K - 3.  Every consumer of g^{-1} reads it at K - 1 or
+below.
+
 Conventions (verified against round spheres in the test suite):
 
 * R_{abc}{}^d = -d_a Gamma^d_{bc} + d_b Gamma^d_{ac}
@@ -109,11 +114,19 @@ class Geometry:
         self.g = scalars_to_poly(entries, self.basis, batch_ndim=1)
         if self.g.comp_shape != (dim, dim):
             raise ValueError("metric_fn did not return a dim x dim matrix")
+        bad = ~np.isfinite(self.g.coeffs).all(axis=(1, 2, 3))
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            raise ValueError(f"metric jet is not finite at point {i} "
+                             f"{points[i].tolist()}")
 
     # -- core fields ---------------------------------------------------------
     @cached_property
     def ginv(self) -> PolyTensor:
-        return poly_matrix_inverse(self.g, self.order)
+        """g^{ab}; order - 1, the most any consumer reads.  Symmetrized so
+        that both indices carry the same values bit for bit."""
+        x = poly_matrix_inverse(self.g, max(self.order - 1, 0))
+        return 0.5 * (x + pt_transpose(x, (1, 0)))
 
     @cached_property
     def christoffel(self) -> PolyTensor:
@@ -131,9 +144,9 @@ class Geometry:
         dgam = gam.gradient()  # (e, d, a, b) = d_e Gamma^d_{ab}
         t1 = pt_transpose(dgam, (0, 2, 3, 1))  # [a,b,c,d] = d_a Gamma^d_{bc}
         t2 = pt_transpose(dgam, (2, 0, 3, 1))  # [a,b,c,d] = d_b Gamma^d_{ac}
-        q1 = contract("fac,dbf->abcd", gam, gam)
+        q1 = contract("fac,dbf->abcd", gam, gam, t1.basis.order)
         q2 = pt_transpose(q1, (1, 0, 2, 3))  # Gamma^f_{bc} Gamma^d_{af}
-        return -t1 + t2 + (q1 - q2).truncate(t1.basis.order)
+        return -t1 + t2 + (q1 - q2)
 
     @cached_property
     def riemann(self) -> PolyTensor:

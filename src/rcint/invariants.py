@@ -304,23 +304,22 @@ def _pf_plan(ell: int):
 # Weyl contraction bases
 
 
+_VARIANT_SLOTS = {"llll": (), "uuuu": (0, 1, 2, 3), "lluu": (2, 3),
+                  "uull": (0, 1), "ulul": (0, 2), "lulu": (1, 3),
+                  "luuu": (1, 2, 3), "ulll": (0,)}
+
+
 def _variants(W, metric):
-    """Mixed-variance versions of a rank-4 tensor needed by the bases."""
+    """Mixed-variance versions of a rank-4 tensor needed by the bases.
+
+    With `metric=None` the metric is the identity, so every variant is `W`.
+    """
     W = np.asarray(W, dtype=np.float64)
     if metric is None:
-        gi = np.eye(W.shape[-1])
-    else:
-        gi = np.linalg.inv(np.asarray(metric, dtype=np.float64))
-    return {
-        "llll": W,
-        "uuuu": raise_array(W, gi, (0, 1, 2, 3)),
-        "lluu": raise_array(W, gi, (2, 3)),
-        "uull": raise_array(W, gi, (0, 1)),
-        "ulul": raise_array(W, gi, (0, 2)),
-        "lulu": raise_array(W, gi, (1, 3)),
-        "luuu": raise_array(W, gi, (1, 2, 3)),
-        "ulll": raise_array(W, gi, (0,)),
-    }
+        return dict.fromkeys(_VARIANT_SLOTS, W)
+    gi = np.linalg.inv(np.asarray(metric, dtype=np.float64))
+    return {key: raise_array(W, gi, slots)
+            for key, slots in _VARIANT_SLOTS.items()}
 
 
 def weyl_basis(W, metric=None, k: int = 2):

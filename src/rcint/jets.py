@@ -364,20 +364,20 @@ def _contract_dense(in_a, in_b, outs, a, b, dims, out, order, nbatch):
 def poly_matrix_inverse(g: PolyTensor, order: int) -> PolyTensor:
     """Jet inverse of a square matrix of polynomials.
 
-    Linear iteration X <- X - X0 (g X - I); each pass fixes one more degree,
-    so `order` passes give the exact truncated inverse.
+    Degree recursion for power-series inversion (Brent & Kung, J. ACM 1978):
+    X_0 = g_0^{-1} and X_k = -X_0 R_k, where R_k = sum_{j=1..k} g_j X_{k-j}
+    is the degree-k block of g X while X_k is still zero.  So degree k costs
+    one `contract` at order k and one order-0 product with X_0, and g X = I
+    holds in every degree up to `order`.
     """
     g = g.truncate(order) if g.basis.order > order else g
-    g0 = g.value()
-    x0 = np.linalg.inv(g0)
+    x0 = np.linalg.inv(g.value())
     b = basis(g.basis.nvars, order)
-    dim = g.comp_shape[-1]
     x = const_poly(x0, b, g.batch_ndim)
-    x0p = const_poly(x0, b, g.batch_ndim)
-    eye = const_poly(np.broadcast_to(np.eye(dim), g0.shape).copy(), b, g.batch_ndim)
-    for _ in range(order):
-        resid = contract("ab,bc->ac", g, x, order) - eye
-        x = x - contract("ab,bc->ac", x0p, resid, order)
+    for k in range(1, order + 1):
+        blk = slice(b.deg_start[k], b.deg_start[k + 1])
+        r = contract("ab,bc->ac", g, x, k).coeffs[..., blk]
+        x.coeffs[..., blk] = -np.einsum("...ab,...bcm->...acm", x0, r)
     return x
 
 

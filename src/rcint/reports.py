@@ -20,7 +20,7 @@ class CheckReport:
     rel_err: float
     tol: float
     passed: bool
-    criterion: str  # which of {"abs", "rel"} fired (or "none")
+    criterion: str  # "abs" or "rel" if it passed, else "none" or "nonfinite"
     wall_time: float = 0.0
 
     @classmethod
@@ -28,15 +28,19 @@ class CheckReport:
         """Build a report from two sides; arrays are reduced by max-norm.
 
         For array inputs lhs/rhs record the max-norm of each side and the
-        residual is the componentwise max error.
+        residual is the componentwise max error.  A side holding NaN or inf
+        fails with criterion "nonfinite", whatever the tolerance.
         """
         a = np.asarray(lhs, dtype=np.float64)
         b = np.asarray(rhs, dtype=np.float64)
-        abs_err = float(np.abs(a - b).max(initial=0.0))
+        with np.errstate(invalid="ignore"):  # inf - inf; failed below
+            abs_err = float(np.abs(a - b).max(initial=0.0))
         scale = max(float(np.abs(a).max(initial=0.0)),
                     float(np.abs(b).max(initial=0.0)))
         rel_err = abs_err / scale if scale > 0 else 0.0
-        if abs_err <= tol:
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            passed, criterion = False, "nonfinite"
+        elif abs_err <= tol:
             passed, criterion = True, "abs"
         elif rel_err <= tol:
             passed, criterion = True, "rel"

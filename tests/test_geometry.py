@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from rcint import geometry, integrate, invariants
+from rcint.ambient import build_ambient, p_ell_n_ambient
 from rcint.geometry import (
     MODEL_NAMES,
     Geometry,
@@ -13,6 +15,10 @@ from rcint.geometry import (
     sphere_volume,
     pt_transpose,
     raise_slots,
+)
+from rcint.integrate import (
+    cotton_divergence_scalar,
+    weyl_squared_divergence_scalar,
 )
 from rcint.jets import PolyTensor, basis, contract, poly_matrix_inverse
 
@@ -192,6 +198,96 @@ class TestRaiseSlots:
             back = contract(pattern, back, geo.g, rm.basis.order)
         scale = np.abs(rm.coeffs).max()
         assert np.abs(back.coeffs - rm.coeffs).max() <= 1e-12 * scale
+
+
+def _riemann_up_full_then_truncate(geo):
+    """Reference R_{abc}^d: Gamma Gamma at order K - 1, truncated after."""
+    gam = geo.christoffel
+    dgam = gam.gradient()
+    t1 = pt_transpose(dgam, (0, 2, 3, 1))
+    t2 = pt_transpose(dgam, (2, 0, 3, 1))
+    q1 = contract("fac,dbf->abcd", gam, gam)
+    q2 = contract("fbc,daf->abcd", gam, gam)
+    return -t1 + t2 + (q1 - q2).truncate(t1.basis.order)
+
+
+def _guard_contract_orders(monkeypatch):
+    """Make every jet contraction of the pipeline raise when it asks for an
+    order above either operand's: operands of a `Geometry` field are
+    truncated jets, so such an order would read coefficients never built."""
+
+    def guarded(pattern, a, b, order=None):
+        if order is not None and order > min(a.basis.order, b.basis.order):
+            raise AssertionError(
+                f"{pattern} at order {order} from operands of order "
+                f"{a.basis.order} and {b.basis.order}")
+        return contract(pattern, a, b, order)
+
+    monkeypatch.setattr(geometry, "contract", guarded)
+    monkeypatch.setattr(invariants, "jcontract", guarded)
+    monkeypatch.setattr(integrate, "jcontract", guarded)
+
+
+class TestFieldOrders:
+    """Each field is built only to the order its consumers read."""
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_field_orders(self, order):
+        m = perturbed_sphere(4, amp=0.1)
+        geo = m.geometry(_sample_points(m, count=2, seed=3), order=order)
+        want = {"g": order, "ginv": order - 1, "christoffel": order - 1,
+                "riemann_up": order - 2, "riemann": order - 2,
+                "ricci": order - 2, "scalar_curvature": order - 2,
+                "schouten": order - 2, "weyl": order - 2}
+        got = {name: getattr(geo, name).basis.order for name in want}
+        assert got == want
+        if order >= 3:
+            assert geo.cotton.basis.order == order - 3
+
+    def test_ginv_is_bitwise_symmetric(self):
+        geo = get_model("CP2").geometry(order=2)
+        c = geo.ginv.coeffs
+        assert np.array_equal(c, c.swapaxes(-2, -3))
+
+    @pytest.mark.parametrize("name", ["CP2", "perturbed-S4"])
+    def test_riemann_up_matches_full_order_formula(self, name):
+        m = get_model(name)
+        geo = m.geometry(_sample_points(m, count=3, seed=6, spread=0.1),
+                         order=4)
+        got, want = geo.riemann_up, _riemann_up_full_then_truncate(geo)
+        assert got.basis is want.basis
+        scale = np.abs(want.coeffs).max()
+        assert np.abs(got.coeffs - want.coeffs).max() <= 1e-13 * scale
+
+    def test_no_contraction_reads_above_operand_order(self, monkeypatch):
+        _guard_contract_orders(monkeypatch)
+        m = perturbed_sphere(6, amp=0.1)
+        geo = m.geometry(_sample_points(m, count=2, seed=4, spread=0.1),
+                         order=4)
+        for name in ("ginv", "christoffel", "riemann_up", "riemann", "ricci",
+                     "scalar_curvature", "j_scalar", "schouten", "weyl",
+                     "cotton"):
+            getattr(geo, name)
+        w2 = geo.norm_squared(geo.weyl)
+        geo.laplacian(w2)
+        geo.laplacian(geo.schouten)
+        geo.norm_squared(geo.cotton)
+        weyl_squared_divergence_scalar(geo)
+        cotton_divergence_scalar(geo)
+        chart = build_ambient(get_model("S4"), verify=False)
+        assert np.isfinite(p_ell_n_ambient(chart, 2)).all()
+
+
+class TestNonFiniteMetric:
+    def test_rejected_naming_first_point(self):
+        def metric_fn(coords):
+            x, _ = coords
+            return [[1.0 + x * x, 0.0], [0.0, (x - 0.5) ** (-1.0)]]
+
+        pts = np.array([[0.1, 0.0], [0.5, 0.2], [0.5, 0.3]])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=r"point 1 \[0\.5, 0\.2\]"):
+                Geometry(metric_fn, 2, pts, 2)
 
 
 class TestModelRegistry:

@@ -255,6 +255,10 @@ class TestWeylBasisIdentity:
         rep = low_order_pfaffian_identity(W, None, ell, tol=1e-10)
         assert rep.passed, rep
 
+    def test_identity_metric_variants_are_the_tensor(self):
+        W = random_weyl(6, seed=3, nsamples=4)
+        assert all(v is W for v in inv._variants(W, None).values())
+
     @pytest.mark.parametrize("name", ["S4", "S2xS2", "CP2", "S2xS2xS2"])
     def test_einstein_expansion(self, name):
         rep = einstein_pfaffian_expansion(get_model(name))

@@ -211,7 +211,68 @@ class TestDiff:
             assert np.allclose(g.coeffs[v], p.diff(v).coeffs)
 
 
+def _inverse_by_iteration(g: PolyTensor, order: int) -> PolyTensor:
+    """Reference inverse: X <- X - X0 (g X - I), `order` passes of two
+    full-order products each (each pass fixes one more degree)."""
+    g = g.truncate(order) if g.basis.order > order else g
+    x0 = np.linalg.inv(g.value())
+    b = basis(g.basis.nvars, order)
+    dim = g.comp_shape[-1]
+    x = const_poly(x0, b, g.batch_ndim)
+    x0p = const_poly(x0, b, g.batch_ndim)
+    eye = const_poly(np.broadcast_to(np.eye(dim), x0.shape).copy(), b,
+                     g.batch_ndim)
+    for _ in range(order):
+        resid = contract("ab,bc->ac", g, x, order) - eye
+        x = x - contract("ab,bc->ac", x0p, resid, order)
+    return x
+
+
+def _spd_metric_jet(nvars, dim, order, batch, seed):
+    """Symmetric jet whose value is positive definite at every point."""
+    rng = np.random.default_rng(seed)
+    b = basis(nvars, order)
+    coeffs = 0.1 * rng.standard_normal((batch, dim, dim, b.size))
+    coeffs = coeffs + coeffs.swapaxes(1, 2)
+    coeffs[..., 0] += 2.0 * np.eye(dim)
+    return PolyTensor(coeffs, b, 1)
+
+
 class TestMatrixInverse:
+    @settings(max_examples=60, deadline=None)
+    @given(nvars=st.integers(1, 4), dim=st.integers(1, 4),
+           order=st.integers(0, 5), batch=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_product_with_metric_is_identity(self, nvars, dim, order, batch,
+                                             seed):
+        g = _spd_metric_jet(nvars, dim, order, batch, seed)
+        prod = contract("ab,bc->ac", g, poly_matrix_inverse(g, order), order)
+        ident = np.zeros_like(prod.coeffs)
+        ident[..., 0] = np.eye(dim)
+        assert np.abs(prod.coeffs - ident).max() <= 1e-12
+
+    @pytest.mark.parametrize("nvars,dim,order", [(1, 3, 5), (4, 4, 4),
+                                                 (3, 2, 3), (6, 6, 2)])
+    def test_matches_linear_iteration(self, nvars, dim, order):
+        g = _spd_metric_jet(nvars, dim, order, 3, seed=order)
+        got = poly_matrix_inverse(g, order)
+        want = _inverse_by_iteration(g, order)
+        assert got.basis is want.basis
+        np.testing.assert_allclose(got.coeffs, want.coeffs, rtol=0,
+                                   atol=1e-13)
+
+    @pytest.mark.parametrize("order", [0, 1, 3])
+    def test_one_contraction_per_degree(self, order, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return contract(*args, **kwargs)
+
+        monkeypatch.setattr(jets, "contract", counting)
+        poly_matrix_inverse(_spd_metric_jet(3, 3, 4, 2, seed=1), order)
+        assert len(calls) == order
+
     def test_inverse_is_exact_to_order(self):
         b = basis(3, 4)
         rng = np.random.default_rng(8)
