@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 import time
@@ -25,9 +24,8 @@ import numpy as np
 
 from . import ambient as amb
 from . import integrate as integ
-from .geometry import MODEL_NAMES, get_model
+from .geometry import get_model
 from .invariants import (
-    STRAIGHTENABLE_FIELDS,
     einstein_pfaffian_expansion,
     low_order_pfaffian_identity,
     pf_ell,
@@ -76,7 +74,7 @@ def _suite_pfaffian_identities(cfg):
         for ell in (2, 3, 4):
             if 2 * ell > dim:
                 continue
-            rep = low_order_pfaffian_identity(W, None, ell, tol=tol)
+            rep = low_order_pfaffian_identity(W, ell, tol=tol)
             rep.check_id = f"pfaffian-weyl-basis-d{dim}-l{ell}"
             rep.wall_time = time.time() - t0
             yield rep
@@ -403,8 +401,6 @@ def _run_verify(args, out_stream) -> int:
 def _run_rvol(args) -> int:
     if args.n % 2 or args.n < 2 or args.n > 10:
         raise ConfigError("--n must be even, 2 <= n <= 10")
-    from fractions import Fraction
-
     from .integrate import renormalized_volume, renormalized_volume_exact
 
     val = renormalized_volume(args.n)

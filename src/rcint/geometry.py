@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .jets import (PolyTensor, TaylorScalar, basis, const_poly, contract,
+from .jets import (PolyTensor, TaylorScalar, basis, contract,
                    poly_matrix_inverse, scalars_to_poly)
 
 EPS_POLE = 1e-6  # chart clearance from coordinate degeneracies

@@ -21,9 +21,6 @@ from .invariants import (
     STRAIGHTENABLE_FIELDS,
     double_factorial,
     i_ell_closed_form_coeff,
-    i_ell_operator,
-    pf_ell,
-    pf_ell_weyl_field,
     pfaffian,
     raise_array,
     weyl_norm2_field,

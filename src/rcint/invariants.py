@@ -14,10 +14,10 @@ S_{2l} gives (2l)! complete contractions; the optimized evaluators group
 permutations into equivalence classes under relabelings that preserve the
 term value for any T with the pair symmetries (conjugation by pair-block
 permutations and inversion), so only one complete contraction per class is
-needed.  The dense evaluator computes one einsum per class.  The jet
-evaluator runs a plan made once per l, in which each distinct self-trace and
-pairwise contraction of the class terms is computed once.  A naive
-full-permutation evaluator is kept as an independent oracle.
+needed.  A plan made once per l computes each distinct self-trace and
+pairwise contraction of the class terms once; the dense and the jet
+evaluator both run it, each with its own trace and two-operand contraction.
+A naive full-permutation evaluator is kept as an independent oracle.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import itertools
 import math
 import string
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -152,22 +152,20 @@ def pf_ell(T, ell: int, metric=None):
     """Generalized Pfaffian Pf_l(T); batched over leading axes of T.
 
     `metric` is the (batched) covariant metric used to raise the second
-    index pair; None means the identity.  Evaluated by the class-grouped
-    signed-permutation expansion, never materializing the rank-4l delta.
+    index pair; None means the identity.  Runs the plan of `_pf_plan` with
+    `np.trace` and two-operand `np.einsum` steps, never materializing the
+    rank-4l delta.
     """
     T = np.asarray(T, dtype=np.float64)
-    dim = T.shape[-1]
     if ell == 0:
         return np.ones(T.shape[:-4]) if T.ndim > 4 else 1.0
-    if 2 * ell > dim:
-        raise ValueError(f"Pf_{ell} requires dimension >= {2 * ell}, got {dim}")
-    Tud = _raise_pair(T, metric)
-    total = 0.0
-    for mult, sigma in _pf_classes(ell):
-        subs = _term_subscripts(sigma, ell)
-        expr = ",".join("..." + s for s in subs) + "->..."
-        total = total + mult * np.einsum(expr, *([Tud] * ell), optimize=True)
-    return _pf_prefactor(ell) * total
+    b = T.ndim - 4
+    return _run_pf_plan(
+        _raise_pair(T, metric), ell, T.shape[-1],
+        lambda x, i, j: np.trace(x, axis1=b + i, axis2=b + j),
+        lambda how, x, y: np.einsum(
+            "..." + how.replace(",", ",...").replace("->", "->..."), x, y,
+            optimize=True))
 
 
 def pf_ell_brute(T, ell: int, metric=None):
@@ -205,19 +203,26 @@ def raise_last_two(T: PolyTensor, ginv: PolyTensor, order=None) -> PolyTensor:
 
 
 def pf_ell_poly(Tud: PolyTensor, ell: int, order=None) -> PolyTensor:
-    """Pf_l of a jet-valued tensor T_{ab}{}^{cd} (scalar PolyTensor).
-
-    Runs the straight-line program of `_pf_plan`: every distinct self-trace
-    and pairwise contraction of the class expansion is computed once, and
-    the class terms are summed in class order.  Each intermediate is
-    released after its last use.
-    """
+    """Pf_l of a jet-valued tensor T_{ab}{}^{cd} (scalar PolyTensor), by
+    the plan of `_pf_plan` with `pt_trace` and truncated `contract` steps."""
     if ell == 0:
         return const_poly(np.ones(Tud.coeffs.shape[:Tud.batch_ndim]),
                           Tud.basis, Tud.batch_ndim)
     if order is None:
         order = Tud.basis.order
-    dim = Tud.comp_shape[-1]
+    return _run_pf_plan(Tud, ell, Tud.comp_shape[-1], pt_trace,
+                        lambda how, x, y: jcontract(how, x, y, order))
+
+
+def _run_pf_plan(Tud, ell: int, dim: int, trace, merge):
+    """Pf_l of T_{ab}{}^{cd} by the straight-line program of `_pf_plan`.
+
+    `trace(x, i, j)` traces x over its component axes i and j, and
+    `merge(pattern, x, y)` contracts two values by a two-operand pattern on
+    their component axes; these are the only operations on T's
+    representation.  Each intermediate is released after its last use, and
+    the class terms are summed in class order.
+    """
     if 2 * ell > dim:
         raise ValueError(f"Pf_{ell} requires dimension >= {2 * ell}, got {dim}")
     steps, finals = _pf_plan(ell)
@@ -230,10 +235,8 @@ def pf_ell_poly(Tud: PolyTensor, ell: int, order=None) -> PolyTensor:
             uses[x] -= 1
             if not uses[x]:
                 vals[x] = None
-        if kind == "trace":
-            vals.append(pt_trace(*args, *how))
-        else:
-            vals.append(jcontract(how, *args, order))
+        vals.append(trace(*args, *how) if kind == "trace"
+                    else merge(how, *args))
     total = None
     for mult, v in finals:
         term = float(mult) * vals[v]
@@ -243,7 +246,7 @@ def pf_ell_poly(Tud: PolyTensor, ell: int, order=None) -> PolyTensor:
 
 @lru_cache(maxsize=None)
 def _pf_plan(ell: int):
-    """The class expansion of Pf_l on jets as a straight-line program.
+    """The class expansion of Pf_l as a straight-line program.
 
     Walks `_pf_classes(ell)` once.  Within a class, each factor's
     self-traces are resolved first; then the two factors sharing the most
@@ -304,58 +307,36 @@ def _pf_plan(ell: int):
 # Weyl contraction bases
 
 
-_VARIANT_SLOTS = {"llll": (), "uuuu": (0, 1, 2, 3), "lluu": (2, 3),
-                  "uull": (0, 1), "ulul": (0, 2), "lulu": (1, 3),
-                  "luuu": (1, 2, 3), "ulll": (0,)}
-
-
-def _variants(W, metric):
-    """Mixed-variance versions of a rank-4 tensor needed by the bases.
-
-    With `metric=None` the metric is the identity, so every variant is `W`.
-    """
-    W = np.asarray(W, dtype=np.float64)
-    if metric is None:
-        return dict.fromkeys(_VARIANT_SLOTS, W)
-    gi = np.linalg.inv(np.asarray(metric, dtype=np.float64))
-    return {key: raise_array(W, gi, slots)
-            for key, slots in _VARIANT_SLOTS.items()}
-
-
-def weyl_basis(W, metric=None, k: int = 2):
-    """The complete-contraction bases of W^(x)k for k in {2, 3, 4}.
+def weyl_basis(W, k: int = 2):
+    """The complete-contraction bases of W^(x)k for k in {2, 3, 4}, with
+    indices moved by the identity metric.
 
     Returns [W_{2,1}], [W_{3,1}, W_{3,2}], or [W_{4,1} ... W_{4,7}]
     (batched over leading axes).
     """
     if k not in (2, 3, 4):
         raise ValueError("k must be one of 2, 3, 4")
-    v = _variants(W, metric)
-    ll, uu = v["llll"], v["uuuu"]
-    m, lu = v["lluu"], v["lulu"]
-    ul, luu = v["ulul"], v["luuu"]
-    w21 = np.einsum("...abcd,...abcd->...", ll, uu, optimize=True)
+    W = np.asarray(W, dtype=np.float64)
+    w21 = np.einsum("...abcd,...abcd->...", W, W, optimize=True)
     if k == 2:
         return [w21]
     if k == 3:
-        w31 = np.einsum("...abcd,...cdef,...efab->...", m, m, m, optimize=True)
-        w32 = np.einsum("...acbd,...cedf,...eafb->...", lu, lu, lu,
-                        optimize=True)
+        w31 = np.einsum("...abcd,...cdef,...efab->...", W, W, W, optimize=True)
+        w32 = np.einsum("...acbd,...cedf,...eafb->...", W, W, W, optimize=True)
         return [w31, w32]
     w41 = w21 ** 2
-    w42 = np.einsum("...abcd,...cdef,...efgh,...ghab->...", m, m, m, m,
+    w42 = np.einsum("...abcd,...cdef,...efgh,...ghab->...", W, W, W, W,
                     optimize=True)
-    A = np.einsum("...acde,...bcde->...ab", ll, luu, optimize=True)
-    Aup = np.einsum("...afgh,...bfgh->...ab", v["ulll"], uu, optimize=True)
-    w43 = np.einsum("...ab,...ab->...", A, Aup, optimize=True)
-    w44 = np.einsum("...abcd,...cdef,...ageh,...bgfh->...",
-                    ll, v["uull"], ul, uu, optimize=True)
-    w45 = np.einsum("...abcd,...cdef,...aegh,...bfgh->...",
-                    ll, v["uull"], v["uull"], uu, optimize=True)
-    w46 = np.einsum("...acbd,...cedf,...egfh,...gahb->...",
-                    lu, lu, lu, lu, optimize=True)
-    w47 = np.einsum("...acbd,...ecfd,...ageh,...bgfh->...",
-                    lu, ll, ul, uu, optimize=True)
+    A = np.einsum("...acde,...bcde->...ab", W, W, optimize=True)
+    w43 = np.einsum("...ab,...ab->...", A, A, optimize=True)
+    w44 = np.einsum("...abcd,...cdef,...ageh,...bgfh->...", W, W, W, W,
+                    optimize=True)
+    w45 = np.einsum("...abcd,...cdef,...aegh,...bfgh->...", W, W, W, W,
+                    optimize=True)
+    w46 = np.einsum("...acbd,...cedf,...egfh,...gahb->...", W, W, W, W,
+                    optimize=True)
+    w47 = np.einsum("...acbd,...ecfd,...ageh,...bgfh->...", W, W, W, W,
+                    optimize=True)
     return [w41, w42, w43, w44, w45, w46, w47]
 
 
@@ -366,11 +347,11 @@ WEYL_PF_COEFFS = {
 }
 
 
-def low_order_pfaffian_identity(W, metric=None, ell: int = 2,
-                                tol=1e-10) -> CheckReport:
-    """Residual of Pf_l(W) against its Weyl-basis expansion, l in {2,3,4}."""
-    lhs = pf_ell(W, ell, metric)
-    basis_vals = weyl_basis(W, metric, ell)
+def low_order_pfaffian_identity(W, ell: int = 2, tol=1e-10) -> CheckReport:
+    """Residual of Pf_l(W) against its Weyl-basis expansion, l in {2,3,4},
+    with the identity metric."""
+    lhs = pf_ell(W, ell)
+    basis_vals = weyl_basis(W, ell)
     rhs = sum(c * v for c, v in zip(WEYL_PF_COEFFS[ell], basis_vals))
     return CheckReport.compare(f"pfaffian-identity-l{ell}", "Lemma 5.2",
                                lhs, rhs, tol)
@@ -556,13 +537,8 @@ def w32_field(geo: Geometry) -> PolyTensor:
     return jcontract("abef,eafb->", t, Wm)
 
 
-def pf3_weyl_field(geo: Geometry) -> PolyTensor:
-    """Pf_3(W); weight -6 (k = 3)."""
-    Wud = raise_last_two(geo.weyl, geo.ginv)
-    return pf_ell_poly(Wud, 3)
-
-
 def pf_ell_weyl_field(geo: Geometry, ell: int) -> PolyTensor:
+    """Pf_l(W); weight -2l (k = l)."""
     Wud = raise_last_two(geo.weyl, geo.ginv)
     return pf_ell_poly(Wud, ell)
 
@@ -572,5 +548,5 @@ STRAIGHTENABLE_FIELDS = {
     "weyl-norm2": (weyl_norm2_field, 2, 2),
     "W31": (w31_field, 3, 2),
     "W32": (w32_field, 3, 2),
-    "pf3-weyl": (pf3_weyl_field, 3, 2),
+    "pf3-weyl": (partial(pf_ell_weyl_field, ell=3), 3, 2),
 }

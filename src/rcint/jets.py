@@ -44,6 +44,10 @@ def _gen_multi_indices(nvars: int, order: int):
     """All exponent tuples with total degree <= order, sorted by (degree, lex)."""
 
     def fixed_degree(deg, nv):
+        if nv == 0:  # the one monomial 1
+            if deg == 0:
+                yield ()
+            return
         if nv == 1:
             yield (deg,)
             return

@@ -59,7 +59,7 @@ def test_criterion_02_pfaffian_weyl_basis_fuzz():
         for ell in (2, 3, 4):
             if 2 * ell > dim:
                 continue
-            rep = low_order_pfaffian_identity(W, None, ell, tol=1e-10)
+            rep = low_order_pfaffian_identity(W, ell, tol=1e-10)
             assert rep.passed, rep
             # independent brute-force oracle in the tractable range
             if dim <= 6 and ell <= 3:

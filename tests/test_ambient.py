@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from rcint.ambient import (
-    AmbientChart,
     ambient_christoffel_check,
     ambient_christoffels_exact,
     ambient_curvature_check,

@@ -187,6 +187,18 @@ def _per_class_pf_poly(Tud, ell, order):
     return _pf_prefactor(ell) * total
 
 
+def _per_class_pf(T, ell, metric=None):
+    """Dense Pf_l with each class contracted by its own multi-operand
+    einsum, and the same sum taken over the absolute class terms."""
+    Tud = T if metric is None else raise_array(T, np.linalg.inv(metric), (2, 3))
+    total = size = 0.0
+    for mult, sigma in _pf_classes(ell):
+        expr = ",".join("..." + s for s in _term_subscripts(sigma, ell))
+        term = mult * np.einsum(expr + "->...", *([Tud] * ell), optimize=True)
+        total, size = total + term, size + np.abs(term)
+    return _pf_prefactor(ell) * total, _pf_prefactor(ell) * size
+
+
 def _weyl_jet(dim, order, seed, live=None, nvars=3, batch=2):
     """Random jets whose every coefficient is a Weyl-type tensor; with
     `live`, only index values below it carry nonzero components."""
@@ -222,6 +234,37 @@ class TestPfPlan:
         assert got.value() == pytest.approx(pf_ell_brute(Tud.value(), 4),
                                             rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("with_metric", [False, True])
+    @pytest.mark.parametrize("dim,ell", [(d, e) for d in range(4, 9)
+                                         for e in (2, 3, 4) if 2 * e <= d])
+    def test_dense_matches_per_class_evaluation(self, dim, ell, with_metric):
+        rng = np.random.default_rng([dim, ell])
+        W = random_weyl(dim, seed=dim * ell, nsamples=3)
+        g = None
+        if with_metric:
+            a = rng.normal(size=(3, dim, dim))
+            g = a @ np.swapaxes(a, 1, 2) + dim * np.eye(dim)
+        want, size = _per_class_pf(W, ell, g)
+        # Relative to the summed absolute class terms, where roundoff
+        # arises: at l = 4 the terms cancel to ~1e-3 of their size, so two
+        # summation orders differ by up to ~1e-12 of the value itself.
+        assert np.all(np.abs(pf_ell(W, ell, g) - want) <= 1e-13 * size)
+
+    def test_dense_one_einsum_per_merge_step(self, monkeypatch):
+        W = random_weyl(8, seed=2, nsamples=2)
+        calls = []
+        einsum = np.einsum
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return einsum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", counting)
+        pf_ell(W, 4)
+        merges = [s for s in _pf_plan(4)[0] if s[0] == "merge"]
+        assert len(calls) == len(merges) < 513
+        assert all(len(args) == 3 for args in calls)  # pattern, x, y
+
     def test_one_contraction_per_merge_step(self, monkeypatch):
         calls = []
 
@@ -252,12 +295,8 @@ class TestWeylBasisIdentity:
     @pytest.mark.parametrize("dim,ell", [(4, 2), (5, 2), (6, 2), (6, 3), (8, 4)])
     def test_low_order_identity(self, dim, ell):
         W = random_weyl(dim, seed=100 + dim + ell, nsamples=5)
-        rep = low_order_pfaffian_identity(W, None, ell, tol=1e-10)
+        rep = low_order_pfaffian_identity(W, ell, tol=1e-10)
         assert rep.passed, rep
-
-    def test_identity_metric_variants_are_the_tensor(self):
-        W = random_weyl(6, seed=3, nsamples=4)
-        assert all(v is W for v in inv._variants(W, None).values())
 
     @pytest.mark.parametrize("name", ["S4", "S2xS2", "CP2", "S2xS2xS2"])
     def test_einstein_expansion(self, name):

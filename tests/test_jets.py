@@ -49,6 +49,14 @@ class TestBasis:
         idx = b.lookup(b.exps)
         assert np.array_equal(idx, np.arange(b.size))
 
+    @pytest.mark.parametrize("order", [0, 3])
+    def test_no_variables_is_one_monomial(self, order):
+        b = basis(0, order)
+        assert b.size == 1 and b.exps.shape == (1, 0)
+        assert list(b.degs) == [0]
+        assert list(b.deg_start) == [0] + [1] * (order + 1)
+        assert b.index(()) == 0
+
 
 class TestContract:
     def test_product_matches_direct_evaluation(self):
