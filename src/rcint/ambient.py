@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import Geometry, Model
-from .jets import PolyTensor, TaylorScalar, basis, contract as jcontract
+from .jets import PolyTensor, TaylorScalar, contract as jcontract
 from .invariants import pf_ell_poly, raise_last_two
 from .reports import CheckReport
 
@@ -35,6 +35,7 @@ class AmbientChart:
         self.lam = base.lam
         self.n = base.dim
         self.dim = base.dim + 2
+        self.cyclic = tuple(c + 1 for c in base.cyclic)  # after t
 
         lam = self.lam
         base_fn = base.metric_fn
@@ -65,7 +66,7 @@ class AmbientChart:
             raise ValueError("ambient point outside |lam rho| <= 1/4")
         if np.any(points[:, 0] <= 0):
             raise ValueError("ambient requires t > 0")
-        return Geometry(self.metric_fn, self.dim, points, order)
+        return Geometry(self.metric_fn, self.dim, points, order, self.cyclic)
 
     def tau(self, points):
         points = np.atleast_2d(points)
@@ -177,8 +178,10 @@ def ambient_christoffel_check(chart: AmbientChart, points,
 
 
 def embed_base_poly(p: PolyTensor, ambient_basis) -> PolyTensor:
-    """Reindex base-coordinate jets (n vars) into an ambient basis (n+2
-    vars) as functions constant in t and rho (x_i -> variable 1+i)."""
+    """Reindex base-coordinate jets into an ambient basis (two more
+    variables) as functions constant in t and rho (x_i -> variable 1+i).
+    Both bases leave out the same cyclic coordinates, so the base jet
+    variables are the ambient ones between t and rho."""
     bb = p.basis
     exps = np.zeros((bb.size, ambient_basis.nvars), dtype=np.int64)
     exps[:, 1:-1] = bb.exps
@@ -188,13 +191,12 @@ def embed_base_poly(p: PolyTensor, ambient_basis) -> PolyTensor:
     return PolyTensor(coeffs, ambient_basis, p.batch_ndim)
 
 
-def tau_power_poly(chart: AmbientChart, points, w: float,
-                   order: int) -> PolyTensor:
-    """tau^w as an ambient scalar jet at the given points."""
-    points = np.atleast_2d(points)
-    b = basis(chart.dim, order)
-    t = TaylorScalar.coordinate(b, 0, points[:, 0])
-    rho = TaylorScalar.coordinate(b, chart.dim - 1, points[:, -1])
+def tau_power_poly(chart: AmbientChart, geo: Geometry, w: float) -> PolyTensor:
+    """tau^w as a scalar jet in the basis of an ambient geometry, at its
+    points; t is the first jet variable and rho the last."""
+    b = geo.basis
+    t = TaylorScalar.coordinate(b, 0, geo.points[:, 0])
+    rho = TaylorScalar.coordinate(b, b.nvars - 1, geo.points[:, -1])
     tau = t * (1.0 + chart.lam * rho)
     if w == int(w) and w >= 0:
         tau_w = tau ** int(w)
@@ -217,7 +219,7 @@ def ambient_laplacian_homogeneous(chart: AmbientChart, base_field_fn, w,
     base_geo = chart.base.geometry(points[:, 1:-1], order=order)
     u = base_field_fn(base_geo)
     u_amb = embed_base_poly(u, geo.basis)
-    tau_w = tau_power_poly(chart, points, w, order)
+    tau_w = tau_power_poly(chart, geo, w)
     lhs = geo.laplacian(jcontract(",->", tau_w, u_amb)).value()
 
     lap_u = base_geo.laplacian(u).value()

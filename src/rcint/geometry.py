@@ -12,6 +12,15 @@ K: g at K; g^{-1} and Gamma at K - 1; Rm, Ric, Scal, Schouten and Weyl at
 K - 2; Cotton at K - 3.  Every consumer of g^{-1} reads it at K - 1 or
 below.
 
+A chart may declare cyclic coordinates: coordinates the metric never reads,
+such as the last azimuth of a round sphere or every phi_j of (S^2)^k.  Each
+`Model` lists them in `cyclic`.  A `Geometry` builds its jet basis over the
+other coordinates only and passes each cyclic one to `metric_fn` as a
+constant jet.  `Geometry.gradient` puts a zero slice at every cyclic
+coordinate, which is exact: d_phi vanishes on every field built from a
+phi-independent metric.  A declaration the metric contradicts is rejected
+when the `Geometry` is built.
+
 Conventions (verified against round spheres in the test suite):
 
 * R_{abc}{}^d = -d_a Gamma^d_{bc} + d_b Gamma^d_{ac}
@@ -98,18 +107,25 @@ class Geometry:
     dim : manifold dimension.
     points : array (B, dim) of expansion points.
     order : jet truncation order of the metric components.
+    cyclic : chart coordinates the metric does not depend on.  The jet
+        basis runs over the other coordinates, in order; a cyclic
+        coordinate enters `metric_fn` as a constant jet.
     """
 
-    def __init__(self, metric_fn, dim, points, order):
+    def __init__(self, metric_fn, dim, points, order, cyclic=()):
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         if points.shape[1] != dim:
             raise ValueError("points have wrong dimension")
         self.dim = dim
         self.order = order
         self.points = points
-        self.basis = basis(dim, order)
-        coords = [TaylorScalar.coordinate(self.basis, i, points[:, i])
+        self.cyclic = tuple(sorted(cyclic))
+        self.free = tuple(i for i in range(dim) if i not in self.cyclic)
+        self.basis = basis(len(self.free), order)
+        coords = [TaylorScalar.constant(self.basis, points[:, i])
                   for i in range(dim)]
+        for v, i in enumerate(self.free):
+            coords[i] = TaylorScalar.coordinate(self.basis, v, points[:, i])
         entries = metric_fn(coords)
         self.g = scalars_to_poly(entries, self.basis, batch_ndim=1)
         if self.g.comp_shape != (dim, dim):
@@ -119,6 +135,8 @@ class Geometry:
             i = int(np.flatnonzero(bad)[0])
             raise ValueError(f"metric jet is not finite at point {i} "
                              f"{points[i].tolist()}")
+        if self.cyclic:
+            _check_cyclic(metric_fn, points, self.cyclic)
 
     # -- core fields ---------------------------------------------------------
     @cached_property
@@ -131,7 +149,7 @@ class Geometry:
     @cached_property
     def christoffel(self) -> PolyTensor:
         """Gamma^d_{ab}, component axes (d, a, b); order - 1."""
-        dg = self.g.gradient()  # dg[c, a, b] = d_c g_ab
+        dg = self.gradient(self.g)  # dg[c, a, b] = d_c g_ab
         # low[a, b, c] = (d_a g_bc + d_b g_ac - d_c g_ab)/2 = Gamma_{c ab}
         low = 0.5 * (dg + pt_transpose(dg, (1, 0, 2))
                      - pt_transpose(dg, (1, 2, 0)))
@@ -141,7 +159,7 @@ class Geometry:
     def riemann_up(self) -> PolyTensor:
         """R_{abc}{}^d, axes (a, b, c, d); order - 2."""
         gam = self.christoffel
-        dgam = gam.gradient()  # (e, d, a, b) = d_e Gamma^d_{ab}
+        dgam = self.gradient(gam)  # (e, d, a, b) = d_e Gamma^d_{ab}
         t1 = pt_transpose(dgam, (0, 2, 3, 1))  # [a,b,c,d] = d_a Gamma^d_{bc}
         t2 = pt_transpose(dgam, (2, 0, 3, 1))  # [a,b,c,d] = d_b Gamma^d_{ac}
         q1 = contract("fac,dbf->abcd", gam, gam, t1.basis.order)
@@ -183,9 +201,22 @@ class Geometry:
         return dp - pt_transpose(dp, (1, 0, 2))
 
     # -- differential operators ----------------------------------------------
+    def gradient(self, t: PolyTensor) -> PolyTensor:
+        """Partial derivatives d_a T along every chart coordinate; the new
+        axis of length dim is the first comp axis, zero at the cyclic
+        coordinates."""
+        nb = t.batch_ndim
+        b = basis(t.basis.nvars, t.basis.order - 1)
+        shape = t.coeffs.shape
+        out = np.zeros(shape[:nb] + (self.dim,) + shape[nb:-1] + (b.size,),
+                       dtype=t.coeffs.dtype)
+        for v, i in enumerate(self.free):
+            out[(slice(None),) * nb + (i,)] = t.diff(v).coeffs
+        return PolyTensor(out, b, nb)
+
     def covariant_derivative(self, t: PolyTensor) -> PolyTensor:
         """nabla_a T_{b1..bk} for an all-lower-index T; new axis is first."""
-        out = t.gradient()
+        out = self.gradient(t)
         gam = self.christoffel.truncate(min(self.christoffel.basis.order,
                                             out.basis.order))
         k = t.rank
@@ -221,6 +252,20 @@ class Geometry:
         return np.sqrt(np.linalg.det(self.g.value()))
 
 
+def _check_cyclic(metric_fn, points, cyclic):
+    """Raise if the metric has a nonzero first derivative along a declared
+    cyclic coordinate at some point; checked on an order-1 jet in every
+    coordinate."""
+    full = basis(points.shape[1], 1)
+    coords = [TaylorScalar.coordinate(full, i, points[:, i])
+              for i in range(points.shape[1])]
+    g = scalars_to_poly(metric_fn(coords), full, batch_ndim=1)
+    for i in cyclic:
+        if np.any(g.diff(i).coeffs != 0):
+            raise ValueError(f"coordinate {i} is declared cyclic but the "
+                             f"metric depends on it")
+
+
 # ---------------------------------------------------------------------------
 # model catalog
 
@@ -239,27 +284,21 @@ class Model:
     compact: bool
     base_point: np.ndarray
     quad_bounds: list = field(default_factory=list)  # [(lo, hi), ...]
-    quad_map: object = None        # (B, q) quad vars -> (B, dim) chart coords
+    # (B, q) quad vars -> (B, dim) chart coords; None: the box is the chart
+    quad_map: object = None
     quad_density: object = None    # extra Jacobian factor, (B, q) -> (B,)
+    cyclic: tuple = ()             # chart coordinates the metric never reads
     description: str = ""
 
     def geometry(self, points=None, order=2) -> Geometry:
         if points is None:
             points = self.base_point[None, :]
-        return Geometry(self.metric_fn, self.dim, points, order)
+        return Geometry(self.metric_fn, self.dim, points, order, self.cyclic)
 
     @property
     def j_value(self):
         """J = Scal/(2(n-1)) = n*lam for the Einstein members."""
         return None if self.lam is None else self.dim * self.lam
-
-
-def _identity_map(u):
-    return u
-
-
-def _unit_density(u):
-    return np.ones(u.shape[0])
 
 
 # -- round spheres -----------------------------------------------------------
@@ -300,8 +339,7 @@ def sphere(n, radius=1.0) -> Model:
         compact=True,
         base_point=base,
         quad_bounds=_sphere_bounds(n),
-        quad_map=_identity_map,
-        quad_density=_unit_density,
+        cyclic=(n - 1,),
         description=f"round sphere of radius {radius}",
     )
 
@@ -339,8 +377,7 @@ def product_of_spheres(k) -> Model:
         compact=True,
         base_point=base,
         quad_bounds=bounds,
-        quad_map=_identity_map,
-        quad_density=_unit_density,
+        cyclic=tuple(range(1, n, 2)),
         description=f"product of {k} unit 2-spheres",
     )
 
@@ -460,6 +497,7 @@ def perturbed_sphere(n=4, amp=0.1) -> Model:
         quad_bounds=_sphere_bounds(n)[:2],
         quad_map=_perturbed_orbit_map(n),
         quad_density=_perturbed_orbit_density(n),
+        cyclic=(n - 1,),
         description=f"unit S^{n} with a cohomogeneity-two perturbation "
                     f"(amp={amp})",
     )
@@ -526,6 +564,7 @@ def hyperbolic_normal_form(n) -> Model:
         homogeneous=True,
         compact=False,
         base_point=base,
+        cyclic=(n - 1,),
         description="hyperbolic space in geodesic normal form at the "
                     "conformal boundary",
     )

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcint import geometry, integrate, invariants
-from rcint.ambient import build_ambient, p_ell_n_ambient
+from rcint.ambient import AmbientChart, build_ambient, p_ell_n_ambient
 from rcint.geometry import (
     MODEL_NAMES,
     Geometry,
@@ -203,7 +205,7 @@ class TestRaiseSlots:
 def _riemann_up_full_then_truncate(geo):
     """Reference R_{abc}^d: Gamma Gamma at order K - 1, truncated after."""
     gam = geo.christoffel
-    dgam = gam.gradient()
+    dgam = geo.gradient(gam)
     t1 = pt_transpose(dgam, (0, 2, 3, 1))
     t2 = pt_transpose(dgam, (2, 0, 3, 1))
     q1 = contract("fac,dbf->abcd", gam, gam)
@@ -276,6 +278,111 @@ class TestFieldOrders:
         cotton_divergence_scalar(geo)
         chart = build_ambient(get_model("S4"), verify=False)
         assert np.isfinite(p_ell_n_ambient(chart, 2)).all()
+
+
+def _embed_reduced(p, free, nvars):
+    """Coefficients of a jet over the variables `free` of an `nvars`-variable
+    chart, written in the full basis of the same order."""
+    full = basis(nvars, p.basis.order)
+    exps = np.zeros((p.basis.size, nvars), dtype=np.int64)
+    exps[:, list(free)] = p.basis.exps
+    out = np.zeros(p.coeffs.shape[:-1] + (full.size,))
+    out[..., full.lookup(exps)] = p.coeffs
+    return out
+
+
+def _cyclic_cases():
+    """(name, metric_fn, dim, cyclic, points) for the reduced-basis tests."""
+    cases = []
+    for name in ("S2xS2", "perturbed-S4"):
+        m = get_model(name)
+        cases.append((name, m.metric_fn, m.dim, m.cyclic,
+                      _sample_points(m, count=3, seed=11, spread=0.1)))
+    chart = AmbientChart(get_model("S4"))
+    cases.append(("ambient-S4", chart.metric_fn, chart.dim, chart.cyclic,
+                  chart.sample_points(3, seed=11)))
+    return cases
+
+
+def _fields(geo):
+    """Metric-derived fields of every kind: g^{-1}, Gamma, curvature, a
+    covariant derivative and a Laplacian of a non-constant scalar."""
+    u = contract("ab,ab->", geo.g, geo.g)  # sum of squared components
+    return {"ginv": geo.ginv, "christoffel": geo.christoffel,
+            "riemann_up": geo.riemann_up, "riemann": geo.riemann,
+            "weyl": geo.weyl,
+            "nabla_riemann": geo.covariant_derivative(geo.riemann),
+            "nabla_u": geo.covariant_derivative(u),
+            "laplacian_u": geo.laplacian(u)}
+
+
+class TestCyclicCoordinates:
+    """A basis over the non-cyclic coordinates gives the same fields as the
+    full basis, whose coefficients along cyclic variables all vanish."""
+
+    @pytest.mark.parametrize("case", _cyclic_cases(), ids=lambda c: c[0])
+    def test_reduced_fields_match_full_basis(self, case):
+        name, metric_fn, dim, cyclic, pts = case
+        assert cyclic
+        reduced = Geometry(metric_fn, dim, pts, 4, cyclic)
+        full = Geometry(metric_fn, dim, pts, 4)
+        assert reduced.basis.nvars == dim - len(cyclic)
+        got, want = _fields(reduced), _fields(full)
+        for field_name, f in want.items():
+            emb = _embed_reduced(got[field_name], reduced.free, dim)
+            # fields that vanish identically (the ambient curvature over
+            # S4) are compared at the metric's unit scale
+            scale = max(np.abs(f.coeffs).max(), 1.0)
+            err = np.abs(emb - f.coeffs).max()
+            assert err <= 1e-12 * scale, (name, field_name, err)
+
+    def test_gradient_is_zero_along_cyclic_coordinates(self):
+        m = get_model("S2xS2")
+        geo = m.geometry(_sample_points(m, count=2, seed=12), order=3)
+        dg = geo.gradient(geo.g)
+        assert dg.comp_shape == (4, 4, 4)
+        for i in m.cyclic:
+            assert not dg.coeffs[:, i].any()
+        for v, i in enumerate(geo.free):
+            np.testing.assert_array_equal(dg.coeffs[:, i],
+                                          geo.g.diff(v).coeffs)
+
+    def test_wrong_declaration_names_the_coordinate(self):
+        m = sphere(2)
+        pts = np.array([[1.1, 0.7], [0.4, 2.0]])
+        with pytest.raises(ValueError, match="coordinate 0 is declared "
+                                             "cyclic"):
+            Geometry(m.metric_fn, 2, pts, 2, cyclic=(0,))
+        Geometry(m.metric_fn, 2, pts, 2, cyclic=(1,))
+
+    def test_catalog_declarations(self):
+        assert get_model("S4").cyclic == (3,)
+        assert get_model("S2xS2xS2xS2").cyclic == (1, 3, 5, 7)
+        assert get_model("perturbed-S4").cyclic == (3,)
+        assert get_model("H4").cyclic == (3,)
+        assert get_model("CP2").cyclic == ()
+        assert AmbientChart(get_model("S2xS2")).cyclic == (2, 4)
+
+
+#: homogeneous models with a Weyl tensor (dimension >= 3)
+_HOMOGENEOUS = [name for name in MODEL_NAMES
+                if get_model(name).homogeneous and get_model(name).dim >= 3]
+
+
+class TestHomogeneousWeylNorm:
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(_HOMOGENEOUS),
+           offset=st.lists(st.floats(-0.3, 0.3), min_size=8, max_size=8))
+    def test_weyl_norm_is_constant(self, name, offset):
+        # |W|^2 is an invariant, so it takes one value on a homogeneous
+        # model; evaluated on the reduced-basis geometry
+        m = get_model(name)
+        pts = np.stack([m.base_point,
+                        m.base_point + np.array(offset[: m.dim])])
+        geo = m.geometry(pts, order=2)
+        assert geo.basis.nvars == m.dim - len(m.cyclic)
+        w2 = invariants.weyl_norm2_field(geo).value()
+        assert abs(w2[1] - w2[0]) <= 1e-9 * max(abs(w2[0]), 1.0)
 
 
 class TestNonFiniteMetric:

@@ -1,6 +1,7 @@
 """Tests for quadrature, renormalized volumes, and the Gauss-Bonnet-type
 verification suites."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import pytest
 from rcint.geometry import get_model, sphere_volume
 from rcint.integrate import (
     LaurentSeries,
+    QuadratureRule,
     divergence_identity_checks,
     integrate_scalar,
     remark_divergence_scalars,
@@ -21,11 +23,17 @@ from rcint.integrate import (
     verify_worked_examples,
 )
 from rcint.invariants import weyl_norm2_field
-from rcint.jets import const_poly
+from rcint.jets import const_poly, contract
 
 
 def _one(geo):
     return const_poly(np.ones(geo.g.value().shape[0]), geo.basis, 1)
+
+
+def _g_squares(geo):
+    """Sum of the squared metric components: a chart-dependent integrand
+    that varies along every non-cyclic coordinate of the catalog charts."""
+    return contract("ab,ab->", geo.g, geo.g)
 
 
 class TestQuadrature:
@@ -54,6 +62,24 @@ class TestQuadrature:
                                 force_quadrature=True)
         assert fast == pytest.approx(slow, rel=1e-9)
         assert fast == pytest.approx(256 * math.pi ** 2 / 3, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["S2xS2", "S4"])
+    def test_collapsed_rule_matches_full_rule(self, name):
+        # one node per cyclic axis, weighted by its period, integrates
+        # exactly what the full Gauss-Legendre axis did
+        m = get_model(name)
+        full = dataclasses.replace(m, cyclic=())
+        rule, full_rule = QuadratureRule(m, 8), QuadratureRule(full, 8)
+        assert len(rule.points) == 8 ** (m.dim - len(m.cyclic))
+        assert len(full_rule.points) == 8 ** m.dim
+        assert rule.weights.sum() == pytest.approx(full_rule.weights.sum(),
+                                                   rel=1e-12)
+        for field in (_g_squares, weyl_norm2_field):
+            got = integrate_scalar(field, m, order=2, nodes_per_axis=8,
+                                   force_quadrature=True)
+            want = integrate_scalar(field, full, order=2, nodes_per_axis=8,
+                                    force_quadrature=True)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_cp2_weyl_integral(self):
         m = get_model("CP2")

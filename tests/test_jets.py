@@ -219,6 +219,104 @@ class TestDiff:
             assert np.allclose(g.coeffs[v], p.diff(v).coeffs)
 
 
+@st.composite
+def _jet_operands(draw, count, rank):
+    """`count` random jet tensors of one component shape (every axis of
+    one length) and batch in a shared basis, with their own orders."""
+    nvars = draw(st.integers(1, 3))
+    shape = (draw(st.integers(1, 3)),) * rank
+    batch = draw(st.sampled_from([(), (2,)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return [_sparse_poly(basis(nvars, draw(st.integers(0, 4))), shape, batch,
+                         draw(st.floats(0.3, 1)), rng)
+            for _ in range(count)]
+
+
+def _assert_jets_close(got: PolyTensor, want: PolyTensor):
+    assert got.basis is want.basis
+    scale = max(np.abs(want.coeffs).max(initial=0.0), 1.0)
+    np.testing.assert_allclose(got.coeffs, want.coeffs, rtol=0,
+                               atol=1e-12 * scale)
+
+
+class TestJetAlgebraProperties:
+    """The truncated jet product is a commutative, associative ring product
+    and `diff` is a derivation of it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_jet_operands(2, 1))
+    def test_product_is_commutative(self, ops):
+        x, y = ops
+        _assert_jets_close(contract("a,b->ab", x, y),
+                           contract("b,a->ab", y, x))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_jet_operands(3, 2))
+    def test_product_is_associative(self, ops):
+        a, b, c = ops
+        k = min(t.basis.order for t in ops)
+        left = contract("ab,bc->ac", contract("ab,bc->ac", a, b, k), c, k)
+        right = contract("ab,bc->ac", a, contract("ab,bc->ac", b, c, k), k)
+        _assert_jets_close(left, right)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_jet_operands(2, 1), st.integers(0, 2))
+    def test_diff_obeys_leibniz(self, ops, var):
+        a, b = ops
+        var %= a.basis.nvars
+        k = min(a.basis.order, b.basis.order)
+        if k == 0:
+            return
+        lhs = contract("a,a->a", a, b, k).diff(var)
+        rhs = (contract("a,a->a", a.diff(var), b, k - 1)
+               + contract("a,a->a", a, b.diff(var), k - 1))
+        _assert_jets_close(lhs, rhs)
+
+
+#: name -> (jet function, k-th derivative at a from NumPy functions)
+_SERIES = {
+    "sin": (TaylorScalar.sin, lambda a, k: np.sin(a + k * np.pi / 2)),
+    "exp": (TaylorScalar.exp, lambda a, k: np.exp(a)),
+    "pow": (lambda x: x ** 1.7,
+            lambda a, k: math.prod(1.7 - j for j in range(k))
+            * np.power(a, 1.7 - k)),
+}
+
+
+class TestAnalyticFunctionProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(sorted(_SERIES)), order=st.integers(0, 6),
+           a=st.floats(0.2, 2.5))
+    def test_univariate_coefficients_are_taylor_coefficients(self, name,
+                                                             order, a):
+        fn, deriv = _SERIES[name]
+        b = basis(1, order)
+        got = fn(TaylorScalar.coordinate(b, 0, np.array([a]))).coeffs[0]
+        want = [deriv(a, k) / math.factorial(k) for k in range(order + 1)]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(sorted(_SERIES)), nvars=st.integers(1, 3),
+           order=st.integers(0, 4), a=st.floats(0.5, 2.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_composition_is_the_taylor_sum(self, name, nvars, order, a,
+                                           seed):
+        # f(p) = sum_k f^(k)(a)/k! (p - a)^k for a jet p of value a, with
+        # the powers formed by `contract`
+        fn, deriv = _SERIES[name]
+        b = basis(nvars, order)
+        coeffs = np.random.default_rng(seed).uniform(-1, 1, b.size)
+        coeffs[0] = a
+        got = PolyTensor(fn(TaylorScalar(b, coeffs)).coeffs, b)
+        h = PolyTensor(np.where(np.arange(b.size) == 0, 0.0, coeffs), b)
+        power = const_poly(1.0, b)
+        want = const_poly(deriv(a, 0), b)
+        for k in range(1, order + 1):
+            power = contract(",->", power, h, order)
+            want = want + (deriv(a, k) / math.factorial(k)) * power
+        _assert_jets_close(got, want)
+
+
 def _inverse_by_iteration(g: PolyTensor, order: int) -> PolyTensor:
     """Reference inverse: X <- X - X0 (g X - I), `order` passes of two
     full-order products each (each pass fixes one more degree)."""
