@@ -5,7 +5,7 @@ polynomials around a batch of points and derives Christoffel symbols,
 curvature, Schouten/Weyl/Cotton tensors, covariant derivatives and
 Laplacians, all as `PolyTensor`s.  Each derivative costs one order of the
 jet, so a caller that needs k derivatives of curvature builds the metric at
-order >= k + 2.  `raise_slots` is the one index-raising path for jets.
+order >= k + 2.  `raise_slots` is the one index-raising path.
 
 Each field is built only to the order it keeps.  For a metric jet of order
 K: g at K; g^{-1} and Gamma at K - 1; Rm, Ric, Scal, Schouten and Weyl at

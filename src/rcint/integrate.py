@@ -24,18 +24,13 @@ from .invariants import (
     STRAIGHTENABLE_FIELDS,
     double_factorial,
     i_ell_closed_form_coeff,
-    pfaffian,
-    raise_array,
+    pfaffian_field,
+    raise_last_two,
     weyl_norm2_field,
 )
 from .reports import CheckReport
 
 _CHUNK = 2048  # quadrature nodes per jet-pipeline batch
-
-
-def _values(field):
-    """Pointwise values of a scalar field given as jets or as an array."""
-    return field.value() if hasattr(field, "value") else np.asarray(field)
 
 
 class QuadratureRule:
@@ -84,14 +79,14 @@ def integrate_scalar(field_fn, model: Model, order=2, nodes_per_axis=24,
         raise ValueError(f"{model.name} is not compact")
     if model.homogeneous and model.volume is not None and not force_quadrature:
         geo = model.geometry(order=order)
-        return float(_values(field_fn(geo))[0]) * model.volume
+        return float(field_fn(geo).value()[0]) * model.volume
     rule = QuadratureRule(model, nodes_per_axis)
     total = 0.0
     for start in range(0, len(rule.points), _CHUNK):
         pts = rule.points[start:start + _CHUNK]
         w = rule.weights[start:start + _CHUNK]
         geo = model.geometry(pts, order)
-        vals = _values(field_fn(geo)) * geo.sqrt_det_g()
+        vals = field_fn(geo).value() * geo.sqrt_det_g()
         total += float(np.sum(w * vals))
     return total
 
@@ -180,11 +175,7 @@ def verify_cgb(model: Model, tol=1e-6) -> CheckReport:
     _require(model.dim % 2 == 0, "even dimension required")
     _require(model.chi is not None, f"{model.name} has no Euler "
              "characteristic on record")
-
-    def pf_field(geo):
-        return pfaffian(geo.riemann.value(), geo.g.value())
-
-    lhs = integrate_scalar(pf_field, model)
+    lhs = integrate_scalar(pfaffian_field, model)
     rhs = (2 * math.pi) ** (model.dim // 2) * model.chi
     return CheckReport.compare(f"cgb-{model.name}", "Eq. (1.1)", lhs, rhs,
                                tol)
@@ -287,17 +278,15 @@ def verify_worked_examples(model: Model, tol_pointwise=1e-8, tol_int=1e-6):
         geo = model.geometry(order=4)
         W = geo.weyl
         lap = geo.laplacian(W).value()
-        Wv = W.value()
-        gi = geo.ginv.value()
-        Wud = raise_array(Wv, gi, (2, 3))
-        Wm = raise_array(Wv, gi, (1, 3))
+        Wud = raise_last_two(W, geo.ginv, 0)
+        Wm = raise_slots(W, geo.ginv, (1, 3), 0)
         n = model.dim
-        rhs = (4 * model.lam * (n - 1) * Wv
-               - np.einsum("...abef,...efcd->...abcd", Wud, Wv)
-               - 2 * np.einsum("...aecf,...bedf->...abcd", Wv, Wm)
-               + 2 * np.einsum("...aedf,...becf->...abcd", Wv, Wm))
+        rhs = (4 * model.lam * (n - 1) * W
+               - jcontract("abef,efcd->abcd", Wud, W, 0)
+               - 2 * jcontract("aecf,bedf->abcd", W, Wm, 0)
+               + 2 * jcontract("aedf,becf->abcd", W, Wm, 0))
         reports.append(CheckReport.compare(
-            f"delta-weyl-{model.name}", "Eq. (DeltaWeyl)", lap, rhs,
+            f"delta-weyl-{model.name}", "Eq. (DeltaWeyl)", lap, rhs.value(),
             tol_pointwise))
 
     if model.homogeneous:

@@ -18,6 +18,13 @@ needed.  A plan made once per l computes each distinct self-trace and
 pairwise contraction of the class terms once; the dense and the jet
 evaluator both run it, each with its own trace and two-operand contraction.
 A naive full-permutation evaluator is kept as an independent oracle.
+
+Tensors built from a metric are jets, raised only by `geometry.raise_slots`.
+Dense arrays live on a flat background, where the metric is the identity:
+`random_weyl`, `pf_ell`, `pf_ell_brute` and `weyl_basis`.  `WEYL_BASIS[k]`
+lists the complete contractions W_{k,i} of k Weyl factors (Lemma 5.2), each
+as einsum subscripts with its coefficient in Pf_k(W); `weyl_basis` evaluates
+the rows on arrays and `weyl_contraction_field` on jets.
 """
 
 from __future__ import annotations
@@ -128,70 +135,38 @@ def _pf_prefactor(ell):
     return 2.0 ** (-ell) * double_factorial(2 * ell - 1) / math.factorial(2 * ell)
 
 
-def raise_array(t, gi, slots):
-    """Raise the listed slots of a batched rank-4 array with the inverse
-    metric `gi`, one einsum per slot; the raised index stays in the slot's
-    place.  The dense counterpart of `geometry.raise_slots`."""
-    for s in slots:
-        out = "abcd"[:s] + "z" + "abcd"[s + 1:]
-        t = np.einsum(f"...abcd,...{'abcd'[s]}z->...{out}", t, gi,
-                      optimize=True)
-    return t
-
-
-def _raise_pair(T, metric):
-    """T_{ab}{}^{cd} for batched arrays; identity metric short-circuits."""
-    T = np.asarray(T, dtype=np.float64)
-    if metric is None:
-        return T
-    return raise_array(T, np.linalg.inv(np.asarray(metric, dtype=np.float64)),
-                       (2, 3))
-
-
-def pf_ell(T, ell: int, metric=None):
-    """Generalized Pfaffian Pf_l(T); batched over leading axes of T.
-
-    `metric` is the (batched) covariant metric used to raise the second
-    index pair; None means the identity.  Runs the plan of `_pf_plan` with
-    `np.trace` and two-operand `np.einsum` steps, never materializing the
-    rank-4l delta.
-    """
+def pf_ell(T, ell: int):
+    """Generalized Pfaffian Pf_l(T) on a flat background, batched over
+    leading axes of T: the plan of `_pf_plan` with `np.trace` and two-operand
+    `np.einsum` steps, never materializing the rank-4l delta."""
     T = np.asarray(T, dtype=np.float64)
     if ell == 0:
         return np.ones(T.shape[:-4]) if T.ndim > 4 else 1.0
     b = T.ndim - 4
     return _run_pf_plan(
-        _raise_pair(T, metric), ell, T.shape[-1],
+        T, ell, T.shape[-1],
         lambda x, i, j: np.trace(x, axis1=b + i, axis2=b + j),
         lambda how, x, y: np.einsum(
             "..." + how.replace(",", ",...").replace("->", "->..."), x, y,
             optimize=True))
 
 
-def pf_ell_brute(T, ell: int, metric=None):
-    """Pf_l by the naive full sum over S_{2l} (independent oracle)."""
+def pf_ell_brute(T, ell: int):
+    """Pf_l on a flat background by the naive full sum over S_{2l}
+    (independent oracle)."""
     T = np.asarray(T, dtype=np.float64)
     dim = T.shape[-1]
     if ell == 0:
         return np.ones(T.shape[:-4]) if T.ndim > 4 else 1.0
     if 2 * ell > dim:
         raise ValueError(f"Pf_{ell} requires dimension >= {2 * ell}, got {dim}")
-    Tud = _raise_pair(T, metric)
     total = 0.0
     for sigma in itertools.permutations(range(2 * ell)):
         subs = _term_subscripts(sigma, ell)
         expr = ",".join("..." + s for s in subs) + "->..."
         total = total + _perm_sign(sigma) * np.einsum(
-            expr, *([Tud] * ell), optimize=True)
+            expr, *([T] * ell), optimize=True)
     return _pf_prefactor(ell) * total
-
-
-def pfaffian(Rm, metric=None):
-    """Pf_{n/2}(Rm), the Gauss-Bonnet integrand normalization."""
-    dim = np.asarray(Rm).shape[-1]
-    if dim % 2:
-        raise ValueError("Pfaffian requires even dimension")
-    return pf_ell(Rm, dim // 2, metric)
 
 
 # -- jet-valued Pfaffian (for ambient Laplacians of Pf_l) ---------------------
@@ -200,6 +175,13 @@ def pfaffian(Rm, metric=None):
 def raise_last_two(T: PolyTensor, ginv: PolyTensor, order=None) -> PolyTensor:
     """T_{ab}{}^{cd} from all-lower jets T_{abcd}."""
     return raise_slots(T, ginv, (2, 3), order)
+
+
+def pfaffian_field(geo: Geometry) -> PolyTensor:
+    """Pf_{n/2}(Rm), the Gauss-Bonnet integrand normalization."""
+    if geo.dim % 2:
+        raise ValueError("Pfaffian requires even dimension")
+    return pf_ell_poly(raise_last_two(geo.riemann, geo.ginv), geo.dim // 2)
 
 
 def pf_ell_poly(Tud: PolyTensor, ell: int, order=None) -> PolyTensor:
@@ -307,52 +289,39 @@ def _pf_plan(ell: int):
 # Weyl contraction bases
 
 
-def weyl_basis(W, k: int = 2):
-    """The complete-contraction bases of W^(x)k for k in {2, 3, 4}, with
-    indices moved by the identity metric.
+#: k -> [(subscripts of W_{k,i}, coefficient of W_{k,i} in Pf_k(W)), ...]
+WEYL_BASIS = {
+    2: [("abcd,abcd", 1 / 8)],
+    3: [("abcd,cdef,efab", 1 / 12), ("acbd,cedf,eafb", -1 / 6)],
+    4: [("abcd,abcd,efgh,efgh", 1 / 128),
+        ("abcd,cdef,efgh,ghab", 1 / 64),
+        ("acde,bcde,afgh,bfgh", -1 / 8),
+        ("abcd,cdef,ageh,bgfh", -1 / 4),
+        ("abcd,cdef,aegh,bfgh", 1 / 8),
+        ("acbd,cedf,egfh,gahb", 1 / 8),
+        ("acbd,ecfd,ageh,bgfh", -1 / 4)],
+}
 
-    Returns [W_{2,1}], [W_{3,1}, W_{3,2}], or [W_{4,1} ... W_{4,7}]
-    (batched over leading axes).
-    """
-    if k not in (2, 3, 4):
+
+def weyl_basis(W, k: int = 2):
+    """The complete contractions W_{k,1}, W_{k,2}, ... of `WEYL_BASIS[k]`
+    on a flat background, batched over leading axes of W."""
+    if k not in WEYL_BASIS:
         raise ValueError("k must be one of 2, 3, 4")
     W = np.asarray(W, dtype=np.float64)
-    w21 = np.einsum("...abcd,...abcd->...", W, W, optimize=True)
-    if k == 2:
-        return [w21]
-    if k == 3:
-        w31 = np.einsum("...abcd,...cdef,...efab->...", W, W, W, optimize=True)
-        w32 = np.einsum("...acbd,...cedf,...eafb->...", W, W, W, optimize=True)
-        return [w31, w32]
-    w41 = w21 ** 2
-    w42 = np.einsum("...abcd,...cdef,...efgh,...ghab->...", W, W, W, W,
-                    optimize=True)
-    A = np.einsum("...acde,...bcde->...ab", W, W, optimize=True)
-    w43 = np.einsum("...ab,...ab->...", A, A, optimize=True)
-    w44 = np.einsum("...abcd,...cdef,...ageh,...bgfh->...", W, W, W, W,
-                    optimize=True)
-    w45 = np.einsum("...abcd,...cdef,...aegh,...bfgh->...", W, W, W, W,
-                    optimize=True)
-    w46 = np.einsum("...acbd,...cedf,...egfh,...gahb->...", W, W, W, W,
-                    optimize=True)
-    w47 = np.einsum("...acbd,...ecfd,...ageh,...bgfh->...", W, W, W, W,
-                    optimize=True)
-    return [w41, w42, w43, w44, w45, w46, w47]
-
-
-WEYL_PF_COEFFS = {
-    2: [1 / 8],
-    3: [1 / 12, -1 / 6],
-    4: [1 / 128, 1 / 64, -1 / 8, -1 / 4, 1 / 8, 1 / 8, -1 / 4],
-}
+    out = []
+    for subs, _ in WEYL_BASIS[k]:
+        factors = subs.split(",")
+        expr = ",".join("..." + f for f in factors) + "->..."
+        out.append(np.einsum(expr, *[W] * len(factors), optimize=True))
+    return out
 
 
 def low_order_pfaffian_identity(W, ell: int = 2, tol=1e-10) -> CheckReport:
     """Residual of Pf_l(W) against its Weyl-basis expansion, l in {2,3,4},
-    with the identity metric."""
+    on a flat background."""
     lhs = pf_ell(W, ell)
-    basis_vals = weyl_basis(W, ell)
-    rhs = sum(c * v for c, v in zip(WEYL_PF_COEFFS[ell], basis_vals))
+    rhs = sum(c * v for (_, c), v in zip(WEYL_BASIS[ell], weyl_basis(W, ell)))
     return CheckReport.compare(f"pfaffian-identity-l{ell}", "Lemma 5.2",
                                lhs, rhs, tol)
 
@@ -365,15 +334,13 @@ def einstein_pfaffian_expansion(model, points=None, tol=1e-9) -> CheckReport:
     if n % 2:
         raise ValueError("even dimension required")
     geo = model.geometry(points, order=2)
-    g = geo.g.value()
-    Rm = geo.riemann.value()
-    W = geo.weyl.value()
     J = model.j_value
-    lhs = pfaffian(Rm, g)
+    lhs = pfaffian_field(geo).value()
     rhs = 0.0
     for ell in range(n // 2 + 1):
         rhs = rhs + (double_factorial(n - 2 * ell - 1)
-                     * (2 * J / n) ** (n // 2 - ell) * pf_ell(W, ell, g))
+                     * (2 * J / n) ** (n // 2 - ell)
+                     * pf_ell_weyl_field(geo, ell).value())
     return CheckReport.compare(f"einstein-pfaffian-{model.name}", "Lemma 5.1",
                                lhs, rhs, tol)
 
@@ -523,18 +490,22 @@ def weyl_norm2_field(geo: Geometry) -> PolyTensor:
     return geo.norm_squared(geo.weyl)
 
 
-def w31_field(geo: Geometry) -> PolyTensor:
-    """W_{ab}{}^{cd} W_{cd}{}^{ef} W_{ef}{}^{ab}; weight -6 (k = 3)."""
-    Wud = raise_last_two(geo.weyl, geo.ginv)
-    t = jcontract("abcd,cdef->abef", Wud, Wud)
-    return jcontract("abef,efab->", t, Wud)
+def weyl_contraction_field(geo: Geometry, k, i, raised) -> PolyTensor:
+    """W_{k,i} of `WEYL_BASIS` on jets (i from 1), weight -2k: every factor
+    is W with its slots `raised` raised, contracted left to right."""
+    factors = WEYL_BASIS[k][i - 1][0].split(",")
+    Wr = raise_slots(geo.weyl, geo.ginv, raised)
+    acc, t = factors[0], Wr
+    for f in factors[1:]:
+        out = "".join(c for c in acc + f if (acc + f).count(c) == 1)
+        t = jcontract(f"{acc},{f}->{out}", t, Wr)
+        acc = out
+    return t
 
 
-def w32_field(geo: Geometry) -> PolyTensor:
-    """W_a{}^c{}_b{}^d W_c{}^e{}_d{}^f W_e{}^a{}_f{}^b; weight -6 (k = 3)."""
-    Wm = raise_slots(geo.weyl, geo.ginv, (1, 3))
-    t = jcontract("acbd,cedf->abef", Wm, Wm)
-    return jcontract("abef,eafb->", t, Wm)
+# W_{ab}^{cd} W_{cd}^{ef} W_{ef}^{ab} and W_a^c_b^d W_c^e_d^f W_e^a_f^b
+w31_field = partial(weyl_contraction_field, k=3, i=1, raised=(2, 3))
+w32_field = partial(weyl_contraction_field, k=3, i=2, raised=(1, 3))
 
 
 def pf_ell_weyl_field(geo: Geometry, ell: int) -> PolyTensor:

@@ -204,13 +204,6 @@ class PolyTensor:
         b = basis(self.basis.nvars, self.basis.order - 1)
         return PolyTensor(self.coeffs[..., gather] * factor, b, self.batch_ndim)
 
-    def gradient(self) -> "PolyTensor":
-        """Stack of partial derivatives; the new axis is the first comp axis."""
-        parts = [self.diff(v).coeffs for v in range(self.basis.nvars)]
-        stacked = np.stack(parts, axis=self.batch_ndim)
-        return PolyTensor(stacked, basis(self.basis.nvars, self.basis.order - 1),
-                          self.batch_ndim)
-
     # -- linear ops ---------------------------------------------------------
     def _align(self, other):
         o = min(self.basis.order, other.basis.order)
@@ -245,7 +238,8 @@ def contract(pattern: str, a: PolyTensor, b: PolyTensor, order: int | None = Non
     """Einsum over component axes with convolution of the coefficient axes.
 
     `pattern` names only the component axes, e.g. ``'ae,eb->ab'``; batch axes
-    are broadcast and the jet axis is convolved and truncated to `order`.
+    are broadcast and the jet axis is convolved and truncated to `order`.  A
+    letter must have one length wherever it appears.
 
     Only component pairs whose jets are both nonzero at some batch point can
     contribute.  When they are at most `_SPARSE_SHARE` of all component pairs
@@ -263,7 +257,9 @@ def contract(pattern: str, a: PolyTensor, b: PolyTensor, order: int | None = Non
         a.coeffs.shape[: a.batch_ndim], b.coeffs.shape[: b.batch_ndim])
     dims = {}
     for letters, arr in ((in_a, a), (in_b, b)):
-        dims.update(zip(letters, arr.comp_shape))
+        for c, n in zip(letters, arr.comp_shape):
+            if dims.setdefault(c, n) != n:
+                raise ValueError(f"letter {c!r} has lengths {dims[c]} and {n}")
     bout = basis(a.basis.nvars, order)
     out = np.zeros(batch_shape + tuple(dims[c] for c in outs) + (bout.size,))
     nbatch = math.prod(batch_shape)

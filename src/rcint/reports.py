@@ -20,7 +20,7 @@ class CheckReport:
     rel_err: float
     tol: float
     passed: bool
-    criterion: str  # "abs" or "rel" if it passed, else "none" or "nonfinite"
+    criterion: str  # "abs"/"rel" if passed, else "none"/"nonfinite"/"error"
     wall_time: float = 0.0
 
     @classmethod

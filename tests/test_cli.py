@@ -7,6 +7,7 @@ import json
 import pytest
 
 from rcint.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, SUITES, main
+from rcint.reports import CheckReport
 
 
 def _run(capsys, *argv):
@@ -96,6 +97,29 @@ class TestVerify:
         assert json.loads(lines[0])["check_id"] == "kronecker-recursion"
         # summary still goes to stdout
         assert "checks passed" in out
+
+    def test_failing_suite_keeps_other_reports(self, capsys, monkeypatch):
+        anchor, desc, _ = SUITES["kronecker"]
+
+        def breaks(cfg):
+            yield CheckReport.compare("before-break", anchor, 1.0, 1.0, 1e-12)
+            raise RuntimeError("suite broke")
+
+        monkeypatch.setitem(SUITES, "kronecker", (anchor, desc, breaks))
+        code, out, err = _run(capsys, "verify", "rvol", "kronecker",
+                              "einstein-pfaffian", "--manifold", "S4",
+                              "--format", "json")
+        assert code == EXIT_NUMERICAL
+        docs = {d["check_id"]: d for d in
+                map(json.loads, out.splitlines()[:5])}
+        assert list(docs) == ["rvol-H4", "rvol-H6", "before-break",
+                              "kronecker/error", "einstein-pfaffian-S4"]
+        error = docs["kronecker/error"]
+        assert (error["passed"], error["criterion"]) == (False, "error")
+        assert error["lhs"] == error["rhs"] == 0.0
+        assert docs["einstein-pfaffian-S4"]["passed"]
+        assert "RuntimeError: suite broke" in err
+        assert "numerical failure in: kronecker/error" in err
 
 
 class TestConfigErrors:

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import rcint.invariants as inv
-from rcint.geometry import get_model, pt_trace
+from rcint.geometry import get_model, pt_trace, sphere
 from rcint.invariants import (
     STRAIGHTENABLE_FIELDS,
+    WEYL_BASIS,
     _perm_sign,
     _pf_classes,
     _pf_plan,
@@ -26,10 +27,14 @@ from rcint.invariants import (
     pf_ell,
     pf_ell_brute,
     pf_ell_poly,
-    pfaffian,
-    raise_array,
+    pf_ell_weyl_field,
+    pfaffian_field,
     raise_last_two,
     random_weyl,
+    w31_field,
+    w32_field,
+    weyl_basis,
+    weyl_contraction_field,
     weyl_norm2_field,
 )
 from rcint.jets import PolyTensor, basis, contract as jcontract
@@ -55,9 +60,8 @@ class TestPfEll:
     @pytest.mark.parametrize("dim,ell", [(4, 1), (4, 2), (5, 2), (6, 2), (6, 3)])
     def test_matches_brute_force(self, dim, ell):
         W = random_weyl(dim, seed=10 * dim + ell, nsamples=3)
-        g = np.broadcast_to(np.eye(dim), (3, dim, dim))
-        assert pf_ell(W, ell, g) == pytest.approx(pf_ell_brute(W, ell, g),
-                                                  rel=1e-12, abs=1e-12)
+        assert pf_ell(W, ell) == pytest.approx(pf_ell_brute(W, ell),
+                                               rel=1e-12, abs=1e-12)
 
     def test_nonidentity_metric(self):
         rng = np.random.default_rng(7)
@@ -66,14 +70,15 @@ class TestPfEll:
         a = rng.normal(size=(dim, dim))
         g = a @ a.T + 3 * np.eye(dim)
         # abstract-index value: consistent between the two evaluators
-        assert pf_ell(W, 2, g) == pytest.approx(pf_ell_brute(W, 2, g), rel=1e-12)
+        Wud = _raise_pair(W, g)
+        assert pf_ell(Wud, 2) == pytest.approx(pf_ell_brute(Wud, 2), rel=1e-12)
 
     def test_dimension_guard(self):
         T = np.zeros((4,) * 4)
         with pytest.raises(ValueError):
             pf_ell(T, 3)
         with pytest.raises(ValueError):
-            pfaffian(np.zeros((3,) * 4))
+            pfaffian_field(sphere(3).geometry(order=2))
 
     def test_pf_zero_is_one(self):
         assert pf_ell(np.zeros((2, 4, 4, 4, 4)), 0) == pytest.approx([1.0, 1.0])
@@ -84,7 +89,7 @@ class TestPfEll:
         # (2 pi)^{n/2} chi = Pf * Vol on these homogeneous spaces.
         m = get_model(name)
         geo = m.geometry(order=2)
-        pf = pfaffian(geo.riemann.value(), geo.g.value())[0]
+        pf = pfaffian_field(geo).value()[0]
         assert pf == pytest.approx(value, rel=1e-10)
         assert pf * m.volume == pytest.approx((2 * np.pi) ** (m.dim // 2) * m.chi,
                                               rel=1e-10)
@@ -93,7 +98,7 @@ class TestPfEll:
         # Pf_2(W) = |W|^2 / 8 = 2/3 on S^2 x S^2.
         m = get_model("S2xS2")
         geo = m.geometry(order=2)
-        val = pf_ell(geo.weyl.value(), 2, geo.g.value())[0]
+        val = pf_ell_weyl_field(geo, 2).value()[0]
         assert val == pytest.approx(2.0 / 3.0, rel=1e-12)
 
     def test_pf_ell_poly_matches_values(self):
@@ -104,7 +109,7 @@ class TestPfEll:
         Wud = raise_last_two(geo.weyl, geo.ginv)
         for ell in (2, 3):
             jet = pf_ell_poly(Wud, ell).value()
-            direct = pf_ell(geo.weyl.value(), ell, geo.g.value())
+            direct = pf_ell(_raise_pair(geo.weyl.value(), geo.g.value()), ell)
             assert jet == pytest.approx(direct, rel=1e-11)
 
     def test_pf_ell_poly_zero_is_one(self):
@@ -114,21 +119,6 @@ class TestPfEll:
         assert one.coeffs.shape == (2, Tud.basis.size)
         assert np.array_equal(one.value(), pf_ell(Tud.value(), 0))
         assert not one.coeffs[:, 1:].any()
-
-    @pytest.mark.parametrize("slots,pattern", [
-        ((2, 3), "...abef,...ec,...fd->...abcd"),
-        ((1, 3), "...aebf,...ec,...fd->...acbd"),
-        ((0, 1, 2, 3), "...efgh,...ea,...fb,...gc,...hd->...abcd"),
-    ])
-    def test_raise_array_matches_einsum(self, slots, pattern):
-        rng = np.random.default_rng(5)
-        a = rng.normal(size=(3, 5, 5))
-        g = a @ np.swapaxes(a, 1, 2) + 3 * np.eye(5)
-        T = rng.normal(size=(3, 5, 5, 5, 5))
-        gi = np.linalg.inv(g)
-        want = np.einsum(pattern, T, *[gi] * len(slots))
-        np.testing.assert_allclose(raise_array(T, gi, slots), want,
-                                   rtol=1e-12, atol=1e-12)
 
 
 def _brute_pf_classes(ell):
@@ -187,10 +177,15 @@ def _per_class_pf_poly(Tud, ell, order):
     return _pf_prefactor(ell) * total
 
 
-def _per_class_pf(T, ell, metric=None):
+def _raise_pair(T, g):
+    """T_{ab}{}^{cd} from batched dense T_{abcd} and metric g."""
+    gi = np.linalg.inv(g)
+    return np.einsum("...abef,...ec,...fd->...abcd", T, gi, gi)
+
+
+def _per_class_pf(Tud, ell):
     """Dense Pf_l with each class contracted by its own multi-operand
     einsum, and the same sum taken over the absolute class terms."""
-    Tud = T if metric is None else raise_array(T, np.linalg.inv(metric), (2, 3))
     total = size = 0.0
     for mult, sigma in _pf_classes(ell):
         expr = ",".join("..." + s for s in _term_subscripts(sigma, ell))
@@ -240,15 +235,14 @@ class TestPfPlan:
     def test_dense_matches_per_class_evaluation(self, dim, ell, with_metric):
         rng = np.random.default_rng([dim, ell])
         W = random_weyl(dim, seed=dim * ell, nsamples=3)
-        g = None
         if with_metric:
             a = rng.normal(size=(3, dim, dim))
-            g = a @ np.swapaxes(a, 1, 2) + dim * np.eye(dim)
-        want, size = _per_class_pf(W, ell, g)
+            W = _raise_pair(W, a @ np.swapaxes(a, 1, 2) + dim * np.eye(dim))
+        want, size = _per_class_pf(W, ell)
         # Relative to the summed absolute class terms, where roundoff
         # arises: at l = 4 the terms cancel to ~1e-3 of their size, so two
         # summation orders differ by up to ~1e-12 of the value itself.
-        assert np.all(np.abs(pf_ell(W, ell, g) - want) <= 1e-13 * size)
+        assert np.all(np.abs(pf_ell(W, ell) - want) <= 1e-13 * size)
 
     def test_dense_one_einsum_per_merge_step(self, monkeypatch):
         W = random_weyl(8, seed=2, nsamples=2)
@@ -302,6 +296,76 @@ class TestWeylBasisIdentity:
     def test_einstein_expansion(self, name):
         rep = einstein_pfaffian_expansion(get_model(name))
         assert rep.passed, rep
+
+
+def _handwritten_weyl_basis(W, k):
+    """The Weyl contraction bases as hand-written einsums (oracle)."""
+    w21 = np.einsum("...abcd,...abcd->...", W, W, optimize=True)
+    if k == 2:
+        return [w21]
+    if k == 3:
+        w31 = np.einsum("...abcd,...cdef,...efab->...", W, W, W, optimize=True)
+        w32 = np.einsum("...acbd,...cedf,...eafb->...", W, W, W, optimize=True)
+        return [w31, w32]
+    w41 = w21 ** 2
+    w42 = np.einsum("...abcd,...cdef,...efgh,...ghab->...", W, W, W, W,
+                    optimize=True)
+    A = np.einsum("...acde,...bcde->...ab", W, W, optimize=True)
+    w43 = np.einsum("...ab,...ab->...", A, A, optimize=True)
+    w44 = np.einsum("...abcd,...cdef,...ageh,...bgfh->...", W, W, W, W,
+                    optimize=True)
+    w45 = np.einsum("...abcd,...cdef,...aegh,...bfgh->...", W, W, W, W,
+                    optimize=True)
+    w46 = np.einsum("...acbd,...cedf,...egfh,...gahb->...", W, W, W, W,
+                    optimize=True)
+    w47 = np.einsum("...acbd,...ecfd,...ageh,...bgfh->...", W, W, W, W,
+                    optimize=True)
+    return [w41, w42, w43, w44, w45, w46, w47]
+
+
+def _jet_weyl_rows():
+    """(name, k, i, raised) of every catalog field that evaluates a row of
+    `WEYL_BASIS` on jets."""
+    rows = [(name, fn.keywords["k"], fn.keywords["i"], fn.keywords["raised"])
+            for name, (fn, _, _) in STRAIGHTENABLE_FIELDS.items()
+            if getattr(fn, "func", None) is weyl_contraction_field]
+    assert len(rows) == 2
+    return rows
+
+
+class TestWeylTable:
+    @pytest.mark.parametrize("dim", [6, 8])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_table_matches_handwritten_basis(self, dim, k):
+        W = random_weyl(dim, seed=dim + k, nsamples=7)
+        got, want = weyl_basis(W, k), _handwritten_weyl_basis(W, k)
+        assert len(got) == len(want) == len(WEYL_BASIS[k])
+        assert all(np.array_equal(x, y) for x, y in zip(got, want))
+
+    @pytest.mark.parametrize("name", ["CP2", "perturbed-S4", "S2xS2xS2"])
+    def test_jet_fields_match_orthonormal_frame(self, name):
+        m = get_model(name)
+        rng = np.random.default_rng(17)
+        pts = m.base_point[None, :] + 0.1 * rng.uniform(-1, 1, size=(3, m.dim))
+        geo = m.geometry(pts, order=2)
+        # columns of E are a g-orthonormal frame: E^T g E = I
+        lam, V = np.linalg.eigh(geo.g.value())
+        E = V / np.sqrt(lam)[:, None, :]
+        W_on = np.einsum("...abcd,...ai,...bj,...ck,...dl->...ijkl",
+                         geo.weyl.value(), E, E, E, E)
+        want = weyl_basis(W_on, 3)
+        for fn, w in ((w31_field, want[0]), (w32_field, want[1])):
+            got = fn(geo).value()
+            assert np.all(np.abs(got - w) <= 1e-12 * np.abs(w).max()), fn
+
+    @pytest.mark.parametrize("row", _jet_weyl_rows(), ids=lambda r: r[0])
+    def test_jet_rows_raise_each_letter_once(self, row):
+        _, k, i, raised = row
+        slots = {}
+        for f in WEYL_BASIS[k][i - 1][0].split(","):
+            for pos, c in enumerate(f):
+                slots.setdefault(c, []).append(pos in raised)
+        assert all(sorted(v) == [False, True] for v in slots.values()), slots
 
 
 class TestIellOperator:

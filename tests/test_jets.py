@@ -78,6 +78,14 @@ class TestContract:
                          a.coeffs[..., 0], c.coeffs[..., 0])
         assert np.allclose(out.coeffs[..., 0], want)
 
+    def test_inconsistent_letter_length_rejected(self):
+        # b has length 3 in the first operand and 1 in the second
+        b = basis(2, 1)
+        x = _random_poly(b, (1, 3), seed=8)
+        y = _random_poly(b, (1, 3), seed=9)
+        with pytest.raises(ValueError, match="'b' has lengths 3 and 1"):
+            contract("ab,bc->ac", x, y)
+
     def test_order_zero_is_value_product(self):
         b = basis(3, 3)
         p = _random_poly(b, (2,), seed=5)
@@ -209,14 +217,6 @@ class TestDiff:
         assert dx.coeffs[dx.basis.index((1, 1))] == 10.0
         dy = p.diff(1)
         assert dy.coeffs[dy.basis.index((2, 0))] == 5.0
-
-    def test_gradient_stacks_all_vars(self):
-        b = basis(3, 2)
-        p = _random_poly(b, seed=7)
-        g = p.gradient()
-        assert g.comp_shape == (3,)
-        for v in range(3):
-            assert np.allclose(g.coeffs[v], p.diff(v).coeffs)
 
 
 @st.composite
