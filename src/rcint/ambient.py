@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import Geometry, Model
-from .jets import PolyTensor, TaylorScalar, contract as jcontract
+from .jets import PolyTensor, coordinate_poly
 from .invariants import pf_ell_poly, raise_last_two
 from .reports import CheckReport
 
@@ -195,14 +195,10 @@ def tau_power_poly(chart: AmbientChart, geo: Geometry, w: float) -> PolyTensor:
     """tau^w as a scalar jet in the basis of an ambient geometry, at its
     points; t is the first jet variable and rho the last."""
     b = geo.basis
-    t = TaylorScalar.coordinate(b, 0, geo.points[:, 0])
-    rho = TaylorScalar.coordinate(b, b.nvars - 1, geo.points[:, -1])
+    t = coordinate_poly(b, 0, geo.points[:, 0])
+    rho = coordinate_poly(b, b.nvars - 1, geo.points[:, -1])
     tau = t * (1.0 + chart.lam * rho)
-    if w == int(w) and w >= 0:
-        tau_w = tau ** int(w)
-    else:
-        tau_w = tau ** float(w)
-    return PolyTensor(tau_w.coeffs, b, 1)
+    return tau ** (int(w) if w == int(w) and w >= 0 else float(w))
 
 
 def ambient_laplacian_homogeneous(chart: AmbientChart, base_field_fn, w,
@@ -220,7 +216,7 @@ def ambient_laplacian_homogeneous(chart: AmbientChart, base_field_fn, w,
     u = base_field_fn(base_geo)
     u_amb = embed_base_poly(u, geo.basis)
     tau_w = tau_power_poly(chart, geo, w)
-    lhs = geo.laplacian(jcontract(",->", tau_w, u_amb)).value()
+    lhs = geo.laplacian(tau_w * u_amb).value()
 
     lap_u = base_geo.laplacian(u).value()
     c = 2.0 * chart.lam * w * (chart.n + w - 1)
@@ -256,13 +252,10 @@ def ambient_iterated_laplacian(chart: AmbientChart, field_fn, m: int,
     return np.array(vals)
 
 
-def p_ell_n_ambient(chart: AmbientChart, ell: int, n: int | None = None,
-                    x_points=None):
-    """P_{l,n} = i*(Delta~^{n/2-l} Pf_l(Rm~)) at base points."""
-    if n is None:
-        n = chart.n
-    if n != chart.n:
-        raise ValueError("n must match the base dimension")
+def p_ell_n_ambient(chart: AmbientChart, ell: int, x_points=None):
+    """P_{l,n} = i*(Delta~^{n/2-l} Pf_l(Rm~)) at base points, n the base
+    dimension."""
+    n = chart.n
     if n % 2 or not 2 <= ell <= n // 2:
         raise ValueError("need even n and 2 <= l <= n/2")
     if n > 8:
@@ -275,16 +268,13 @@ def p_ell_n_ambient(chart: AmbientChart, ell: int, n: int | None = None,
     return ambient_iterated_laplacian(chart, field, n // 2 - ell, x_points)
 
 
-def p_ell_n_einstein(model: Model, ell: int, n: int | None = None,
-                     x_points=None):
-    """P_{l,n} at an Einstein base via the iterated-Laplacian operator
-    acting on Pf_l(W) (the base route of the straightening argument)."""
+def p_ell_n_einstein(model: Model, ell: int, x_points=None):
+    """P_{l,n} at an Einstein base of dimension n via the
+    iterated-Laplacian operator acting on Pf_l(W) (the base route of the
+    straightening argument)."""
     from .invariants import i_ell_operator, pf_ell_weyl_field
 
-    if n is None:
-        n = model.dim
-    if n != model.dim:
-        raise ValueError("n must match the model dimension")
+    n = model.dim
     if model.lam is None:
         raise ValueError("Einstein model required")
     if n % 2 or not 2 <= ell <= n // 2:

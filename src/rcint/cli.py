@@ -7,7 +7,8 @@ Subcommands:
   list-suites                catalog of suites with their source anchors
 
 Exit codes: 0 all checks pass; 2 invalid configuration (unknown suite,
-manifold, or flag values, rejected before any computation); 3 numerical
+manifold, or flag values, or a manifold that a selected suite cannot take,
+rejected before any computation); 3 numerical
 failure (at least one failing check, or an internal error; the failing
 check id is reported).  A suite that raises adds one failing report,
 `<suite>/error`, and writes its traceback to stderr; the other suites still
@@ -245,6 +246,28 @@ SUITES = {
              _suite_rvol),
 }
 
+#: what a manifold must be, as tests on its catalog `Model`
+_PROPERTIES = {"compact": lambda m: m.compact,
+               "homogeneous": lambda m: m.homogeneous,
+               "Einstein": lambda m: m.lam is not None,
+               "of dimension >= 4": lambda m: m.dim >= 4}
+_EINSTEIN_4 = ("Einstein", "of dimension >= 4")
+
+#: suite -> what it needs from its manifold; an unlisted suite takes any
+_MANIFOLD_NEEDS = {
+    "einstein-pfaffian": _EINSTEIN_4,
+    "cgb": ("compact",),
+    "gbc": ("compact", "homogeneous", "Einstein"),
+    "ambient-ricci": ("Einstein",),
+    "ambient-curvature": _EINSTEIN_4,
+    "ambient-christoffel": ("Einstein",),
+    "ambient-laplacian": _EINSTEIN_4,
+    "straightenable": _EINSTEIN_4,
+    "route-equivalence": _EINSTEIN_4,
+    "main-theorem": tuple(_PROPERTIES),
+    "worked-examples": ("of dimension >= 4",),
+}
+
 
 # ---------------------------------------------------------------------------
 # output formatting
@@ -368,9 +391,16 @@ def _validate(args):
                               f"{', '.join(sorted(SUITES))}")
     if args.manifold:
         try:
-            get_model(args.manifold)
+            model = get_model(args.manifold)
         except KeyError as exc:
             raise ConfigError(str(exc))
+        for s in args.suites:
+            missing = [p for p in _MANIFOLD_NEEDS.get(s, ())
+                       if not _PROPERTIES[p](model)]
+            if missing:
+                raise ConfigError(f"suite {s} cannot take --manifold "
+                                  f"{args.manifold}: it is not "
+                                  f"{' and '.join(missing)}")
     if args.format not in _FORMATS:
         raise ConfigError(f"--format must be one of {', '.join(_FORMATS)}")
     if args.tol is not None and args.tol <= 0:

@@ -44,7 +44,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .jets import (PolyTensor, TaylorScalar, basis, contract,
+from .jets import (PolyTensor, basis, const_poly, contract, coordinate_poly,
                    poly_matrix_inverse, scalars_to_poly)
 
 EPS_POLE = 1e-6  # chart clearance from coordinate degeneracies
@@ -102,8 +102,9 @@ class Geometry:
 
     Parameters
     ----------
-    metric_fn : callable mapping a list of coordinate `TaylorScalar`s to a
-        nested dim x dim list of metric components (jets or constants).
+    metric_fn : callable mapping a list of coordinate jets (rank-0
+        `PolyTensor`s, one per chart coordinate) to a nested dim x dim list
+        of metric components (scalar jets or numbers).
     dim : manifold dimension.
     points : array (B, dim) of expansion points.
     order : jet truncation order of the metric components.
@@ -122,10 +123,9 @@ class Geometry:
         self.cyclic = tuple(sorted(cyclic))
         self.free = tuple(i for i in range(dim) if i not in self.cyclic)
         self.basis = basis(len(self.free), order)
-        coords = [TaylorScalar.constant(self.basis, points[:, i])
-                  for i in range(dim)]
+        coords = [const_poly(points[:, i], self.basis, 1) for i in range(dim)]
         for v, i in enumerate(self.free):
-            coords[i] = TaylorScalar.coordinate(self.basis, v, points[:, i])
+            coords[i] = coordinate_poly(self.basis, v, points[:, i])
         entries = metric_fn(coords)
         self.g = scalars_to_poly(entries, self.basis, batch_ndim=1)
         if self.g.comp_shape != (dim, dim):
@@ -257,7 +257,7 @@ def _check_cyclic(metric_fn, points, cyclic):
     cyclic coordinate at some point; checked on an order-1 jet in every
     coordinate."""
     full = basis(points.shape[1], 1)
-    coords = [TaylorScalar.coordinate(full, i, points[:, i])
+    coords = [coordinate_poly(full, i, points[:, i])
               for i in range(points.shape[1])]
     g = scalars_to_poly(metric_fn(coords), full, batch_ndim=1)
     for i in cyclic:
@@ -308,7 +308,7 @@ def sphere_metric_fn(n, radius=1.0):
     def fn(coords):
         dim = len(coords)
         rows = [[0.0] * dim for _ in range(dim)]
-        running = TaylorScalar.constant(coords[0].basis, radius ** 2)
+        running = const_poly(radius ** 2, coords[0].basis)
         for i in range(n):
             rows[i][i] = running
             if i < n - 1:
@@ -353,10 +353,8 @@ def product_of_spheres(k) -> Model:
         dim = 2 * k
         rows = [[0.0] * dim for _ in range(dim)]
         for j in range(k):
-            th = coords[2 * j]
-            one = TaylorScalar.constant(th.basis, 1.0)
-            rows[2 * j][2 * j] = one
-            s = th.sin()
+            rows[2 * j][2 * j] = 1.0
+            s = coords[2 * j].sin()
             rows[2 * j + 1][2 * j + 1] = s * s
         return rows
 
@@ -395,7 +393,7 @@ def cp2_metric_fn():
     def fn(coords):
         x1, y1, x2, y2 = coords
         b = x1.basis
-        i_unit = TaylorScalar.constant(b, np.complex128(1j))
+        i_unit = const_poly(1j, b)
         z = [x1 + i_unit * y1, x2 + i_unit * y2]
         zb = [x1 - i_unit * y1, x2 - i_unit * y2]
         s = zb[0] * z[0] + zb[1] * z[1]
@@ -404,10 +402,10 @@ def cp2_metric_fn():
               for j in range(2)] for i in range(2)]
 
         def re(t):
-            return TaylorScalar(b, t.coeffs.real.copy())
+            return PolyTensor(t.coeffs.real.copy(), b, t.batch_ndim)
 
         def im(t):
-            return TaylorScalar(b, t.coeffs.imag.copy())
+            return PolyTensor(t.coeffs.imag.copy(), b, t.batch_ndim)
 
         # coordinate order (x1, y1, x2, y2); g(dx_i, dx_j) = g(dy_i, dy_j)
         # = Re h_ij, g(dx_i, dy_j) = Im h_ij, g(dy_i, dx_j) = -Im h_ij.

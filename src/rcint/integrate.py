@@ -199,11 +199,11 @@ def _p_ell_n_integrals(model: Model, ell: int, ambient_route: bool):
     return _P_ELL_CACHE[key] * model.volume
 
 
-def verify_gbc(model: Model, tol=1e-6, routes=("einstein", "ambient")):
+def verify_gbc(model: Model, tol=1e-6):
     """(2 pi)^{n/2} chi = (2 lam)^{n/2} (n-1)!! Vol
     + sum_{l=2}^{n/2} (-2)^{l-n/2} (l-1)!/(n/2-1)! * integral of P_{l,n}.
 
-    Returns one CheckReport per requested P_{l,n} route.
+    Returns one CheckReport per P_{l,n} route, Einstein then ambient.
     """
     _require(model.compact and model.lam is not None
              and model.homogeneous, "compact homogeneous Einstein required")
@@ -214,7 +214,7 @@ def verify_gbc(model: Model, tol=1e-6, routes=("einstein", "ambient")):
     base = ((2 * model.lam) ** (n // 2) * double_factorial(n - 1)
             * model.volume)
     reports = []
-    for route in routes:
+    for route in ("einstein", "ambient"):
         rhs = base
         for ell in range(2, n // 2 + 1):
             coeff = ((-2.0) ** (ell - n // 2) * math.factorial(ell - 1)
@@ -226,7 +226,7 @@ def verify_gbc(model: Model, tol=1e-6, routes=("einstein", "ambient")):
     return reports
 
 
-def verify_main_theorem_coefficient(model: Model, field_name: str, k=None,
+def verify_main_theorem_coefficient(model: Model, field_name: str,
                                     tol=1e-7) -> CheckReport:
     """Coefficient algebra of the renormalized-integral theorem, compact
     shadow: integral of I_{n/2-k} (computed ambiently) equals the
@@ -236,10 +236,7 @@ def verify_main_theorem_coefficient(model: Model, field_name: str, k=None,
 
     _require(field_name in STRAIGHTENABLE_FIELDS,
              f"{field_name} is not a straightenable catalog scalar")
-    field_fn, k_cat, field_order = STRAIGHTENABLE_FIELDS[field_name]
-    if k is None:
-        k = k_cat
-    _require(k == k_cat, f"{field_name} has weight -2k with k = {k_cat}")
+    field_fn, k, field_order = STRAIGHTENABLE_FIELDS[field_name]
     _require(model.compact and model.homogeneous and model.lam is not None,
              "compact homogeneous Einstein required")
     n = model.dim
@@ -311,7 +308,7 @@ def verify_worked_examples(model: Model, tol_pointwise=1e-8, tol_int=1e-6):
             u = weyl_norm2_field(geo)
             gu = geo.gradient(u)
             quad = jcontract("a,a->", jcontract("ab,b->a", geo.ginv, gu), gu)
-            return quad + jcontract(",->", u, geo.laplacian(u))
+            return quad + u * geo.laplacian(u)
 
         val = integrate_scalar(ibp_field, model, order=4)
         scale = abs(integrate_scalar(weyl_norm2_field, model, order=2))

@@ -336,11 +336,12 @@ def einstein_pfaffian_expansion(model, points=None, tol=1e-9) -> CheckReport:
     geo = model.geometry(points, order=2)
     J = model.j_value
     lhs = pfaffian_field(geo).value()
+    Wud = raise_last_two(geo.weyl, geo.ginv)
     rhs = 0.0
     for ell in range(n // 2 + 1):
         rhs = rhs + (double_factorial(n - 2 * ell - 1)
                      * (2 * J / n) ** (n // 2 - ell)
-                     * pf_ell_weyl_field(geo, ell).value())
+                     * pf_ell_poly(Wud, ell).value())
     return CheckReport.compare(f"einstein-pfaffian-{model.name}", "Lemma 5.1",
                                lhs, rhs, tol)
 

@@ -7,15 +7,13 @@ m variables is stored as a dense coefficient vector over the multi-indices of
 a `PolyBasis`, ordered by (total degree, lex).  That ordering makes
 truncation a slice and embedding a zero-pad.
 
-Two layers sit on top of the basis:
-
-* `TaylorScalar` -- a scalar jet with operator overloading and the analytic
-  functions needed by the metric catalog (sin, cos, exp, real powers).
-  Coefficient arrays may carry leading batch axes, so a chart can be expanded
-  at many points at once.
-* `PolyTensor` + `contract` -- tensors whose components are jets, with an
-  einsum-like contraction that convolves the coefficient axis.  This is what
-  the curvature pipeline runs on.
+One jet type sits on top of the basis: `PolyTensor`, a tensor whose
+components are jets, with leading batch axes so a chart can be expanded at
+many points at once.  `contract` is its einsum-like product, convolving the
+coefficient axis; the curvature pipeline runs on it.  A rank-0 PolyTensor is
+a scalar jet with operator overloading and the analytic functions the metric
+catalog needs (sin, cos, exp, real powers); `const_poly` and
+`coordinate_poly` build the constant and coordinate jets.
 
 Curvature tensors are mostly zero components: the ambient curvature vanishes
 on every t- and rho-slot, and a product of spheres has few nonzero base
@@ -23,8 +21,8 @@ components.  `contract` therefore finds the components of each operand that
 are nonzero at some batch point and joins the two supports on their shared
 letters.  When the joined pairs are a small share of all component pairs it
 multiplies only those; otherwise one dense einsum over every pair is faster.
-`PolyTensor` itself stays dense.  The sparse kernel and `TaylorScalar`
-multiplication share one jet product, `_jet_mul`; the dense kernel runs the
+`PolyTensor` itself stays dense.  The sparse kernel and the scalar-jet
+product share one jet product, `_jet_mul`; the dense kernel runs the
 same `_pair_table` gather and reduceat around its einsum.
 """
 
@@ -166,10 +164,16 @@ class PolyTensor:
     """A tensor whose components are truncated Taylor polynomials.
 
     `coeffs` has shape (*batch, *comps, basis.size); `batch_ndim` leading axes
-    are broadcast point batches shared by every component.
+    are broadcast point batches shared by every component.  A rank-0
+    PolyTensor is a scalar jet: `+`, `-`, `*`, `/` and `**` combine it with
+    numbers, per-point arrays (one value per batch point) and other scalar
+    jets, and it has sin, cos, exp and sqrt.  The result keeps the larger
+    `batch_ndim` of the two operands.  Tensors of rank >= 1 add, subtract
+    and scale; their products are `contract`.
     """
 
     __slots__ = ("coeffs", "basis", "batch_ndim")
+    __array_ufunc__ = None  # `array * jet` calls the jet's reflected operator
 
     def __init__(self, coeffs, basis_, batch_ndim=0):
         self.coeffs = np.asarray(coeffs)
@@ -204,33 +208,137 @@ class PolyTensor:
         b = basis(self.basis.nvars, self.basis.order - 1)
         return PolyTensor(self.coeffs[..., gather] * factor, b, self.batch_ndim)
 
-    # -- linear ops ---------------------------------------------------------
+    # -- arithmetic ----------------------------------------------------------
     def _align(self, other):
         o = min(self.basis.order, other.basis.order)
         return self.truncate(o), other.truncate(o)
 
+    def _jet(self, other) -> "PolyTensor":
+        """`other`, a number or per-point array made a constant jet."""
+        if isinstance(other, PolyTensor):
+            return other
+        return const_poly(other, self.basis, np.ndim(other))
+
     def __add__(self, other):
-        a, b = self._align(other)
-        return PolyTensor(a.coeffs + b.coeffs, a.basis, self.batch_ndim)
+        a, b = self._align(self._jet(other))
+        return PolyTensor(a.coeffs + b.coeffs, a.basis,
+                          max(a.batch_ndim, b.batch_ndim))
+
+    __radd__ = __add__
 
     def __sub__(self, other):
-        a, b = self._align(other)
-        return PolyTensor(a.coeffs - b.coeffs, a.basis, self.batch_ndim)
+        a, b = self._align(self._jet(other))
+        return PolyTensor(a.coeffs - b.coeffs, a.basis,
+                          max(a.batch_ndim, b.batch_ndim))
+
+    def __rsub__(self, other):
+        return self._jet(other) - self
 
     def __neg__(self):
         return PolyTensor(-self.coeffs, self.basis, self.batch_ndim)
 
-    def __mul__(self, scalar):
-        return PolyTensor(self.coeffs * scalar, self.basis, self.batch_ndim)
+    def __mul__(self, other):
+        if not isinstance(other, PolyTensor):
+            nd = np.ndim(other)
+            if nd:  # one value per batch point, for every component
+                other = np.reshape(other,
+                                   np.shape(other) + (1,) * (self.rank + 1))
+            return PolyTensor(self.coeffs * other, self.basis,
+                              max(self.batch_ndim, nd))
+        if self.rank or other.rank:
+            raise ValueError("* multiplies scalar jets; contract tensors")
+        nv, oa, ob = self.basis.nvars, self.basis.order, other.basis.order
+        return PolyTensor(_jet_mul(self.coeffs, other.coeffs, nv, oa, ob,
+                                   min(oa, ob)), basis(nv, min(oa, ob)),
+                          max(self.batch_ndim, other.batch_ndim))
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other):
+        if isinstance(other, PolyTensor):
+            return self * other._reciprocal()
+        return self * (1.0 / other)
+
+    def __rtruediv__(self, other):
+        return self._reciprocal() * other
+
+    def __pow__(self, p):
+        if isinstance(p, int) and p >= 0:
+            out = const_poly(np.ones_like(self.value()), self.basis,
+                             self.batch_ndim)
+            for _ in range(p):
+                out = out * self
+            return out
+        return self._compose(lambda a, k: _pow_series(a, p, k))
+
+    def _reciprocal(self):
+        return self ** -1.0
+
+    def _compose(self, series_coeff):
+        """sum_k c_k (self - a)^k with c_k = series_coeff(a, k), via Horner."""
+        a = self.value()
+        h = PolyTensor(self.coeffs.copy(), self.basis, self.batch_ndim)
+        h.coeffs[..., 0] = 0.0
+        out = const_poly(series_coeff(a, self.basis.order), self.basis,
+                         self.batch_ndim)
+        for k in range(self.basis.order - 1, -1, -1):
+            out = out * h + series_coeff(a, k)
+        return out
+
+    def sin(self):
+        return self._compose(lambda a, k: _trig_series(a, k, 0))
+
+    def cos(self):
+        return self._compose(lambda a, k: _trig_series(a, k, 1))
+
+    def exp(self):
+        return self._compose(lambda a, k: np.exp(a) / math.factorial(k))
+
+    def sqrt(self):
+        return self ** 0.5
+
+
+def _trig_series(a, k, shift):
+    f = [np.sin, np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x)]
+    return f[(k + shift) % 4](a) / math.factorial(k)
+
+
+def _pow_series(a, p, k):
+    c = 1.0
+    for j in range(k):
+        c *= (p - j) / (j + 1)
+    return c * np.asarray(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64) ** (p - k)
+
 
 def const_poly(values, basis_, batch_ndim=0) -> PolyTensor:
-    values = np.asarray(values, dtype=np.float64)
-    coeffs = np.zeros(values.shape + (basis_.size,))
+    """Constant jets with the given values; complex values stay complex."""
+    values = np.asarray(values)
+    coeffs = np.zeros(values.shape + (basis_.size,),
+                      dtype=np.result_type(values, 0.0))
     coeffs[..., 0] = values
     return PolyTensor(coeffs, basis_, batch_ndim)
+
+
+def coordinate_poly(basis_, var: int, values) -> PolyTensor:
+    """The jet of jet variable `var` expanded at `values` (a number or one
+    value per batch point)."""
+    x = const_poly(values, basis_, np.ndim(values))
+    if basis_.order >= 1:
+        e = np.zeros(basis_.nvars, dtype=np.int64)
+        e[var] = 1
+        x.coeffs[..., basis_.index(e)] = 1.0
+    return x
+
+
+def scalars_to_poly(entries, basis_, batch_ndim=0) -> PolyTensor:
+    """Stack a nested list of scalar jets and numbers into a PolyTensor."""
+    grid = np.array(entries, dtype=object)
+    leaves = np.broadcast_arrays(*(
+        e.coeffs if isinstance(e, PolyTensor) else const_poly(e, basis_).coeffs
+        for e in grid.flat))
+    coeffs = np.stack(leaves, axis=-2)
+    return PolyTensor(coeffs.reshape(coeffs.shape[:-2] + grid.shape
+                                     + (basis_.size,)), basis_, batch_ndim)
 
 
 def contract(pattern: str, a: PolyTensor, b: PolyTensor, order: int | None = None,
@@ -379,159 +487,3 @@ def poly_matrix_inverse(g: PolyTensor, order: int) -> PolyTensor:
         r = contract("ab,bc->ac", g, x, k).coeffs[..., blk]
         x.coeffs[..., blk] = -np.einsum("...ab,...bcm->...acm", x0, r)
     return x
-
-
-# ---------------------------------------------------------------------------
-# scalar jets with analytic functions
-
-
-class TaylorScalar:
-    """Scalar jet; thin wrapper over a coefficient vector with batch axes."""
-
-    __slots__ = ("basis", "coeffs")
-
-    def __init__(self, basis_, coeffs):
-        self.basis = basis_
-        self.coeffs = np.asarray(coeffs)
-
-    @classmethod
-    def coordinate(cls, basis_, var: int, value):
-        value = np.asarray(value, dtype=np.float64)
-        coeffs = np.zeros(value.shape + (basis_.size,))
-        coeffs[..., 0] = value
-        if basis_.order >= 1:
-            e = np.zeros(basis_.nvars, dtype=np.int64)
-            e[var] = 1
-            coeffs[..., basis_.index(e)] = 1.0
-        return cls(basis_, coeffs)
-
-    @classmethod
-    def constant(cls, basis_, value):
-        value = np.asarray(value)
-        coeffs = np.zeros(value.shape + (basis_.size,), dtype=value.dtype)
-        coeffs[..., 0] = value
-        return cls(basis_, coeffs)
-
-    @property
-    def value(self):
-        return self.coeffs[..., 0]
-
-    def _coerce(self, other):
-        if isinstance(other, TaylorScalar):
-            return other
-        return TaylorScalar.constant(self.basis, np.asarray(other))
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return TaylorScalar(self.basis, self.coeffs + other.coeffs)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return TaylorScalar(self.basis, self.coeffs - other.coeffs)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __neg__(self):
-        return TaylorScalar(self.basis, -self.coeffs)
-
-    def __mul__(self, other):
-        if not isinstance(other, TaylorScalar):
-            return TaylorScalar(self.basis, self.coeffs * np.asarray(other)[..., None]
-                                if np.ndim(other) else self.coeffs * other)
-        return TaylorScalar(self.basis, _jet_mul(
-            self.coeffs, other.coeffs, self.basis.nvars, self.basis.order,
-            other.basis.order, self.basis.order))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, TaylorScalar):
-            return self * other._reciprocal()
-        return self * (1.0 / other)
-
-    def __rtruediv__(self, other):
-        return self._reciprocal() * other
-
-    def __pow__(self, p):
-        if isinstance(p, int) and p >= 0:
-            out = TaylorScalar.constant(self.basis, np.ones_like(self.value))
-            for _ in range(p):
-                out = out * self
-            return out
-        return self._compose(lambda a, k: _pow_series(a, p, k))
-
-    def _reciprocal(self):
-        return self.__pow__(-1.0)
-
-    def _compose(self, series_coeff):
-        """sum_k c_k (self - a)^k with c_k = series_coeff(a, k), via Horner."""
-        a = self.value
-        k_max = self.basis.order
-        h = TaylorScalar(self.basis, self.coeffs.copy())
-        h.coeffs = h.coeffs.copy()
-        h.coeffs[..., 0] = 0.0
-        out = TaylorScalar.constant(self.basis, series_coeff(a, k_max))
-        for k in range(k_max - 1, -1, -1):
-            out = out * h + series_coeff(a, k)
-        return out
-
-    def sin(self):
-        return self._compose(lambda a, k: _trig_series(a, k, 0))
-
-    def cos(self):
-        return self._compose(lambda a, k: _trig_series(a, k, 1))
-
-    def exp(self):
-        return self._compose(lambda a, k: np.exp(a) / math.factorial(k))
-
-    def sqrt(self):
-        return self.__pow__(0.5)
-
-
-def _trig_series(a, k, shift):
-    f = [np.sin, np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x)]
-    return f[(k + shift) % 4](a) / math.factorial(k)
-
-
-def _pow_series(a, p, k):
-    c = 1.0
-    for j in range(k):
-        c *= (p - j) / (j + 1)
-    return c * np.asarray(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64) ** (p - k)
-
-
-def scalars_to_poly(entries, basis_, batch_ndim=0) -> PolyTensor:
-    """Assemble a nested list of TaylorScalar/constants into a PolyTensor."""
-    batch_shape = ()
-    def scan(node):
-        nonlocal batch_shape
-        if isinstance(node, (list, tuple)):
-            for n in node:
-                scan(n)
-        elif isinstance(node, TaylorScalar):
-            batch_shape = np.broadcast_shapes(batch_shape, node.coeffs.shape[:-1])
-    scan(entries)
-
-    def to_coeffs(e):
-        if isinstance(e, TaylorScalar):
-            return np.broadcast_to(e.coeffs, batch_shape + (basis_.size,))
-        arr = np.zeros(batch_shape + (basis_.size,))
-        arr[..., 0] = float(e)
-        return arr
-
-    def recurse(node):
-        if isinstance(node, (list, tuple)):
-            return [recurse(n) for n in node]
-        return to_coeffs(node)
-
-    nested = recurse(entries)
-
-    def stack(node):
-        if isinstance(node, list):
-            return np.stack([stack(n) for n in node], axis=batch_ndim)
-        return node
-
-    return PolyTensor(stack(nested), basis_, batch_ndim)

@@ -155,8 +155,6 @@ class TestRouteEquivalence:
         with pytest.raises(ValueError):
             p_ell_n_ambient(s4_chart, 3)  # l > n/2
         with pytest.raises(ValueError):
-            p_ell_n_ambient(s4_chart, 2, n=6)
-        with pytest.raises(ValueError):
             p_ell_n_einstein(get_model("perturbed-S4"), 2)
 
     def test_iterated_laplacian_zero_steps(self, s2xs2_chart):

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from rcint.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, SUITES, main
+from rcint.geometry import MODEL_NAMES
 from rcint.reports import CheckReport
 
 
@@ -160,6 +161,45 @@ class TestConfigErrors:
     def test_no_suites(self, capsys):
         code, _, _ = _run(capsys, "verify")
         assert code == EXIT_CONFIG
+
+
+#: (suite, manifold) pairs the suite cannot take: each reached computation
+#: and failed there, or ran no check, before `_validate` rejected it
+_UNTAKEABLE = [
+    ("einstein-pfaffian", "S2"), ("einstein-pfaffian", "perturbed-S4"),
+    ("cgb", "H4"), ("cgb", "H6"),
+    ("gbc", "perturbed-S4"), ("gbc", "H4"), ("gbc", "H6"),
+    ("ambient-ricci", "perturbed-S4"),
+    ("ambient-curvature", "S2"), ("ambient-curvature", "perturbed-S4"),
+    ("ambient-christoffel", "perturbed-S4"),
+    ("ambient-laplacian", "S2"), ("ambient-laplacian", "perturbed-S4"),
+    ("straightenable", "S2"), ("straightenable", "perturbed-S4"),
+    ("route-equivalence", "S2"), ("route-equivalence", "perturbed-S4"),
+    ("main-theorem", "S2"), ("main-theorem", "perturbed-S4"),
+    ("main-theorem", "H4"), ("main-theorem", "H6"),
+    ("worked-examples", "S2"),
+]
+
+
+class TestManifoldNeeds:
+    @pytest.mark.parametrize("suite,manifold", _UNTAKEABLE)
+    def test_untakeable_manifold_is_config_error(self, capsys, suite,
+                                                 manifold):
+        code, out, err = _run(capsys, "verify", "rvol", suite,
+                              "--manifold", manifold)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert suite in err and manifold in err
+
+    def test_every_other_pair_is_accepted(self, capsys, monkeypatch):
+        for name, (anchor, desc, _) in list(SUITES.items()):
+            monkeypatch.setitem(SUITES, name, (anchor, desc, lambda cfg: ()))
+        for suite in SUITES:
+            for manifold in MODEL_NAMES:
+                code, out, _ = _run(capsys, "verify", suite,
+                                    "--manifold", manifold)
+                rejected = (suite, manifold) in _UNTAKEABLE
+                assert code == (EXIT_CONFIG if rejected else EXIT_OK)
 
 
 class TestConfigFile:

@@ -73,9 +73,8 @@ class TestRoundSphere:
         pts = _sample_points(m, count=3, seed=3)
         geo = m.geometry(pts, order=2)
 
-        from rcint.jets import TaylorScalar, scalars_to_poly
-        theta = TaylorScalar.coordinate(geo.basis, 0, pts[:, 0])
-        u = scalars_to_poly(theta.cos(), geo.basis, 1)
+        from rcint.jets import coordinate_poly
+        u = coordinate_poly(geo.basis, 0, pts[:, 0]).cos()
         lap = geo.laplacian(u).value()
         assert lap == pytest.approx(-n * np.cos(pts[:, 0]), rel=1e-9)
 

@@ -159,11 +159,6 @@ class TestMainTheorem:
         with pytest.raises(ValueError):
             verify_main_theorem_coefficient(get_model("S2xS2xS2"), "nope")
 
-    def test_wrong_k_rejected(self):
-        with pytest.raises(ValueError):
-            verify_main_theorem_coefficient(get_model("S2xS2xS2"),
-                                            "weyl-norm2", k=3)
-
 
 class TestDivergenceIdentities:
     @pytest.mark.parametrize("name", ["S2xS2", "CP2"])

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from rcint import jets
 from rcint.jets import (
     PolyTensor,
-    TaylorScalar,
     basis,
     const_poly,
     contract,
+    coordinate_poly,
     poly_matrix_inverse,
     scalars_to_poly,
 )
@@ -275,8 +275,8 @@ class TestJetAlgebraProperties:
 
 #: name -> (jet function, k-th derivative at a from NumPy functions)
 _SERIES = {
-    "sin": (TaylorScalar.sin, lambda a, k: np.sin(a + k * np.pi / 2)),
-    "exp": (TaylorScalar.exp, lambda a, k: np.exp(a)),
+    "sin": (PolyTensor.sin, lambda a, k: np.sin(a + k * np.pi / 2)),
+    "exp": (PolyTensor.exp, lambda a, k: np.exp(a)),
     "pow": (lambda x: x ** 1.7,
             lambda a, k: math.prod(1.7 - j for j in range(k))
             * np.power(a, 1.7 - k)),
@@ -291,7 +291,7 @@ class TestAnalyticFunctionProperties:
                                                              order, a):
         fn, deriv = _SERIES[name]
         b = basis(1, order)
-        got = fn(TaylorScalar.coordinate(b, 0, np.array([a]))).coeffs[0]
+        got = fn(coordinate_poly(b, 0, np.array([a]))).coeffs[0]
         want = [deriv(a, k) / math.factorial(k) for k in range(order + 1)]
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
 
@@ -307,7 +307,7 @@ class TestAnalyticFunctionProperties:
         b = basis(nvars, order)
         coeffs = np.random.default_rng(seed).uniform(-1, 1, b.size)
         coeffs[0] = a
-        got = PolyTensor(fn(TaylorScalar(b, coeffs)).coeffs, b)
+        got = fn(PolyTensor(coeffs, b))
         h = PolyTensor(np.where(np.arange(b.size) == 0, 0.0, coeffs), b)
         power = const_poly(1.0, b)
         want = const_poly(deriv(a, 0), b)
@@ -394,9 +394,11 @@ class TestMatrixInverse:
 
 
 class TestTaylorScalar:
+    """Scalar Taylor jets: rank-0 PolyTensors."""
+
     def test_trig_jets_match_derivatives(self):
         b = basis(2, 5)
-        x = TaylorScalar.coordinate(b, 0, np.array([0.3, 1.1]))
+        x = coordinate_poly(b, 0, np.array([0.3, 1.1]))
         s = x.sin()
         # coefficient of t^k about the base point is sin^(k)(x0)/k!
         i2 = b.index((2, 0))
@@ -406,7 +408,7 @@ class TestTaylorScalar:
 
     def test_identity_sin2_cos2(self):
         b = basis(2, 4)
-        x = TaylorScalar.coordinate(b, 0, np.array([0.7]))
+        x = coordinate_poly(b, 0, np.array([0.7]))
         one = x.sin() * x.sin() + x.cos() * x.cos()
         want = np.zeros(b.size)
         want[0] = 1.0
@@ -414,13 +416,13 @@ class TestTaylorScalar:
 
     def test_sqrt_squares_back(self):
         b = basis(1, 4)
-        x = TaylorScalar.coordinate(b, 0, np.array([2.0]))
+        x = coordinate_poly(b, 0, np.array([2.0]))
         r = x.sqrt()
         assert np.allclose((r * r).coeffs, x.coeffs, atol=1e-12)
 
     def test_negative_power(self):
         b = basis(1, 3)
-        x = TaylorScalar.coordinate(b, 0, np.array([2.0]))
+        x = coordinate_poly(b, 0, np.array([2.0]))
         inv = x ** (-1.0)
         prod = inv * x
         want = np.zeros(b.size)
@@ -429,23 +431,81 @@ class TestTaylorScalar:
 
     def test_division_and_affine(self):
         b = basis(1, 3)
-        x = TaylorScalar.coordinate(b, 0, np.array([0.5]))
+        x = coordinate_poly(b, 0, np.array([0.5]))
         y = (1.0 + 2.0 * x) / (1.0 - x)
         # y(t) about 0.5: values and derivative via explicit formula
         assert np.allclose(y.coeffs[:, 0], 4.0)
         # y' = 3/(1-x)^2 = 12 at x = 0.5
         assert np.allclose(y.coeffs[:, 1], 12.0)
 
+    @pytest.mark.parametrize("unbatched", [0, 1])
+    @pytest.mark.parametrize("orders", [(4, 4), (4, 2), (0, 3)])
+    def test_product_is_the_rank0_contraction(self, unbatched, orders):
+        # `x * y` replaces contract(",->", x, y) in the pipeline
+        bases = [basis(3, k) for k in orders]
+        jets_ = [_random_poly(bases[0], batch=(5,), seed=3),
+                 _random_poly(bases[1], batch=(5,), seed=4)]
+        jets_[unbatched] = _random_poly(bases[unbatched], seed=5)
+        x, y = jets_
+        prod = x * y
+        want = contract(",->", x, y)
+        assert prod.batch_ndim == want.batch_ndim == 1
+        assert prod.basis is want.basis
+        assert np.array_equal(prod.coeffs, want.coeffs)
+
+    def test_numbers_and_point_arrays(self):
+        b = basis(2, 3)
+        x = coordinate_poly(b, 1, np.array([0.5, 2.0]))
+        c = np.array([3.0, -1.0])
+        for y in (c * x, x * c):
+            assert y.batch_ndim == 1
+            assert np.array_equal(y.coeffs, x.coeffs * c[:, None])
+        z = 2.0 / x - 1.0
+        assert np.allclose(z.value(), [3.0, 0.0])
+        # d/dx (2/x) = -2/x^2
+        assert np.allclose(z.coeffs[:, b.index((0, 1))], [-8.0, -0.5])
+        unbatched = coordinate_poly(b, 0, 0.25)
+        assert unbatched.batch_ndim == 0
+        assert (unbatched + x).batch_ndim == (x - unbatched).batch_ndim == 1
+
+    def test_constant_keeps_complex_dtype(self):
+        b = basis(2, 2)
+        i = const_poly(1j, b)
+        assert np.iscomplexobj(i.coeffs) and i.value() == 1j
+        x = coordinate_poly(b, 0, np.array([0.3]))
+        assert np.allclose((i * x).coeffs.imag, x.coeffs)
+
+    def test_product_with_a_tensor_raises(self):
+        b = basis(2, 2)
+        x = coordinate_poly(b, 0, np.array([0.3]))
+        t = _random_poly(b, comp_shape=(3,), batch=(1,))
+        with pytest.raises(ValueError):
+            x * t
+        with pytest.raises(ValueError):
+            t * x
+
 
 class TestScalarsToPoly:
     def test_mixed_entries_broadcast(self):
         b = basis(2, 2)
-        x = TaylorScalar.coordinate(b, 0, np.array([0.1, 0.2, 0.3]))
+        x = coordinate_poly(b, 0, np.array([0.1, 0.2, 0.3]))
         m = scalars_to_poly([[x * x, 0.0], [1.5, x]], b, batch_ndim=1)
         assert m.comp_shape == (2, 2)
         assert np.allclose(m.value()[:, 0, 0], [0.01, 0.04, 0.09])
         assert np.allclose(m.value()[:, 0, 1], 0.0)
         assert np.allclose(m.value()[:, 1, 0], 1.5)
+
+    def test_unbatched_leaf_broadcasts(self):
+        b = basis(2, 2)
+        x = coordinate_poly(b, 0, np.array([0.1, 0.2, 0.3]))
+        c = coordinate_poly(b, 1, 0.5)  # one jet for every point
+        m = scalars_to_poly([[x, c], [c, 2.0]], b, batch_ndim=1)
+        assert m.coeffs.shape == (3, 2, 2, b.size)
+        for i in range(3):
+            assert np.array_equal(m.coeffs[i, 0, 1], c.coeffs)
+            assert np.array_equal(m.coeffs[i, 1, 0], c.coeffs)
+        assert np.array_equal(m.coeffs[:, 0, 0], x.coeffs)
+        assert np.allclose(m.value()[:, 1, 1], 2.0)
 
     def test_truncate_and_value(self):
         b = basis(2, 3)
