@@ -7,7 +7,8 @@ Subcommands:
   list-suites                catalog of suites with their source anchors
 
 Exit codes: 0 all checks pass; 2 invalid configuration (unknown suite,
-manifold, or flag values, or a manifold that a selected suite cannot take,
+manifold, or flag values, a manifold that a selected suite cannot take, or
+a --manifold, --seed, --samples or --n that no selected suite reads,
 rejected before any computation); 3 numerical
 failure (at least one failing check, or an internal error; the failing
 check id is reported).  A suite that raises adds one failing report,
@@ -253,7 +254,8 @@ _PROPERTIES = {"compact": lambda m: m.compact,
                "of dimension >= 4": lambda m: m.dim >= 4}
 _EINSTEIN_4 = ("Einstein", "of dimension >= 4")
 
-#: suite -> what it needs from its manifold; an unlisted suite takes any
+#: suite -> what it needs from its manifold; an unlisted suite reads no
+#: --manifold
 _MANIFOLD_NEEDS = {
     "einstein-pfaffian": _EINSTEIN_4,
     "cgb": ("compact",),
@@ -267,6 +269,15 @@ _MANIFOLD_NEEDS = {
     "main-theorem": tuple(_PROPERTIES),
     "worked-examples": ("of dimension >= 4",),
 }
+
+#: setting -> the suites that read it; a setting given by flag or config
+#: key when no selected suite reads it is rejected
+_READERS = {"manifold": tuple(_MANIFOLD_NEEDS),
+            "seed": ("kronecker", "pfaffian-identities", "ambient-ricci",
+                     "ambient-curvature", "ambient-christoffel",
+                     "ambient-laplacian"),
+            "samples": ("kronecker", "pfaffian-identities"),
+            "n": ("pfaffian-identities",)}
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +347,8 @@ def _build_parser():
     return p
 
 
-#: flag defaults, applied after the config file merge so its keys count
+#: flag defaults, applied after the config file merge and validation, so
+#: its keys count and only given settings must be read by a suite
 _VERIFY_DEFAULTS = {"seed": 0, "format": "json"}
 
 
@@ -389,6 +401,12 @@ def _validate(args):
         if s not in SUITES:
             raise ConfigError(f"unknown suite {s!r}; available: "
                               f"{', '.join(sorted(SUITES))}")
+    for attr, readers in _READERS.items():
+        if getattr(args, attr) is not None and not set(args.suites) & set(
+                readers):
+            raise ConfigError(f"--{attr} (or config key {attr!r}) is read "
+                              f"by none of the selected suites; only "
+                              f"{', '.join(readers)} read it")
     if args.manifold:
         try:
             model = get_model(args.manifold)
@@ -401,19 +419,16 @@ def _validate(args):
                 raise ConfigError(f"suite {s} cannot take --manifold "
                                   f"{args.manifold}: it is not "
                                   f"{' and '.join(missing)}")
-    if args.format not in _FORMATS:
+    if args.format not in (None, *_FORMATS):
         raise ConfigError(f"--format must be one of {', '.join(_FORMATS)}")
     if args.tol is not None and args.tol <= 0:
         raise ConfigError("--tol must be positive")
-    if args.seed < 0:
+    if args.seed is not None and args.seed < 0:
         raise ConfigError("--seed must be non-negative")
     if args.samples is not None and args.samples < 1:
         raise ConfigError("--samples must be at least 1")
-    if args.n is not None:
-        if "pfaffian-identities" not in args.suites:
-            raise ConfigError("--n applies only to pfaffian-identities")
-        if args.n not in (4, 5, 6, 8):
-            raise ConfigError("--n must be one of 4, 5, 6, 8")
+    if args.n not in (None, 4, 5, 6, 8):
+        raise ConfigError("--n must be one of 4, 5, 6, 8")
 
 
 def _run_verify(args, out_stream) -> int:
@@ -464,10 +479,10 @@ def main(argv=None) -> int:
         if args.command == "rvol":
             return _run_rvol(args)
         args = _apply_config_file(args)
+        _validate(args)
         for attr, val in _VERIFY_DEFAULTS.items():
             if getattr(args, attr) is None:
                 setattr(args, attr, val)
-        _validate(args)
         try:
             out_stream = open(args.out, "w") if args.out else sys.stdout
         except OSError as exc:

@@ -15,19 +15,25 @@ a scalar jet with operator overloading and the analytic functions the metric
 catalog needs (sin, cos, exp, real powers); `const_poly` and
 `coordinate_poly` build the constant and coordinate jets.
 
-Curvature tensors are mostly zero components: the ambient curvature vanishes
-on every t- and rho-slot, and a product of spheres has few nonzero base
-components.  `contract` therefore finds the components of each operand that
-are nonzero at some batch point and joins the two supports on their shared
-letters.  When the joined pairs are a small share of all component pairs it
+At output order 0 a contraction has one jet pair, the two values, and
+`contract` is a single einsum of them.  At higher orders, curvature tensors
+are mostly zero components: the ambient curvature vanishes on every t- and
+rho-slot, and a product of spheres has few nonzero base components.
+`contract` therefore finds the components of each operand that are nonzero
+at some batch point and joins the two supports on their shared letters.
+When the joined pairs are a small share of all component pairs it
 multiplies only those; otherwise one dense einsum over every pair is faster.
 `PolyTensor` itself stays dense.  The sparse kernel and the scalar-jet
-product share one jet product, `_jet_mul`; the dense kernel runs the
-same `_pair_table` gather and reduceat around its einsum.
+product share one jet product, `_jet_mul`; the dense kernel runs its einsum
+over the same `_pair_table`.  Both sum the jet pairs coefficient-major, with
+the coefficient axis first in their scratch arrays: `_pair_table` orders
+the pairs so that each pass adds whole contiguous rows into a prefix of the
+running sums.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from functools import lru_cache
 
@@ -101,10 +107,13 @@ def basis(nvars: int, order: int) -> PolyBasis:
 
 @lru_cache(maxsize=None)
 def _pair_table(nvars: int, order_a: int, order_b: int, order_out: int):
-    """Convolution table for jet products.
+    """Convolution table for jet products, for order_out <= order_a + order_b.
 
-    Returns (I, J, uniq_k, seg_starts): multiply A[..., I] * B[..., J],
-    reduce contiguous segments, and write the sums to out[..., uniq_k].
+    Returns (I, J, slot, offs).  Coefficient k of the product is running sum
+    slot[k], the sum of A[..., I] * B[..., J] over the pairs whose exponents
+    add up to k.  The pairs run rank by rank within their sum, and the sums
+    longest first, so pass r, the pairs offs[r]:offs[r + 1], adds into the
+    first offs[r + 1] - offs[r] running sums.
     """
     ba, bb, bo = basis(nvars, order_a), basis(nvars, order_b), basis(nvars, order_out)
     ii, jj = [], []
@@ -118,10 +127,14 @@ def _pair_table(nvars: int, order_a: int, order_b: int, order_out: int):
     I = np.concatenate(ii)
     J = np.concatenate(jj)
     K = bo.lookup(ba.exps[I] + bb.exps[J])
-    order_idx = np.argsort(K, kind="stable")
-    I, J, K = I[order_idx], J[order_idx], K[order_idx]
-    uniq_k, seg_starts = np.unique(K, return_index=True)
-    return I, J, uniq_k, seg_starts
+    lens = np.bincount(K, minlength=bo.size)
+    slot = np.argsort(np.argsort(-lens, kind="stable"))
+    by_k = np.argsort(K, kind="stable")
+    rank = np.empty_like(K)
+    rank[by_k] = np.arange(len(K)) - np.repeat(np.cumsum(lens) - lens, lens)
+    pos = np.lexsort((slot[K], rank))
+    offs = np.searchsorted(rank[pos], np.arange(lens.max() + 1))
+    return I[pos], J[pos], slot, tuple(offs.tolist())
 
 
 @lru_cache(maxsize=None)
@@ -143,21 +156,30 @@ def _diff_table(nvars: int, order: int, var: int):
 _CHUNK = 1 << 18
 
 # A call takes the sparse path when its joined pairs are at most this share
-# of all component pairs.  On every `jets.contract` call of the benchmark's
-# quadrature and ambient-p8 workloads, the sparse kernel won in total in each
-# share bucket up to [0.3, 0.4) (by 1.7x there) and lost by 4x to 11x from
-# 0.7 up; no call fell in between.
+# of all component pairs.  On the `jets.contract` calls of the benchmark's
+# quadrature and ambient-p8 workloads that reach a kernel (output order >=
+# 1), the sparse kernel won or tied in total in each share bucket up to
+# [0.3, 0.4) (by 3.0x there) and lost from 0.9 up (by 1.1x on ambient-p8's
+# scalar products, 3.2x on quadrature); no call fell in between.
 _SPARSE_SHARE = 0.4
 
 
 def _jet_mul(x, y, nvars: int, order_x: int, order_y: int, order_out: int):
-    """Truncated product of coefficient arrays; leading axes broadcast."""
-    I, J, uniq_k, seg_starts = _pair_table(nvars, order_x, order_y, order_out)
-    prod = x[..., I] * y[..., J]
-    out = np.zeros(prod.shape[:-1] + (basis(nvars, order_out).size,),
-                   dtype=prod.dtype)
-    out[..., uniq_k] = np.add.reduceat(prod, seg_starts, axis=-1)
-    return out
+    """Truncated product of coefficient arrays; leading axes broadcast.
+
+    Runs coefficient-major: both operands are copied with the coefficient
+    axis first, so every gather takes whole contiguous rows, and each pass
+    of `_pair_table` adds its products into a prefix of the running sums.
+    """
+    I, J, slot, offs = _pair_table(nvars, order_x, order_y, order_out)
+    nd = max(x.ndim, y.ndim)
+    # transposed copies: coefficient axis first, leading axes reversed
+    xt, yt = (np.ascontiguousarray(v.reshape((1,) * (nd - v.ndim) + v.shape).T)
+              for v in (x, y))
+    sums = xt.take(I[: offs[1]], 0) * yt.take(J[: offs[1]], 0)
+    for lo, hi in zip(offs[1:-1], offs[2:]):
+        sums[: hi - lo] += xt.take(I[lo:hi], 0) * yt.take(J[lo:hi], 0)
+    return sums.take(slot, 0).T
 
 
 class PolyTensor:
@@ -349,12 +371,18 @@ def contract(pattern: str, a: PolyTensor, b: PolyTensor, order: int | None = Non
     are broadcast and the jet axis is convolved and truncated to `order`.  A
     letter must have one length wherever it appears.
 
-    Only component pairs whose jets are both nonzero at some batch point can
-    contribute.  When they are at most `_SPARSE_SHARE` of all component pairs
-    (the product of every letter's dimension), only those pairs are
-    multiplied; otherwise one einsum runs over every pair.  NaN and inf count
-    as nonzero, so a non-finite jet reaches every output its nonzero partners
-    reach.
+    At output order 0 the result is one einsum of the two values
+    (``...{in_a},...{in_b}->...{outs}``) in a fresh array, so a NaN or inf
+    value reaches every output its einsum terms reach.
+
+    At higher orders only component pairs whose jets are both nonzero at
+    some batch point can contribute.  When they are at most `_SPARSE_SHARE`
+    of all component pairs (the product of every letter's dimension), only
+    those pairs are multiplied, by `_jet_mul`; otherwise one einsum runs
+    over every pair.  Either kernel sums the jet pairs coefficient-major,
+    one `_pair_table` pass at a time.  NaN and inf count as nonzero, so a
+    non-finite jet reaches every output its nonzero partners reach.  The
+    result keeps the operands' dtype, complex included.
     """
     if order is None:
         order = min(a.basis.order, b.basis.order)
@@ -369,15 +397,36 @@ def contract(pattern: str, a: PolyTensor, b: PolyTensor, order: int | None = Non
             if dims.setdefault(c, n) != n:
                 raise ValueError(f"letter {c!r} has lengths {dims[c]} and {n}")
     bout = basis(a.basis.nvars, order)
-    out = np.zeros(batch_shape + tuple(dims[c] for c in outs) + (bout.size,))
+    if order == 0:  # one jet pair, (0, 0): the einsum of the values
+        val = np.einsum(_value_subscripts(pattern), a.value(), b.value())
+        return PolyTensor(val[..., None], bout, len(batch_shape))
+    shape = batch_shape + tuple(dims[c] for c in outs) + (bout.size,)
+    dtype = np.result_type(a.coeffs, b.coeffs, 0.0)
     nbatch = math.prod(batch_shape)
     join = _support_join(in_a, in_b, a, b, dims)
     dense_pairs = math.prod(dims.values())
     if join is not None and join[2].sum() <= _SPARSE_SHARE * dense_pairs:
-        _contract_sparse(in_a, in_b, outs, a, b, dims, join, out, order, nbatch)
+        out = _contract_sparse(in_a, in_b, outs, a, b, dims, join, shape,
+                               dtype, order, nbatch)
     else:
-        _contract_dense(in_a, in_b, outs, a, b, dims, out, order, nbatch)
+        out = _contract_dense(in_a, in_b, outs, a, b, dims, shape, dtype,
+                              order, nbatch)
     return PolyTensor(out, bout, len(batch_shape))
+
+
+@lru_cache(maxsize=None)
+def _value_subscripts(pattern: str) -> str:
+    """Einsum subscripts of an order-0 `contract`, batch axes as an ellipsis.
+
+    Letters are renamed in order of first appearance, so patterns equal up
+    to renaming run one einsum, sum in one order and give the same array.
+    """
+    ins, outs = pattern.split("->")
+    names = {}
+    for c in ins.replace(",", ""):
+        names.setdefault(c, chr(ord("a") + len(names)))
+    in_a, in_b = ("".join(names[c] for c in s) for s in ins.split(","))
+    return f"...{in_a},...{in_b}->...{''.join(names[c] for c in outs)}"
 
 
 def _support(x: PolyTensor, letters: str):
@@ -419,7 +468,8 @@ def _gather(x: PolyTensor, letters: str, coords, rows):
     return x.coeffs[(Ellipsis,) + idx + (slice(None),)]
 
 
-def _contract_sparse(in_a, in_b, outs, a, b, dims, join, out, order, nbatch):
+def _contract_sparse(in_a, in_b, outs, a, b, dims, join, shape, dtype,
+                     order, nbatch):
     """Multiply only the joined pairs and sum them by output component."""
     ca, cb, counts, lo, order_b = join
     total = int(counts.sum())
@@ -436,6 +486,7 @@ def _contract_sparse(in_a, in_b, outs, a, b, dims, join, out, order, nbatch):
     # pairs of one product, the widest gathered array
     jet_pairs = len(_pair_table(nv, oa, ob, order)[0])
     step = max(1, _CHUNK // max(nbatch * jet_pairs, 1))
+    out = np.zeros(shape, dtype)
     flat_out = out.reshape(out.shape[: out.ndim - 1 - len(outs)]
                            + (-1, out.shape[-1]))
     for s in range(0, total, step):
@@ -444,29 +495,36 @@ def _contract_sparse(in_a, in_b, outs, a, b, dims, join, out, order, nbatch):
                         _gather(b, in_b, cb, ib[sl]), nv, oa, ob, order)
         uniq, first = np.unique(comp[sl], return_index=True)
         flat_out[..., uniq, :] += np.add.reduceat(prod, first, axis=-2)
+    return out
 
 
-def _contract_dense(in_a, in_b, outs, a, b, dims, out, order, nbatch):
-    """One einsum over every component pair, jet pair by jet pair."""
-    I, J, uniq_k, seg_starts = _pair_table(
+def _contract_dense(in_a, in_b, outs, a, b, dims, shape, dtype, order,
+                    nbatch):
+    """One einsum over every component pair, jet pair by jet pair.
+
+    The running sums are coefficient-major, so each pass adds whole rows;
+    the result is returned as a view with the coefficient axis last.
+    """
+    I, J, slot, offs = _pair_table(
         a.basis.nvars, a.basis.order, b.basis.order, order)
-    ein = f"...{in_a}P,...{in_b}P->...{outs}P"
-    # chunk the pair axis only between segments so reduceat stays valid; a
-    # chunk's scratch is its pair count times the batch times the widest of
-    # the two gathered operands and the product
+    ein = f"...{in_a}P,...{in_b}P->P...{outs}"
+    # a chunk's scratch is its pair count times the batch times the widest
+    # of the two gathered operands and the product
     widest = max(math.prod(a.comp_shape), math.prod(b.comp_shape),
                  math.prod(dims[c] for c in outs))
     step = max(1, _CHUNK // max(nbatch * widest, 1))
-    bounds = np.append(seg_starts, len(I))
-    s = 0
-    while s < len(seg_starts):
-        lo = bounds[s]
-        e = max(s + 1, int(np.searchsorted(bounds, lo + step, "right")) - 1)
-        prod = np.einsum(ein, a.coeffs[..., I[lo:bounds[e]]],
-                         b.coeffs[..., J[lo:bounds[e]]], optimize=True)
-        out[..., uniq_k[s:e]] = np.add.reduceat(prod, seg_starts[s:e] - lo,
-                                                axis=-1)
-        s = e
+    sums = np.zeros((len(slot),) + shape[:-1], dtype)
+    for lo in range(0, len(I), step):
+        hi = min(lo + step, len(I))
+        prod = np.einsum(ein, a.coeffs.take(I[lo:hi], -1),
+                         b.coeffs.take(J[lo:hi], -1), optimize=True)
+        # add the chunk's share of each pass into that pass's running sums
+        r = bisect.bisect_right(offs, lo) - 1
+        while offs[r] < hi:
+            s, e = max(lo, offs[r]), min(hi, offs[r + 1])
+            sums[s - offs[r]:e - offs[r]] += prod[s - lo:e - lo]
+            r += 1
+    return np.moveaxis(sums.take(slot, 0), 0, -1)
 
 
 def poly_matrix_inverse(g: PolyTensor, order: int) -> PolyTensor:

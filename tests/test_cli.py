@@ -192,14 +192,71 @@ class TestManifoldNeeds:
         assert suite in err and manifold in err
 
     def test_every_other_pair_is_accepted(self, capsys, monkeypatch):
-        for name, (anchor, desc, _) in list(SUITES.items()):
-            monkeypatch.setitem(SUITES, name, (anchor, desc, lambda cfg: ()))
+        # a suite that reads no --manifold rejects every one
+        _stub_runners(monkeypatch)
         for suite in SUITES:
             for manifold in MODEL_NAMES:
                 code, out, _ = _run(capsys, "verify", suite,
                                     "--manifold", manifold)
-                rejected = (suite, manifold) in _UNTAKEABLE
+                rejected = ((suite, manifold) in _UNTAKEABLE
+                            or suite not in _READ_BY["--manifold"])
                 assert code == (EXIT_CONFIG if rejected else EXIT_OK)
+
+
+def _stub_runners(monkeypatch):
+    for name, (anchor, desc, _) in list(SUITES.items()):
+        monkeypatch.setitem(SUITES, name, (anchor, desc, lambda cfg: ()))
+
+
+#: flag -> the suites whose runners read it
+_READ_BY = {
+    "--seed": {"kronecker", "pfaffian-identities", "ambient-ricci",
+               "ambient-curvature", "ambient-christoffel",
+               "ambient-laplacian"},
+    "--samples": {"kronecker", "pfaffian-identities"},
+    "--n": {"pfaffian-identities"},
+    "--manifold": set(SUITES) - {"kronecker", "pfaffian-identities",
+                                 "divergence", "rvol"},
+}
+_FLAG_VALUES = {"--seed": "3", "--samples": "4", "--n": "4",
+                "--manifold": "S2xS2"}
+
+
+class TestSettingsNoSuiteReads:
+    @pytest.mark.parametrize("flag", sorted(_READ_BY))
+    def test_flag_needs_a_selected_reader(self, capsys, monkeypatch, flag):
+        _stub_runners(monkeypatch)
+        for suite in SUITES:
+            code, out, err = _run(capsys, "verify", suite, flag,
+                                  _FLAG_VALUES[flag])
+            if suite in _READ_BY[flag]:
+                assert code == EXIT_OK
+            else:
+                assert code == EXIT_CONFIG and out == "" and flag in err
+
+    @pytest.mark.parametrize("flag", sorted(_READ_BY))
+    def test_config_key_needs_a_selected_reader(self, capsys, tmp_path,
+                                                flag):
+        cfg = tmp_path / "cfg.json"
+        value = _FLAG_VALUES[flag]
+        cfg.write_text(json.dumps(
+            {flag[2:]: value if flag == "--manifold" else int(value)}))
+        code, out, _ = _run(capsys, "verify", "rvol", "--config", str(cfg))
+        assert code == EXIT_CONFIG and out == ""
+
+    def test_ignored_seed_and_samples_rejected(self, capsys):
+        code, out, err = _run(capsys, "verify", "rvol", "cgb", "--seed", "3",
+                              "--samples", "4")
+        assert code == EXIT_CONFIG and out == ""
+        assert "--seed" in err
+
+    def test_one_selected_reader_is_enough(self, capsys):
+        code, out, _ = _run(capsys, "verify", "rvol", "kronecker", "--seed",
+                            "3", "--samples", "4")
+        assert code == EXIT_OK and "3/3 checks passed" in out
+        code, out, _ = _run(capsys, "verify", "pfaffian-identities", "--n",
+                            "4", "--samples", "2", "--seed", "3")
+        assert code == EXIT_OK
 
 
 class TestConfigFile:

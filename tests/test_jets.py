@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rcint import jets
@@ -135,7 +135,9 @@ def _contractions(draw):
                    if draw(st.booleans()))
     nvars = draw(st.integers(1, 3))
     order_a, order_b = draw(st.integers(0, 3)), draw(st.integers(0, 3))
-    order = draw(st.none() | st.integers(0, 6))
+    order = draw(st.none() | st.integers(1, 6))
+    # at output order 0 `contract` runs one einsum and neither kernel
+    assume(min(order or min(order_a, order_b), order_a + order_b) >= 1)
     batches = st.sampled_from([(), (1,), (3,)])
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     a = _sparse_poly(basis(nvars, order_a), tuple(dims[c] for c in in_a),
@@ -204,6 +206,201 @@ class TestContractPaths:
         out = contract("ab,bc->ac", PolyTensor(x, b), PolyTensor(x, b))
         assert not calls
         assert np.array_equal(out.coeffs[..., 0], np.eye(10))
+
+
+def _batched_einsum(pattern, x, y):
+    """Reference for an order-0 `contract` of values with batch shapes
+    `bx` and `by`: both operands broadcast to the joint batch and one einsum
+    letter per batch axis (``ZY...``) in place of the ellipsis."""
+    (in_x, in_y), outs = pattern.split("->")[0].split(","), pattern.split("->")[1]
+    bx = x.shape[: x.ndim - len(in_x)]
+    by = y.shape[: y.ndim - len(in_y)]
+    batch = np.broadcast_shapes(bx, by)
+    z = "ZYXW"[: len(batch)]
+    return np.einsum(f"{z}{in_x},{z}{in_y}->{z}{outs}",
+                     np.broadcast_to(x, batch + x.shape[len(bx):]),
+                     np.broadcast_to(y, batch + y.shape[len(by):]))
+
+
+@st.composite
+def _order0_contractions(draw):
+    """Like `_contractions`, at output order 0: letters may repeat within an
+    operand (diagonals), values may be complex, NaN or inf."""
+    letters = "abcd"
+    dims = {c: draw(st.integers(1, 3)) for c in letters}
+    in_a = "".join(draw(st.lists(st.sampled_from(letters), max_size=3)))
+    in_b = "".join(draw(st.lists(st.sampled_from(letters), max_size=3)))
+    union = sorted(set(in_a + in_b))
+    outs = "".join(c for c in draw(st.permutations(union))
+                   if draw(st.booleans()))
+    nvars = draw(st.integers(1, 3))
+    order_a, order_b = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    order = draw(st.just(0) | st.none()) if min(order_a, order_b) == 0 else 0
+    batches = st.sampled_from([(), (1,), (3,)])
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ops = []
+    for letters_, k in ((in_a, order_a), (in_b, order_b)):
+        b = basis(nvars, k)
+        shape = draw(batches) + tuple(dims[c] for c in letters_) + (b.size,)
+        coeffs = rng.standard_normal(shape)
+        coeffs *= rng.uniform(size=shape) < draw(st.floats(0, 1))
+        if draw(st.booleans()):
+            coeffs = coeffs + 1j * rng.standard_normal(shape)
+        bad = rng.uniform(size=shape[:-1]) < draw(st.sampled_from([0, 0.1]))
+        coeffs[bad, 0] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        ops.append(PolyTensor(coeffs, b, len(shape) - len(letters_) - 1))
+    return f"{in_a},{in_b}->{outs}", ops[0], ops[1], order
+
+
+class TestOrderZero:
+    """At output order 0 `contract` is the einsum of the two values."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_order0_contractions())
+    def test_matches_einsum_of_values(self, case):
+        pattern, a, b, order = case
+        outs = pattern.split("->")[1]
+        out = contract(pattern, a, b, order)
+        want = _batched_einsum(pattern, a.value(), b.value())
+        assert out.basis is basis(a.basis.nvars, 0)
+        assert out.batch_ndim == max(a.batch_ndim, b.batch_ndim)
+        assert out.coeffs.shape == want.shape + (1,)
+        assert out.coeffs.ndim == out.batch_ndim + len(outs) + 1
+        assert out.coeffs.dtype == np.result_type(a.coeffs, b.coeffs)
+        np.testing.assert_allclose(out.coeffs[..., 0], want, rtol=1e-12,
+                                   atol=1e-12, equal_nan=True)
+        assert out.coeffs.flags.writeable
+        assert not np.shares_memory(out.coeffs, a.coeffs)
+        assert not np.shares_memory(out.coeffs, b.coeffs)
+
+    def test_diagonal_and_unbatched_times_batched(self):
+        b = basis(2, 2)
+        x = _random_poly(b, (3, 3), seed=11)
+        y = _random_poly(b, (3,), batch=(4,), seed=12)
+        out = contract("aa,a->a", x, y, 0)
+        want = np.diagonal(x.value())[None, :] * y.value()
+        assert out.batch_ndim == 1 and out.coeffs.shape == (4, 3, 1)
+        np.testing.assert_allclose(out.coeffs[..., 0], want, rtol=1e-15)
+
+    def test_complex_values(self):
+        b = basis(2, 1)
+        x = PolyTensor(np.array([[[1 + 2j, 5, 5], [0, 5, 5]],
+                                 [[3j, 5, 5], [1, 5, 5]]]), b)
+        y = PolyTensor(np.array([[2, 5, 5], [1 - 1j, 5, 5]]), b)
+        out = contract("ab,b->a", x, y, 0)
+        np.testing.assert_array_equal(out.coeffs[..., 0], [2 + 4j, 1 + 5j])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_reaches_every_output_it_touches(self, bad):
+        b = basis(2, 2)
+        x = np.zeros((3, 3, b.size))
+        x[0, 1, 0] = bad
+        x[2, 2, 0] = 1.0
+        y = np.zeros((3, 3, b.size))
+        y[1, 0, 0] = 2.0
+        out = contract("ab,bc->ac", PolyTensor(x, b), PolyTensor(y, b), 0)
+        # row 0 pairs the non-finite value with b = 1, which every c reaches
+        assert not np.isfinite(out.coeffs[0]).any()
+        assert np.isfinite(out.coeffs[1:]).all()
+
+    @pytest.mark.parametrize("pattern,renamed", [
+        ("abcd,badc->", "dcba,cdab->"), ("abcd,bcda->", "zyxw,yxwz->"),
+        ("ab,bcda->cd", "dc,cbad->ba")])
+    def test_renamed_letters_give_the_same_array(self, pattern, renamed):
+        # the Pf plan merges class factors under renamed letters
+        b = basis(2, 1)
+        x, y = (_random_poly(b, (6,) * len(s), batch=(1,), seed=len(s))
+                for s in pattern.split("->")[0].split(","))
+        assert np.array_equal(contract(pattern, x, y, 0).coeffs,
+                              contract(renamed, x, y, 0).coeffs)
+
+    def test_result_is_a_fresh_array(self):
+        b = basis(2, 0)
+        x = PolyTensor(np.ones(1), b)
+        y = PolyTensor(np.full((3, 1), 2.0), b, 1)
+        out = contract(",->", x, y)
+        out.coeffs[...] = 7.0
+        assert np.array_equal(x.coeffs, [1.0])
+        assert np.array_equal(y.coeffs, np.full((3, 1), 2.0))
+
+
+def _jet_mul_by_monomials(x, y, nvars, order_x, order_y, order_out):
+    """Reference jet product: every pair of monomials, summed by exponent in
+    a dict, then written out in basis order."""
+    bx, by, bo = (basis(nvars, k) for k in (order_x, order_y, order_out))
+    terms = {}
+    for i, ei in enumerate(bx.exps):
+        for j, ej in enumerate(by.exps):
+            e = tuple(int(v) for v in ei + ej)
+            if sum(e) <= order_out:
+                terms[e] = terms.get(e, 0) + x[..., i] * y[..., j]
+    lead = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
+    out = np.zeros(lead + (bo.size,), dtype=np.result_type(x, y))
+    for e, v in terms.items():
+        out[..., bo.index(e)] = v
+    return out
+
+
+class TestJetMul:
+    """`_jet_mul` against the monomial-by-monomial product."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(nvars=st.integers(0, 3), order_x=st.integers(0, 3),
+           order_y=st.integers(0, 3), data=st.data(),
+           leads=st.sampled_from([((), ()), ((), (4,)), ((3,), ()),
+                                  ((1, 3), (3,)), ((2, 1), (1, 3)),
+                                  ((2, 3), (2, 3))]),
+           complex_=st.sampled_from([(False, False), (True, False),
+                                     (True, True)]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_monomial_products(self, nvars, order_x, order_y, data,
+                                       leads, complex_, seed):
+        order_out = data.draw(st.integers(0, order_x + order_y))
+        rng = np.random.default_rng(seed)
+        ops = []
+        for k, lead, cplx in zip((order_x, order_y), leads, complex_):
+            v = rng.standard_normal(lead + (basis(nvars, k).size,))
+            ops.append(v + 1j * rng.standard_normal(v.shape) if cplx else v)
+        got = jets._jet_mul(*ops, nvars, order_x, order_y, order_out)
+        want = _jet_mul_by_monomials(*ops, nvars, order_x, order_y, order_out)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_scalar_jet_times_batched_jet(self):
+        b = basis(2, 2)
+        x = coordinate_poly(b, 0, 0.5)  # 0.5 + x0
+        y = coordinate_poly(b, 1, np.array([1.0, -2.0, 3.0]))
+        got = jets._jet_mul(x.coeffs, y.coeffs, 2, 2, 2, 2)
+        want = np.zeros((3, b.size))
+        want[:, 0] = 0.5 * y.value()
+        want[:, b.index((1, 0))] = y.value()
+        want[:, b.index((0, 1))] = 0.5
+        want[:, b.index((1, 1))] = 1.0
+        np.testing.assert_array_equal(got, want)
+
+    def test_complex_metric_entry(self):
+        # (1 + i x0)(1 - i x0) = 1 + x0^2, as in CP2's Hermitian metric
+        b = basis(1, 2)
+        p = PolyTensor(np.array([1.0, 1j, 0.0]), b)
+        q = PolyTensor(np.array([1.0, -1j, 0.0]), b)
+        np.testing.assert_array_equal((p * q).coeffs, [1.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("pattern", ["ab,bc->ac", ",ab->ab", "aa,a->a"])
+    def test_complex_operands_on_both_kernels(self, pattern):
+        rng = np.random.default_rng(13)
+        b = basis(2, 2)
+        ins = pattern.split("->")[0].split(",")
+        re_, im_ = ([_sparse_poly(b, (3,) * len(s), (2,), 0.5, rng)
+                     for s in ins] for _ in range(2))
+        z = [PolyTensor(r.coeffs + 1j * i.coeffs, b, 1)
+             for r, i in zip(re_, im_)]
+        want = (contract(pattern, re_[0], re_[1]).coeffs
+                - contract(pattern, im_[0], im_[1]).coeffs
+                + 1j * (contract(pattern, re_[0], im_[1]).coeffs
+                        + contract(pattern, im_[0], re_[1]).coeffs))
+        for got in _both_paths(pattern, *z):
+            np.testing.assert_allclose(got.coeffs, want, rtol=1e-12,
+                                       atol=1e-12)
 
 
 class TestDiff:
