@@ -19,15 +19,21 @@ At output order 0 a contraction has one jet pair, the two values, and
 `contract` is a single einsum of them.  At higher orders, curvature tensors
 are mostly zero components: the ambient curvature vanishes on every t- and
 rho-slot, and a product of spheres has few nonzero base components.
-`contract` therefore finds the components of each operand that are nonzero
-at some batch point and joins the two supports on their shared letters.
-When the joined pairs are a small share of all component pairs it
-multiplies only those; otherwise one dense einsum over every pair is faster.
-`PolyTensor` itself stays dense.  The sparse kernel and the scalar-jet
-product share one jet product, `_jet_mul`; the dense kernel runs its einsum
-over the same `_pair_table`.  Both sum the jet pairs coefficient-major, with
-the coefficient axis first in their scratch arrays: `_pair_table` orders
-the pairs so that each pass adds whole contiguous rows into a prefix of the
+`contract` therefore joins the supports of its operands, the components
+that are nonzero at some batch point, on their shared letters.  When the
+joined pairs are a small share of all component pairs it multiplies only
+those; otherwise one dense einsum over every pair is faster.  `PolyTensor`
+stores its coefficients densely but carries its support once known: the
+sparse kernel, negation, `truncate`, `diff` and finite scalings pass it on,
+and any other tensor is scanned for it once, by the first contraction that
+joins it.  Sums are scanned too, because they cancel exactly on some
+components (`riemann_up`'s `-t1 + t2` on its a = b slots): a union of the
+supports would keep those, and the extra pairs can tip a contraction onto
+the dense kernel.  The sparse kernel and the scalar-jet product share one
+jet product, `_jet_mul`; the dense kernel runs its einsum over the same
+`_pair_table`.  Both sum the jet pairs coefficient-major, with the
+coefficient axis first in their scratch arrays: `_pair_table` orders the
+pairs so that each pass adds whole contiguous rows into a prefix of the
 running sums.
 """
 
@@ -192,15 +198,22 @@ class PolyTensor:
     jets, and it has sin, cos, exp and sqrt.  The result keeps the larger
     `batch_ndim` of the two operands.  Tensors of rank >= 1 add, subtract
     and scale; their products are `contract`.
+
+    `support` is None or the sorted flat indices (into `comp_shape`) of a
+    superset of the components whose jet is nonzero, NaN or inf at some
+    batch point.  Operations that know it pass it on, and `_support` fills
+    it on first use, so writing into `coeffs` once it is set leaves it
+    stale: build a new PolyTensor instead.
     """
 
-    __slots__ = ("coeffs", "basis", "batch_ndim")
+    __slots__ = ("coeffs", "basis", "batch_ndim", "support")
     __array_ufunc__ = None  # `array * jet` calls the jet's reflected operator
 
-    def __init__(self, coeffs, basis_, batch_ndim=0):
+    def __init__(self, coeffs, basis_, batch_ndim=0, support=None):
         self.coeffs = np.asarray(coeffs)
         self.basis = basis_
         self.batch_ndim = batch_ndim
+        self.support = support
         if self.coeffs.shape[-1] != basis_.size:
             raise ValueError("coefficient axis does not match basis size")
 
@@ -223,12 +236,14 @@ class PolyTensor:
         if order == self.basis.order:
             return self
         b = basis(self.basis.nvars, order)
-        return PolyTensor(self.coeffs[..., : b.size], b, self.batch_ndim)
+        return PolyTensor(self.coeffs[..., : b.size], b, self.batch_ndim,
+                          self.support)
 
     def diff(self, var: int) -> "PolyTensor":
         gather, factor = _diff_table(self.basis.nvars, self.basis.order, var)
         b = basis(self.basis.nvars, self.basis.order - 1)
-        return PolyTensor(self.coeffs[..., gather] * factor, b, self.batch_ndim)
+        return PolyTensor(self.coeffs[..., gather] * factor, b,
+                          self.batch_ndim, self.support)
 
     # -- arithmetic ----------------------------------------------------------
     def _align(self, other):
@@ -257,16 +272,20 @@ class PolyTensor:
         return self._jet(other) - self
 
     def __neg__(self):
-        return PolyTensor(-self.coeffs, self.basis, self.batch_ndim)
+        return PolyTensor(-self.coeffs, self.basis, self.batch_ndim,
+                          self.support)
 
     def __mul__(self, other):
         if not isinstance(other, PolyTensor):
+            support = None  # 0 * inf is NaN: only a finite factor keeps it
+            if self.support is not None and np.isfinite(other).all():
+                support = self.support
             nd = np.ndim(other)
             if nd:  # one value per batch point, for every component
                 other = np.reshape(other,
                                    np.shape(other) + (1,) * (self.rank + 1))
             return PolyTensor(self.coeffs * other, self.basis,
-                              max(self.batch_ndim, nd))
+                              max(self.batch_ndim, nd), support)
         if self.rank or other.rank:
             raise ValueError("* multiplies scalar jets; contract tensors")
         nv, oa, ob = self.basis.nvars, self.basis.order, other.basis.order
@@ -376,13 +395,17 @@ def contract(pattern: str, a: PolyTensor, b: PolyTensor, order: int | None = Non
     value reaches every output its einsum terms reach.
 
     At higher orders only component pairs whose jets are both nonzero at
-    some batch point can contribute.  When they are at most `_SPARSE_SHARE`
-    of all component pairs (the product of every letter's dimension), only
-    those pairs are multiplied, by `_jet_mul`; otherwise one einsum runs
-    over every pair.  Either kernel sums the jet pairs coefficient-major,
-    one `_pair_table` pass at a time.  NaN and inf count as nonzero, so a
-    non-finite jet reaches every output its nonzero partners reach.  The
-    result keeps the operands' dtype, complex included.
+    some batch point can contribute.  The pairs of the two supports
+    (`_support`, read from each operand and scanned at most once per
+    tensor) are joined on the shared letters.  When they are at most
+    `_SPARSE_SHARE` of all component pairs (the product of every letter's
+    dimension), only those pairs are multiplied, by `_jet_mul`, and the
+    output components they reach become the result's `support`; otherwise
+    one einsum runs over every pair.  Either kernel sums the jet pairs
+    coefficient-major, one `_pair_table` pass at a time.  NaN and inf count
+    as nonzero, so a non-finite jet reaches every output its partners in
+    the supports reach.  The result keeps the operands' dtype, complex
+    included.
     """
     if order is None:
         order = min(a.basis.order, b.basis.order)
@@ -406,12 +429,12 @@ def contract(pattern: str, a: PolyTensor, b: PolyTensor, order: int | None = Non
     join = _support_join(in_a, in_b, a, b, dims)
     dense_pairs = math.prod(dims.values())
     if join is not None and join[2].sum() <= _SPARSE_SHARE * dense_pairs:
-        out = _contract_sparse(in_a, in_b, outs, a, b, dims, join, shape,
-                               dtype, order, nbatch)
+        out, support = _contract_sparse(in_a, in_b, outs, a, b, dims, join,
+                                        shape, dtype, order, nbatch)
     else:
-        out = _contract_dense(in_a, in_b, outs, a, b, dims, shape, dtype,
-                              order, nbatch)
-    return PolyTensor(out, bout, len(batch_shape))
+        out, support = _contract_dense(in_a, in_b, outs, a, b, dims, shape,
+                                       dtype, order, nbatch), None
+    return PolyTensor(out, bout, len(batch_shape), support)
 
 
 @lru_cache(maxsize=None)
@@ -431,11 +454,16 @@ def _value_subscripts(pattern: str) -> str:
 
 def _support(x: PolyTensor, letters: str):
     """Size and coordinates (one array per letter) of the support of `x`:
-    the components whose jet is nonzero, NaN or inf at some batch point."""
-    axes = tuple(range(x.batch_ndim)) + (x.coeffs.ndim - 1,)
-    flat = np.flatnonzero(np.any(x.coeffs != 0, axis=axes))
-    coords = np.unravel_index(flat, x.comp_shape) if letters else ()
-    return len(flat), dict(zip(letters, coords))
+    the components whose jet is nonzero, NaN or inf at some batch point.
+
+    Read from `x.support`; when that is unknown, one scan of `x.coeffs`
+    finds it and stores it there.
+    """
+    if x.support is None:
+        axes = tuple(range(x.batch_ndim)) + (x.coeffs.ndim - 1,)
+        x.support = np.flatnonzero(np.any(x.coeffs != 0, axis=axes))
+    coords = np.unravel_index(x.support, x.comp_shape) if letters else ()
+    return len(x.support), dict(zip(letters, coords))
 
 
 def _support_join(in_a, in_b, a, b, dims):
@@ -470,7 +498,11 @@ def _gather(x: PolyTensor, letters: str, coords, rows):
 
 def _contract_sparse(in_a, in_b, outs, a, b, dims, join, shape, dtype,
                      order, nbatch):
-    """Multiply only the joined pairs and sum them by output component."""
+    """Multiply only the joined pairs and sum them by output component.
+
+    Returns the output array and its support, the distinct output
+    components the pairs reach.
+    """
     ca, cb, counts, lo, order_b = join
     total = int(counts.sum())
     starts = np.cumsum(counts) - counts
@@ -495,7 +527,10 @@ def _contract_sparse(in_a, in_b, outs, a, b, dims, join, shape, dtype,
                         _gather(b, in_b, cb, ib[sl]), nv, oa, ob, order)
         uniq, first = np.unique(comp[sl], return_index=True)
         flat_out[..., uniq, :] += np.add.reduceat(prod, first, axis=-2)
-    return out
+    # comp is sorted: its distinct entries start where a neighbour differs
+    first = np.ones(total, bool)
+    np.not_equal(comp[1:], comp[:-1], out=first[1:])
+    return out, comp[first]
 
 
 def _contract_dense(in_a, in_b, outs, a, b, dims, shape, dtype, order,
@@ -544,4 +579,7 @@ def poly_matrix_inverse(g: PolyTensor, order: int) -> PolyTensor:
         blk = slice(b.deg_start[k], b.deg_start[k + 1])
         r = contract("ab,bc->ac", g, x, k).coeffs[..., blk]
         x.coeffs[..., blk] = -np.einsum("...ab,...bcm->...acm", x0, r)
+        # X_k may fill components that X_0 leaves zero, so the support
+        # `contract` stored on x is stale: continue with a fresh tensor
+        x = PolyTensor(x.coeffs, b, g.batch_ndim)
     return x

@@ -1,6 +1,7 @@
 """Truncated multivariate Taylor (jet) arithmetic."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rcint import jets
+from rcint.geometry import get_model
+from rcint.invariants import pf_ell_poly, raise_last_two
 from rcint.jets import (
     PolyTensor,
     basis,
@@ -206,6 +209,156 @@ class TestContractPaths:
         out = contract("ab,bc->ac", PolyTensor(x, b), PolyTensor(x, b))
         assert not calls
         assert np.array_equal(out.coeffs[..., 0], np.eye(10))
+
+
+def _scanned(x: PolyTensor):
+    """The support of `x` found by a fresh scan of its coefficients."""
+    axes = tuple(range(x.batch_ndim)) + (x.coeffs.ndim - 1,)
+    return np.flatnonzero(np.any(x.coeffs != 0, axis=axes))
+
+
+def _with_support(x: PolyTensor) -> PolyTensor:
+    """`x` with its scanned support stored, as `contract` leaves it."""
+    jets._support(x, "")
+    return x
+
+
+def _assert_support_covers(x: PolyTensor):
+    """A stored support is sorted and holds every scanned component."""
+    if x.support is not None:
+        assert np.all(np.diff(x.support) > 0)
+        assert np.isin(_scanned(x), x.support).all()
+
+
+def _spoil(x: PolyTensor, share, bad, rng):
+    """Set about `share` of the coefficients of `x` to `bad` in place."""
+    x.coeffs[rng.uniform(size=x.coeffs.shape) < share] = bad
+    return x
+
+
+@st.composite
+def _unary_cases(draw):
+    """A sparse jet tensor, maybe with NaN or +-inf coefficients, its
+    support stored, and a second one of its shape for sums."""
+    nvars, order = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    shape = (draw(st.integers(1, 3)),) * draw(st.integers(0, 3))
+    batch = draw(st.sampled_from([(), (1,), (3,)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    bad = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    share = draw(st.sampled_from([0, 0.02]))
+    x, y = (_with_support(_spoil(_sparse_poly(
+        basis(nvars, order), shape, batch, draw(st.floats(0, 1)), rng),
+        share, bad, rng)) for _ in range(2))
+    return x, y, rng
+
+
+class TestSupport:
+    """`PolyTensor.support` holds every nonzero, NaN or inf component, and
+    `contract` gives the same array whether it is stored or rescanned."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_unary_cases())
+    def test_arithmetic_keeps_a_covering_support(self, case):
+        x, y, rng = case
+        batch = x.coeffs.shape[: x.batch_ndim]
+        point = rng.standard_normal(batch)
+        point[rng.uniform(size=batch) < 0.3] = np.inf
+        with np.errstate(invalid="ignore", over="ignore"):  # 0 * inf
+            outs = [-x, x + y, x - y, x * 2.0, 0.0 * x, x * np.inf,
+                    np.nan * x, x * rng.standard_normal(batch), point * x]
+            outs += [x.truncate(k) for k in range(x.basis.order + 1)]
+            outs += [x.diff(v) for v in range(x.basis.nvars)]
+        for out in outs:
+            _assert_support_covers(out)
+        assert (-x).support is x.support
+        assert x.truncate(0).support is x.support
+
+    def test_inf_per_point_factor_reaches_zero_components(self):
+        b = basis(2, 1)
+        coeffs = np.zeros((2, 3, b.size))
+        coeffs[:, 1, 0] = 1.0
+        x = _with_support(PolyTensor(coeffs, b, 1))
+        with np.errstate(invalid="ignore"):
+            out = np.array([1.0, np.inf]) * x
+        assert np.isnan(out.coeffs[1, 0]).all()
+        _assert_support_covers(out)
+        assert np.array_equal(jets._support(out, "a")[1]["a"], [0, 1, 2])
+
+    @settings(max_examples=150, deadline=None)
+    @given(_contractions(), st.sampled_from([0, 0.02]),
+           st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_contractions_keep_a_covering_support(self, case, share, bad):
+        pattern, a, b, order, chunk = case
+        rng = np.random.default_rng(len(pattern))
+        a, b = (_with_support(_spoil(x, share, bad, rng)) for x in (a, b))
+        with np.errstate(invalid="ignore", over="ignore"):
+            outs = _both_paths(pattern, a, b, order, chunk)
+            outs.append(contract(pattern, a, b, 0))
+        for out in outs:
+            _assert_support_covers(out)
+
+    def test_sparse_kernel_stores_the_components_it_reaches(self):
+        b = basis(2, 2)
+        x = np.zeros((4, 4, b.size))
+        x[[0, 2], [1, 3]] = 1.0
+        out = contract("ab,bc->ac", PolyTensor(x, b), PolyTensor(x, b))
+        # (0, 1) meets row 1 and (2, 3) row 3 of the second operand, which
+        # are zero; only the pair (0, 1) x (1, ...) would reach an output
+        assert out.support is not None and len(out.support) == 0
+        y = x.copy()
+        y[1, 2] = 1.0
+        out = contract("ab,bc->ac", PolyTensor(x, b), PolyTensor(y, b))
+        assert np.array_equal(out.support, [2])  # (0, 2) in a 4 x 4 grid
+        assert np.array_equal(_scanned(out), [2])
+
+    @settings(max_examples=150, deadline=None)
+    @given(_contractions(), st.sampled_from([0, 0.3, 1]))
+    def test_stored_supports_give_the_rescanned_array(self, case, extra):
+        # A scanned support that `-x` passes on gives the same bytes.  A
+        # strict superset joins extra pairs that add exact zeros; they may
+        # regroup NumPy's pairwise sum of a long segment, so only the
+        # rounding may differ.
+        pattern, a, b, order, _ = case
+        rng = np.random.default_rng(len(pattern))
+        stored = []
+        for x in (a, b):
+            y = -_with_support(-x)
+            if extra:
+                keep = rng.uniform(size=math.prod(x.comp_shape)) < extra
+                keep[y.support] = True
+                y.support = np.flatnonzero(keep)
+            stored.append(y)
+        fresh = [PolyTensor(x.coeffs, x.basis, x.batch_ndim) for x in (a, b)]
+        for got, want in zip(_both_paths(pattern, *stored, order),
+                             _both_paths(pattern, *fresh, order)):
+            assert got.coeffs.dtype == want.coeffs.dtype
+            assert got.coeffs.shape == want.coeffs.shape
+            if extra:
+                np.testing.assert_allclose(got.coeffs, want.coeffs,
+                                           rtol=1e-12, atol=1e-13)
+            else:
+                assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+    def test_pf_plan_scans_each_tensor_at_most_once(self, monkeypatch):
+        geo = get_model("S2xS2xS2").geometry(order=4)
+        t = raise_last_two(geo.riemann, geo.ginv)
+        tud = PolyTensor(t.coeffs, t.basis, t.batch_ndim)
+        assert tud.basis.order == 2
+        scans, seen = Counter(), []
+        orig = jets._support
+
+        def counting(x, letters):
+            before = x.support
+            out = orig(x, letters)
+            if before is None or x.support is not before:  # a scan
+                scans[id(x)] += 1
+            seen.append(x)  # kept alive, so no later tensor reuses its id
+            return out
+
+        monkeypatch.setattr(jets, "_support", counting)
+        pf_ell_poly(tud, 3)
+        assert len(seen) > 2 * len(scans) and scans[id(tud)] == 1
+        assert max(scans.values()) == 1
 
 
 def _batched_einsum(pattern, x, y):
@@ -575,6 +728,23 @@ class TestMatrixInverse:
         monkeypatch.setattr(jets, "contract", counting)
         poly_matrix_inverse(_spd_metric_jet(3, 3, 4, 2, seed=1), order)
         assert len(calls) == order
+
+    def test_higher_degrees_fill_zeros_of_the_value(self):
+        # X_0 = diag(1/2, 1/3, 1/4), but X_1 = -X_0 g_1 X_0 is off-diagonal:
+        # a support that `contract` found on X before the degree-1 write
+        # would drop X_1 from every later degree
+        b = basis(1, 4)
+        coeffs = np.zeros((3, 3, b.size))
+        coeffs[..., 0] = np.diag([2.0, 3.0, 4.0])
+        coeffs[..., 1] = 1.0 - np.eye(3)
+        g = PolyTensor(coeffs, b)
+        x = poly_matrix_inverse(g, 4)
+        ident = np.zeros((3, 3, b.size))
+        ident[..., 0] = np.eye(3)
+        for y in (x, PolyTensor(x.coeffs.copy(), b)):
+            prod = contract("ab,bc->ac", g, y, 4)
+            np.testing.assert_allclose(prod.coeffs, ident, rtol=0,
+                                       atol=1e-14)
 
     def test_inverse_is_exact_to_order(self):
         b = basis(3, 4)
