@@ -184,16 +184,14 @@ def pfaffian_field(geo: Geometry) -> PolyTensor:
     return pf_ell_poly(raise_last_two(geo.riemann, geo.ginv), geo.dim // 2)
 
 
-def pf_ell_poly(Tud: PolyTensor, ell: int, order=None) -> PolyTensor:
+def pf_ell_poly(Tud: PolyTensor, ell: int) -> PolyTensor:
     """Pf_l of a jet-valued tensor T_{ab}{}^{cd} (scalar PolyTensor), by
-    the plan of `_pf_plan` with `pt_trace` and truncated `contract` steps."""
+    the plan of `_pf_plan` with `pt_trace` and `contract` steps, each at
+    the order of `Tud`."""
     if ell == 0:
         return const_poly(np.ones(Tud.coeffs.shape[:Tud.batch_ndim]),
                           Tud.basis, Tud.batch_ndim)
-    if order is None:
-        order = Tud.basis.order
-    return _run_pf_plan(Tud, ell, Tud.comp_shape[-1], pt_trace,
-                        lambda how, x, y: jcontract(how, x, y, order))
+    return _run_pf_plan(Tud, ell, Tud.comp_shape[-1], pt_trace, jcontract)
 
 
 def _run_pf_plan(Tud, ell: int, dim: int, trace, merge):

@@ -12,7 +12,7 @@ components are jets, with leading batch axes so a chart can be expanded at
 many points at once.  `contract` is its einsum-like product, convolving the
 coefficient axis; the curvature pipeline runs on it.  A rank-0 PolyTensor is
 a scalar jet with operator overloading and the analytic functions the metric
-catalog needs (sin, cos, exp, real powers); `const_poly` and
+catalog needs (sin, cos, real powers); `const_poly` and
 `coordinate_poly` build the constant and coordinate jets.
 
 At output order 0 a contraction has one jet pair, the two values, and
@@ -20,26 +20,23 @@ At output order 0 a contraction has one jet pair, the two values, and
 are mostly zero components: the ambient curvature vanishes on every t- and
 rho-slot, and a product of spheres has few nonzero base components.
 `contract` therefore joins the supports of its operands, the components
-that are nonzero at some batch point, on their shared letters.  When the
-joined pairs are a small share of all component pairs it multiplies only
-those; otherwise one dense einsum over every pair is faster.  `PolyTensor`
-stores its coefficients densely but carries its support once known: the
-sparse kernel, negation, `truncate`, `diff` and finite scalings pass it on,
-and any other tensor is scanned for it once, by the first contraction that
-joins it.  Sums are scanned too, because they cancel exactly on some
-components (`riemann_up`'s `-t1 + t2` on its a = b slots): a union of the
-supports would keep those, and the extra pairs can tip a contraction onto
-the dense kernel.  The sparse kernel and the scalar-jet product share one
-jet product, `_jet_mul`; the dense kernel runs its einsum over the same
-`_pair_table`.  Both sum the jet pairs coefficient-major, with the
-coefficient axis first in their scratch arrays: `_pair_table` orders the
-pairs so that each pass adds whole contiguous rows into a prefix of the
-running sums.
+that are nonzero at some batch point, on their shared letters, and
+multiplies only those pairs.  `PolyTensor` stores its coefficients densely
+but carries its support once known: the contraction kernel, negation,
+`truncate`, `diff` and finite scalings pass it on, and any other tensor is
+scanned for it once, by the first contraction that joins it.  Sums are
+scanned too, because they cancel exactly on some components
+(`riemann_up`'s `-t1 + t2` on its a = b slots): a union of the supports
+would keep those as extra pairs.  The contraction kernel and the
+scalar-jet product share one jet product, `_jet_mul`, which sums the jet
+pairs coefficient-major, with the coefficient axis first in its scratch
+arrays: `_pair_table` orders the pairs so that each pass adds whole
+contiguous rows into a prefix of the running sums.  The kernel keeps that
+layout through its reduction by output component and transposes once.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from functools import lru_cache
 
@@ -156,26 +153,21 @@ def _diff_table(nvars: int, order: int, var: int):
 
 
 # Largest gathered array of one contraction chunk, in elements (2 MiB of
-# float64).  Per call, both kernels ran fastest at 2^17 to 2^19 on the
+# float64).  Per call, the kernel ran fastest at 2^17 to 2^19 on the
 # benchmark's quadrature and ambient calls: larger chunks leave the cache,
 # smaller ones pay NumPy's per-call overhead.
 _CHUNK = 1 << 18
-
-# A call takes the sparse path when its joined pairs are at most this share
-# of all component pairs.  On the `jets.contract` calls of the benchmark's
-# quadrature and ambient-p8 workloads that reach a kernel (output order >=
-# 1), the sparse kernel won or tied in total in each share bucket up to
-# [0.3, 0.4) (by 3.0x there) and lost from 0.9 up (by 1.1x on ambient-p8's
-# scalar products, 3.2x on quadrature); no call fell in between.
-_SPARSE_SHARE = 0.4
 
 
 def _jet_mul(x, y, nvars: int, order_x: int, order_y: int, order_out: int):
     """Truncated product of coefficient arrays; leading axes broadcast.
 
     Runs coefficient-major: both operands are copied with the coefficient
-    axis first, so every gather takes whole contiguous rows, and each pass
-    of `_pair_table` adds its products into a prefix of the running sums.
+    axis first and the leading axes reversed (no copy when that `.T` is
+    contiguous already), so every gather takes whole contiguous rows, and
+    each pass of `_pair_table` adds its products into a prefix of the
+    running sums.  The product keeps that layout, shape (P, *reversed
+    leading axes); its `.T` is coefficient-last.
     """
     I, J, slot, offs = _pair_table(nvars, order_x, order_y, order_out)
     nd = max(x.ndim, y.ndim)
@@ -185,7 +177,7 @@ def _jet_mul(x, y, nvars: int, order_x: int, order_y: int, order_out: int):
     sums = xt.take(I[: offs[1]], 0) * yt.take(J[: offs[1]], 0)
     for lo, hi in zip(offs[1:-1], offs[2:]):
         sums[: hi - lo] += xt.take(I[lo:hi], 0) * yt.take(J[lo:hi], 0)
-    return sums.take(slot, 0).T
+    return sums.take(slot, 0)
 
 
 class PolyTensor:
@@ -195,7 +187,7 @@ class PolyTensor:
     are broadcast point batches shared by every component.  A rank-0
     PolyTensor is a scalar jet: `+`, `-`, `*`, `/` and `**` combine it with
     numbers, per-point arrays (one value per batch point) and other scalar
-    jets, and it has sin, cos, exp and sqrt.  The result keeps the larger
+    jets, and it has sin, cos and sqrt.  The result keeps the larger
     `batch_ndim` of the two operands.  Tensors of rank >= 1 add, subtract
     and scale; their products are `contract`.
 
@@ -250,11 +242,17 @@ class PolyTensor:
         o = min(self.basis.order, other.basis.order)
         return self.truncate(o), other.truncate(o)
 
+    def _per_point(self, values):
+        """A number, or per-point values (one per batch point) given an axis
+        of length 1 for each component axis, so they broadcast over the
+        batch axes."""
+        return np.reshape(values, np.shape(values) + (1,) * self.rank)
+
     def _jet(self, other) -> "PolyTensor":
         """`other`, a number or per-point array made a constant jet."""
         if isinstance(other, PolyTensor):
             return other
-        return const_poly(other, self.basis, np.ndim(other))
+        return const_poly(self._per_point(other), self.basis, np.ndim(other))
 
     def __add__(self, other):
         a, b = self._align(self._jet(other))
@@ -280,17 +278,14 @@ class PolyTensor:
             support = None  # 0 * inf is NaN: only a finite factor keeps it
             if self.support is not None and np.isfinite(other).all():
                 support = self.support
-            nd = np.ndim(other)
-            if nd:  # one value per batch point, for every component
-                other = np.reshape(other,
-                                   np.shape(other) + (1,) * (self.rank + 1))
-            return PolyTensor(self.coeffs * other, self.basis,
-                              max(self.batch_ndim, nd), support)
+            return PolyTensor(self.coeffs * self._per_point(other)[..., None],
+                              self.basis, max(self.batch_ndim, np.ndim(other)),
+                              support)
         if self.rank or other.rank:
             raise ValueError("* multiplies scalar jets; contract tensors")
         nv, oa, ob = self.basis.nvars, self.basis.order, other.basis.order
         return PolyTensor(_jet_mul(self.coeffs, other.coeffs, nv, oa, ob,
-                                   min(oa, ob)), basis(nv, min(oa, ob)),
+                                   min(oa, ob)).T, basis(nv, min(oa, ob)),
                           max(self.batch_ndim, other.batch_ndim))
 
     __rmul__ = __mul__
@@ -331,9 +326,6 @@ class PolyTensor:
 
     def cos(self):
         return self._compose(lambda a, k: _trig_series(a, k, 1))
-
-    def exp(self):
-        return self._compose(lambda a, k: np.exp(a) / math.factorial(k))
 
     def sqrt(self):
         return self ** 0.5
@@ -395,17 +387,14 @@ def contract(pattern: str, a: PolyTensor, b: PolyTensor, order: int | None = Non
     value reaches every output its einsum terms reach.
 
     At higher orders only component pairs whose jets are both nonzero at
-    some batch point can contribute.  The pairs of the two supports
-    (`_support`, read from each operand and scanned at most once per
-    tensor) are joined on the shared letters.  When they are at most
-    `_SPARSE_SHARE` of all component pairs (the product of every letter's
-    dimension), only those pairs are multiplied, by `_jet_mul`, and the
-    output components they reach become the result's `support`; otherwise
-    one einsum runs over every pair.  Either kernel sums the jet pairs
-    coefficient-major, one `_pair_table` pass at a time.  NaN and inf count
-    as nonzero, so a non-finite jet reaches every output its partners in
-    the supports reach.  The result keeps the operands' dtype, complex
-    included.
+    some batch point can contribute.  A letter repeated within one operand
+    first reduces that operand to its diagonal.  The pairs of the two
+    supports (`_support`, read from each operand and scanned at most once
+    per tensor) are joined on the shared letters, only those pairs are
+    multiplied, by `_jet_mul`, and the output components they reach become
+    the result's `support`.  NaN and inf count as nonzero, so a non-finite
+    jet reaches every output its partners in the supports reach.  The
+    result keeps the operands' dtype, complex included.
     """
     if order is None:
         order = min(a.basis.order, b.basis.order)
@@ -423,17 +412,9 @@ def contract(pattern: str, a: PolyTensor, b: PolyTensor, order: int | None = Non
     if order == 0:  # one jet pair, (0, 0): the einsum of the values
         val = np.einsum(_value_subscripts(pattern), a.value(), b.value())
         return PolyTensor(val[..., None], bout, len(batch_shape))
-    shape = batch_shape + tuple(dims[c] for c in outs) + (bout.size,)
-    dtype = np.result_type(a.coeffs, b.coeffs, 0.0)
-    nbatch = math.prod(batch_shape)
-    join = _support_join(in_a, in_b, a, b, dims)
-    dense_pairs = math.prod(dims.values())
-    if join is not None and join[2].sum() <= _SPARSE_SHARE * dense_pairs:
-        out, support = _contract_sparse(in_a, in_b, outs, a, b, dims, join,
-                                        shape, dtype, order, nbatch)
-    else:
-        out, support = _contract_dense(in_a, in_b, outs, a, b, dims, shape,
-                                       dtype, order, nbatch), None
+    (a, in_a), (b, in_b) = _diagonal(a, in_a), _diagonal(b, in_b)
+    out, support = _contract_support(in_a, in_b, outs, a, b, dims,
+                                     batch_shape, order)
     return PolyTensor(out, bout, len(batch_shape), support)
 
 
@@ -452,6 +433,16 @@ def _value_subscripts(pattern: str) -> str:
     return f"...{in_a},...{in_b}->...{''.join(names[c] for c in outs)}"
 
 
+def _diagonal(x: PolyTensor, letters: str):
+    """`x` and its letters with each repeated letter reduced to its
+    diagonal, an einsum view; `x` itself when no letter repeats."""
+    kept = "".join(dict.fromkeys(letters))
+    if kept == letters:
+        return x, letters
+    view = np.einsum(f"...{letters}P->...{kept}P", x.coeffs)
+    return PolyTensor(view, x.basis, x.batch_ndim), kept
+
+
 def _support(x: PolyTensor, letters: str):
     """Size and coordinates (one array per letter) of the support of `x`:
     the components whose jet is nonzero, NaN or inf at some batch point.
@@ -467,15 +458,12 @@ def _support(x: PolyTensor, letters: str):
 
 
 def _support_join(in_a, in_b, a, b, dims):
-    """Join the supports of `a` and `b` on the letters they share.
+    """Join the supports of `a` and `b` on the letters they share; no
+    letter repeats within one operand.
 
     Returns (coords_a, coords_b, counts, lo, order_b): support entry i of `a`
-    pairs with the entries order_b[lo[i] : lo[i] + counts[i]] of `b`.  None
-    when a letter repeats within one operand (a diagonal), which the join
-    does not cover.
+    pairs with the entries order_b[lo[i] : lo[i] + counts[i]] of `b`.
     """
-    if len(set(in_a)) < len(in_a) or len(set(in_b)) < len(in_b):
-        return None
     (na, ca), (nb, cb) = _support(a, in_a), _support(b, in_b)
     key_a, key_b = np.zeros(na, np.int64), np.zeros(nb, np.int64)
     for c in in_a:
@@ -488,22 +476,27 @@ def _support_join(in_a, in_b, a, b, dims):
     return ca, cb, counts, lo, order_b
 
 
-def _gather(x: PolyTensor, letters: str, coords, rows):
-    """Jets of the support entries `rows` of `x`: shape (*batch, rows, P)."""
-    if not letters:
-        return x.coeffs[..., None, :]
-    idx = tuple(coords[c][rows] for c in letters)
-    return x.coeffs[(Ellipsis,) + idx + (slice(None),)]
+def _support_rows(x: PolyTensor, nbatch: int):
+    """The jets of the support of `x`, coefficient-major and contiguous:
+    shape (P, support, *reversed batch), the batch first padded to
+    `nbatch` axes."""
+    lead = (1,) * (nbatch - x.batch_ndim) + x.coeffs.shape[: x.batch_ndim]
+    flat = x.coeffs.reshape(lead + (math.prod(x.comp_shape), x.basis.size))
+    return np.ascontiguousarray(flat[..., x.support, :].T)
 
 
-def _contract_sparse(in_a, in_b, outs, a, b, dims, join, shape, dtype,
-                     order, nbatch):
+def _contract_support(in_a, in_b, outs, a, b, dims, batch_shape, order):
     """Multiply only the joined pairs and sum them by output component.
 
-    Returns the output array and its support, the distinct output
-    components the pairs reach.
+    Everything stays coefficient-major, with the batch axes reversed and
+    last: each chunk gathers whole batch rows of the support rows, its
+    product is (P, pairs, *reversed batch), and `np.add.reduceat` sums
+    each run of one output component along the pair axis into the
+    output, which is transposed once at the end.  Returns the output
+    array and its support, the distinct output components the pairs
+    reach.
     """
-    ca, cb, counts, lo, order_b = join
+    ca, cb, counts, lo, order_b = _support_join(in_a, in_b, a, b, dims)
     total = int(counts.sum())
     starts = np.cumsum(counts) - counts
     ia = np.repeat(np.arange(len(counts)), counts)
@@ -513,53 +506,29 @@ def _contract_sparse(in_a, in_b, outs, a, b, dims, join, shape, dtype,
         comp = comp * dims[c] + (ca[c][ia] if c in ca else cb[c][ib])
     by_comp = np.argsort(comp, kind="stable")
     ia, ib, comp = ia[by_comp], ib[by_comp], comp[by_comp]
+    # comp is sorted: its distinct entries start where a neighbour differs
+    first = np.ones(total, bool)
+    np.not_equal(comp[1:], comp[:-1], out=first[1:])
     nv, oa, ob = a.basis.nvars, a.basis.order, b.basis.order
     # a chunk's scratch is its pair count times the batch times the jet
     # pairs of one product, the widest gathered array
     jet_pairs = len(_pair_table(nv, oa, ob, order)[0])
-    step = max(1, _CHUNK // max(nbatch * jet_pairs, 1))
-    out = np.zeros(shape, dtype)
-    flat_out = out.reshape(out.shape[: out.ndim - 1 - len(outs)]
-                           + (-1, out.shape[-1]))
+    step = max(1, _CHUNK // max(math.prod(batch_shape) * jet_pairs, 1))
+    out = np.zeros((basis(nv, order).size,
+                    math.prod(dims[c] for c in outs)) + batch_shape[::-1],
+                   np.result_type(a.coeffs, b.coeffs, 0.0))
+    # the `.T` of a gathered chunk is contiguous, so `_jet_mul` copies none
+    ra, rb = (_support_rows(x, len(batch_shape)) for x in (a, b))
     for s in range(0, total, step):
         sl = slice(s, s + step)
-        prod = _jet_mul(_gather(a, in_a, ca, ia[sl]),
-                        _gather(b, in_b, cb, ib[sl]), nv, oa, ob, order)
-        uniq, first = np.unique(comp[sl], return_index=True)
-        flat_out[..., uniq, :] += np.add.reduceat(prod, first, axis=-2)
-    # comp is sorted: its distinct entries start where a neighbour differs
-    first = np.ones(total, bool)
-    np.not_equal(comp[1:], comp[:-1], out=first[1:])
-    return out, comp[first]
-
-
-def _contract_dense(in_a, in_b, outs, a, b, dims, shape, dtype, order,
-                    nbatch):
-    """One einsum over every component pair, jet pair by jet pair.
-
-    The running sums are coefficient-major, so each pass adds whole rows;
-    the result is returned as a view with the coefficient axis last.
-    """
-    I, J, slot, offs = _pair_table(
-        a.basis.nvars, a.basis.order, b.basis.order, order)
-    ein = f"...{in_a}P,...{in_b}P->P...{outs}"
-    # a chunk's scratch is its pair count times the batch times the widest
-    # of the two gathered operands and the product
-    widest = max(math.prod(a.comp_shape), math.prod(b.comp_shape),
-                 math.prod(dims[c] for c in outs))
-    step = max(1, _CHUNK // max(nbatch * widest, 1))
-    sums = np.zeros((len(slot),) + shape[:-1], dtype)
-    for lo in range(0, len(I), step):
-        hi = min(lo + step, len(I))
-        prod = np.einsum(ein, a.coeffs.take(I[lo:hi], -1),
-                         b.coeffs.take(J[lo:hi], -1), optimize=True)
-        # add the chunk's share of each pass into that pass's running sums
-        r = bisect.bisect_right(offs, lo) - 1
-        while offs[r] < hi:
-            s, e = max(lo, offs[r]), min(hi, offs[r + 1])
-            sums[s - offs[r]:e - offs[r]] += prod[s - lo:e - lo]
-            r += 1
-    return np.moveaxis(sums.take(slot, 0), 0, -1)
+        prod = _jet_mul(ra.take(ia[sl], 1).T, rb.take(ib[sl], 1).T,
+                        nv, oa, ob, order)
+        runs = first[sl].copy()
+        runs[0] = True  # a chunk may start inside a run
+        runs = np.flatnonzero(runs)
+        out[:, comp[s + runs]] += np.add.reduceat(prod, runs, axis=1)
+    shape = batch_shape + tuple(dims[c] for c in outs) + (len(out),)
+    return out.T.reshape(shape), comp[first]
 
 
 def poly_matrix_inverse(g: PolyTensor, order: int) -> PolyTensor:

@@ -215,8 +215,8 @@ class TestPfPlan:
                                               (6, 3, None), (8, 3, None),
                                               (8, 3, 6)])
     def test_matches_per_class_evaluation(self, dim, ell, live):
-        # Dense jets take only the einsum kernel of contract; jets living on
-        # six of eight index values also reach its sparse kernel.
+        # Jets nonzero on every component and jets living on six of eight
+        # index values both run through the support kernel of contract.
         Tud = _weyl_jet(dim, 2, seed=dim + ell, live=live)
         got = pf_ell_poly(Tud, ell)
         assert np.array_equal(got.coeffs, _per_class_pf_poly(Tud, ell, 2).coeffs)

@@ -98,18 +98,37 @@ class TestContract:
                            np.sum(p.value() * q.value(), axis=-1))
 
 
-def _both_paths(pattern, a, b, order=None, chunk=jets._CHUNK):
-    """`contract` forced onto the sparse path, then onto the dense path."""
-    saved = jets._SPARSE_SHARE, jets._CHUNK
-    out = []
+def _contract_in_chunks(pattern, a, b, order=None, chunk=jets._CHUNK):
+    """`contract` with its chunk size set to `chunk` elements."""
+    saved, jets._CHUNK = jets._CHUNK, chunk
     try:
-        jets._CHUNK = chunk
-        for share in (math.inf, -1.0):
-            jets._SPARSE_SHARE = share
-            out.append(contract(pattern, a, b, order))
+        return contract(pattern, a, b, order)
     finally:
-        jets._SPARSE_SHARE, jets._CHUNK = saved
-    return out
+        jets._CHUNK = saved
+
+
+def _contract_by_jet_pairs(pattern, a, b, order=None):
+    """Reference `contract`: every pair of monomials of the two bases, one
+    einsum of their coefficient arrays each, added into the coefficient of
+    the product monomial."""
+    if order is None:
+        order = min(a.basis.order, b.basis.order)
+    order = min(order, a.basis.order + b.basis.order)
+    ins, outs = pattern.split("->")
+    in_a, in_b = ins.split(",")
+    bo = basis(a.basis.nvars, order)
+    batch = np.broadcast_shapes(a.coeffs.shape[: a.batch_ndim],
+                                b.coeffs.shape[: b.batch_ndim])
+    dims = dict(zip(in_a + in_b, a.comp_shape + b.comp_shape))
+    out = np.zeros(batch + tuple(dims[c] for c in outs) + (bo.size,),
+                   np.result_type(a.coeffs, b.coeffs, 0.0))
+    for i, ei in enumerate(a.basis.exps):
+        for j, ej in enumerate(b.basis.exps):
+            if ei.sum() + ej.sum() <= order:
+                out[..., bo.index(ei + ej)] += np.einsum(
+                    f"...{in_a},...{in_b}->...{outs}",
+                    a.coeffs[..., i], b.coeffs[..., j])
+    return PolyTensor(out, bo, len(batch))
 
 
 def _sparse_poly(b, comp_shape, batch, density, rng):
@@ -118,28 +137,32 @@ def _sparse_poly(b, comp_shape, batch, density, rng):
     return PolyTensor(coeffs, b, len(batch))
 
 
-def _assert_paths_agree(pattern, a, b, order=None, chunk=jets._CHUNK):
-    sparse, dense = _both_paths(pattern, a, b, order, chunk)
-    assert sparse.coeffs.shape == dense.coeffs.shape
-    assert sparse.batch_ndim == dense.batch_ndim
-    assert sparse.basis is dense.basis
-    np.testing.assert_allclose(sparse.coeffs, dense.coeffs, rtol=1e-12,
+def _assert_matches_oracle(pattern, a, b, order=None, chunk=jets._CHUNK):
+    got = _contract_in_chunks(pattern, a, b, order, chunk)
+    want = _contract_by_jet_pairs(pattern, a, b, order)
+    assert got.coeffs.shape == want.coeffs.shape
+    assert got.coeffs.dtype == want.coeffs.dtype
+    assert got.batch_ndim == want.batch_ndim
+    assert got.basis is want.basis
+    np.testing.assert_allclose(got.coeffs, want.coeffs, rtol=1e-12,
                                atol=1e-12)
 
 
 @st.composite
 def _contractions(draw):
+    """Operands of a `contract` at output order >= 1: letters may repeat
+    within an operand (diagonals)."""
     letters = "abcd"
     dims = {c: draw(st.integers(1, 3)) for c in letters}
-    in_a = "".join(draw(st.permutations(letters))[: draw(st.integers(0, 3))])
-    in_b = "".join(draw(st.permutations(letters))[: draw(st.integers(0, 3))])
+    in_a = "".join(draw(st.lists(st.sampled_from(letters), max_size=3)))
+    in_b = "".join(draw(st.lists(st.sampled_from(letters), max_size=3)))
     union = sorted(set(in_a + in_b))
     outs = "".join(c for c in draw(st.permutations(union))
                    if draw(st.booleans()))
     nvars = draw(st.integers(1, 3))
     order_a, order_b = draw(st.integers(0, 3)), draw(st.integers(0, 3))
     order = draw(st.none() | st.integers(1, 6))
-    # at output order 0 `contract` runs one einsum and neither kernel
+    # at output order 0 `contract` runs one einsum and not the kernel
     assume(min(order or min(order_a, order_b), order_a + order_b) >= 1)
     batches = st.sampled_from([(), (1,), (3,)])
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -152,12 +175,13 @@ def _contractions(draw):
 
 
 class TestContractPaths:
-    """The support-sparse kernel and the dense einsum kernel agree."""
+    """The support kernel of `contract` against a naive oracle, one einsum
+    per jet pair."""
 
     @settings(max_examples=150, deadline=None)
     @given(_contractions())
-    def test_sparse_matches_dense(self, case):
-        _assert_paths_agree(*case)
+    def test_matches_naive_oracle(self, case):
+        _assert_matches_oracle(*case)
 
     @pytest.mark.parametrize("pattern", [
         ",->", ",ab->ab", "ab,->ab",  # rank-0 operands
@@ -165,6 +189,7 @@ class TestContractPaths:
         "ab,ab->",  # every letter shared and summed
         "ab,c->ac",  # b summed in one operand only
         "ab,bc->ac", "abcd,cdef->abef", "a,b->ab", "ba,bc->ca",
+        "aa,ab->b", "aba,b->a",  # a diagonal
     ])
     @pytest.mark.parametrize("batches", [((), ()), ((), (4,)), ((1,), (4,)),
                                          ((4,), (4,))])
@@ -174,8 +199,8 @@ class TestContractPaths:
         b = basis(2, 3)
         a_, b_ = (_sparse_poly(b, (3,) * len(s), batch, 0.5, rng)
                   for s, batch in zip(ins, batches))
-        _assert_paths_agree(pattern, a_, b_)
-        _assert_paths_agree(pattern, a_, b_, 2)
+        _assert_matches_oracle(pattern, a_, b_)
+        _assert_matches_oracle(pattern, a_, b_, 2)
 
     @pytest.mark.parametrize("pattern", ["ab,bc->ac", ",ab->ab", ",->"])
     def test_all_zero_operand(self, pattern):
@@ -183,10 +208,10 @@ class TestContractPaths:
         ins = pattern.split("->")[0].split(",")
         zero = PolyTensor(np.zeros((2,) * len(ins[0]) + (b.size,)), b)
         other = _random_poly(b, (2,) * len(ins[1]), seed=10)
-        for out in _both_paths(pattern, zero, other):
-            assert out.coeffs.shape == (2,) * len(pattern.split("->")[1]) + (
-                b.size,)
-            assert not out.coeffs.any()
+        out = contract(pattern, zero, other)
+        assert out.coeffs.shape == (2,) * len(pattern.split("->")[1]) + (
+            b.size,)
+        assert not out.coeffs.any()
 
     def test_nan_reaches_output_through_nonzero_partner(self):
         b = basis(2, 2)
@@ -195,20 +220,12 @@ class TestContractPaths:
         x[2, 2] = 1.0
         y = np.zeros((3, 3, b.size))
         y[1, 0, 0] = 2.0
-        for out in _both_paths("ab,bc->ac", PolyTensor(x, b), PolyTensor(y, b)):
-            assert np.isnan(out.coeffs[0, 0]).any()
-            assert np.isfinite(out.coeffs[2]).all()
-
-    def test_sparse_path_runs_by_default_on_sparse_input(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(jets, "_contract_dense",
-                            lambda *args: calls.append(args))
-        b = basis(2, 2)
-        x = np.zeros((10, 10, b.size))
-        x[np.arange(10), np.arange(10)] = 1.0
-        out = contract("ab,bc->ac", PolyTensor(x, b), PolyTensor(x, b))
-        assert not calls
-        assert np.array_equal(out.coeffs[..., 0], np.eye(10))
+        out = contract("ab,bc->ac", PolyTensor(x, b), PolyTensor(y, b))
+        assert np.isnan(out.coeffs[0, 0]).any()
+        # (0, 1) has the one nonzero partner (1, 0); NaN * 0 reaches no
+        # other output
+        assert np.isfinite(out.coeffs[0, 1:]).all()
+        assert np.isfinite(out.coeffs[1:]).all()
 
 
 def _scanned(x: PolyTensor):
@@ -292,8 +309,8 @@ class TestSupport:
         rng = np.random.default_rng(len(pattern))
         a, b = (_with_support(_spoil(x, share, bad, rng)) for x in (a, b))
         with np.errstate(invalid="ignore", over="ignore"):
-            outs = _both_paths(pattern, a, b, order, chunk)
-            outs.append(contract(pattern, a, b, 0))
+            outs = [_contract_in_chunks(pattern, a, b, order, chunk),
+                    contract(pattern, a, b, 0)]
         for out in outs:
             _assert_support_covers(out)
 
@@ -329,15 +346,15 @@ class TestSupport:
                 y.support = np.flatnonzero(keep)
             stored.append(y)
         fresh = [PolyTensor(x.coeffs, x.basis, x.batch_ndim) for x in (a, b)]
-        for got, want in zip(_both_paths(pattern, *stored, order),
-                             _both_paths(pattern, *fresh, order)):
-            assert got.coeffs.dtype == want.coeffs.dtype
-            assert got.coeffs.shape == want.coeffs.shape
-            if extra:
-                np.testing.assert_allclose(got.coeffs, want.coeffs,
-                                           rtol=1e-12, atol=1e-13)
-            else:
-                assert got.coeffs.tobytes() == want.coeffs.tobytes()
+        got = contract(pattern, *stored, order)
+        want = contract(pattern, *fresh, order)
+        assert got.coeffs.dtype == want.coeffs.dtype
+        assert got.coeffs.shape == want.coeffs.shape
+        if extra:
+            np.testing.assert_allclose(got.coeffs, want.coeffs,
+                                       rtol=1e-12, atol=1e-13)
+        else:
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
 
     def test_pf_plan_scans_each_tensor_at_most_once(self, monkeypatch):
         geo = get_model("S2xS2xS2").geometry(order=4)
@@ -514,7 +531,7 @@ class TestJetMul:
         for k, lead, cplx in zip((order_x, order_y), leads, complex_):
             v = rng.standard_normal(lead + (basis(nvars, k).size,))
             ops.append(v + 1j * rng.standard_normal(v.shape) if cplx else v)
-        got = jets._jet_mul(*ops, nvars, order_x, order_y, order_out)
+        got = jets._jet_mul(*ops, nvars, order_x, order_y, order_out).T
         want = _jet_mul_by_monomials(*ops, nvars, order_x, order_y, order_out)
         assert got.shape == want.shape and got.dtype == want.dtype
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
@@ -523,7 +540,7 @@ class TestJetMul:
         b = basis(2, 2)
         x = coordinate_poly(b, 0, 0.5)  # 0.5 + x0
         y = coordinate_poly(b, 1, np.array([1.0, -2.0, 3.0]))
-        got = jets._jet_mul(x.coeffs, y.coeffs, 2, 2, 2, 2)
+        got = jets._jet_mul(x.coeffs, y.coeffs, 2, 2, 2, 2).T
         want = np.zeros((3, b.size))
         want[:, 0] = 0.5 * y.value()
         want[:, b.index((1, 0))] = y.value()
@@ -540,6 +557,7 @@ class TestJetMul:
 
     @pytest.mark.parametrize("pattern", ["ab,bc->ac", ",ab->ab", "aa,a->a"])
     def test_complex_operands_on_both_kernels(self, pattern):
+        # the order-0 einsum and the support kernel
         rng = np.random.default_rng(13)
         b = basis(2, 2)
         ins = pattern.split("->")[0].split(",")
@@ -547,11 +565,12 @@ class TestJetMul:
                      for s in ins] for _ in range(2))
         z = [PolyTensor(r.coeffs + 1j * i.coeffs, b, 1)
              for r, i in zip(re_, im_)]
-        want = (contract(pattern, re_[0], re_[1]).coeffs
-                - contract(pattern, im_[0], im_[1]).coeffs
-                + 1j * (contract(pattern, re_[0], im_[1]).coeffs
-                        + contract(pattern, im_[0], re_[1]).coeffs))
-        for got in _both_paths(pattern, *z):
+        for order in (0, None):
+            want = (contract(pattern, re_[0], re_[1], order).coeffs
+                    - contract(pattern, im_[0], im_[1], order).coeffs
+                    + 1j * (contract(pattern, re_[0], im_[1], order).coeffs
+                            + contract(pattern, im_[0], re_[1], order).coeffs))
+            got = contract(pattern, *z, order)
             np.testing.assert_allclose(got.coeffs, want, rtol=1e-12,
                                        atol=1e-12)
 
@@ -626,7 +645,7 @@ class TestJetAlgebraProperties:
 #: name -> (jet function, k-th derivative at a from NumPy functions)
 _SERIES = {
     "sin": (PolyTensor.sin, lambda a, k: np.sin(a + k * np.pi / 2)),
-    "exp": (PolyTensor.exp, lambda a, k: np.exp(a)),
+    "cos": (PolyTensor.cos, lambda a, k: np.cos(a + k * np.pi / 2)),
     "pow": (lambda x: x ** 1.7,
             lambda a, k: math.prod(1.7 - j for j in range(k))
             * np.power(a, 1.7 - k)),
@@ -834,6 +853,21 @@ class TestTaylorScalar:
         unbatched = coordinate_poly(b, 0, 0.25)
         assert unbatched.batch_ndim == 0
         assert (unbatched + x).batch_ndim == (x - unbatched).batch_ndim == 1
+
+    def test_point_arrays_with_a_tensor_follow_the_batch_axis(self):
+        # the batch size equals the component length, so an array put on
+        # the component axis would broadcast without error
+        b = basis(2, 1)
+        t = PolyTensor(np.zeros((2, 2, b.size)), b, 1)
+        c = np.array([1.0, 2.0])
+        one = t + 1.0
+        per_point = [[1.0, 1.0], [2.0, 2.0]]
+        for y in (t + c, c + t, -(t - c), c - t, one * c, c * one):
+            assert y.batch_ndim == 1 and y.coeffs.shape == t.coeffs.shape
+            np.testing.assert_array_equal(y.value(), per_point)
+        wide = PolyTensor(np.zeros((3, 2, b.size)), b, 1)
+        np.testing.assert_array_equal((wide + np.arange(3.0)).value(),
+                                      [[0, 0], [1, 1], [2, 2]])
 
     def test_constant_keeps_complex_dtype(self):
         b = basis(2, 2)
