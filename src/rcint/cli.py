@@ -6,6 +6,10 @@ Subcommands:
   rvol --space hyperbolic --n N   finite-part renormalized volume
   list-suites                catalog of suites with their source anchors
 
+`--tol` overrides the tolerance of every check of the selected suites.  The
+`pfaffian-identities` brute-force oracle runs on the first 10 samples; the
+Weyl-basis checks cover every sample.
+
 Exit codes: 0 all checks pass; 2 invalid configuration (unknown suite,
 manifold, or flag values, a manifold that a selected suite cannot take, or
 a --manifold, --seed, --samples or --n that no selected suite reads,
@@ -46,6 +50,34 @@ EXIT_NUMERICAL = 3
 
 _EINSTEIN_DEFAULTS = ("S4", "S2xS2")
 _GBC_DEFAULTS = ("S4", "S2xS2", "CP2", "S2xS2xS2")
+#: the dimensions `pfaffian-identities` fuzzes by default, and the --n it takes
+_PFAFFIAN_DIMS = (4, 5, 6, 8)
+
+#: what a manifold must be, as tests on its catalog `Model`
+_PROPERTIES = {"compact": lambda m: m.compact,
+               "homogeneous": lambda m: m.homogeneous,
+               "Einstein": lambda m: m.lam is not None,
+               "of dimension >= 4": lambda m: m.dim >= 4}
+_EINSTEIN_4 = ("Einstein", "of dimension >= 4")
+
+#: suite name -> (source anchor, description, runner); written by `_suite`
+SUITES = {}
+#: suite name -> (the settings it reads, what it needs from its manifold)
+_DECLARED = {}
+
+
+def _suite(name, anchor, description, reads=(), needs=()):
+    """Declare a runner (parsed config -> CheckReports) as suite `name`.
+
+    `reads` names the `_SETTINGS` it reads that not every suite reads;
+    `needs` names the `_PROPERTIES` its --manifold must have, and a suite
+    that needs any reads --manifold.  A setting given by flag or config
+    key when no selected suite reads it is rejected."""
+    def declare(runner):
+        SUITES[name] = (anchor, description, runner)
+        _DECLARED[name] = ((*reads, "manifold") if needs else reads, needs)
+        return runner
+    return declare
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +89,9 @@ def _models(cfg, defaults):
     return [get_model(n) for n in names]
 
 
+@_suite("kronecker", "Lemma 5.1",
+        "normalized delta Laplace recursion, exact arithmetic",
+        reads=("seed", "samples"))
 def _suite_kronecker(cfg):
     t0 = time.perf_counter()
     worst = 0.0
@@ -69,8 +104,11 @@ def _suite_kronecker(cfg):
                               wall_time=time.perf_counter() - t0)
 
 
+@_suite("pfaffian-identities", "Lemma 5.2",
+        "Pf_l Weyl-basis expansions on random Weyl tensors + brute-force "
+        "oracle", reads=("seed", "samples", "n"))
 def _suite_pfaffian_identities(cfg):
-    dims = [cfg.n] if cfg.n else [4, 5, 6, 8]
+    dims = [cfg.n] if cfg.n else _PFAFFIAN_DIMS
     samples = cfg.samples or 100
     tol = cfg.tol or 1e-10
     for dim in dims:
@@ -87,23 +125,32 @@ def _suite_pfaffian_identities(cfg):
             for ell in (2, 3):
                 if 2 * ell > dim:
                     continue
-                fast = pf_ell(W, ell)
-                brute = pf_ell_brute(W, ell)
+                # the oracle sums (2l)! einsums, so it sees 10 samples
+                fast = pf_ell(W, ell)[:10]
+                brute = pf_ell_brute(W[:10], ell)
                 yield CheckReport.compare(
                     f"pfaffian-brute-d{dim}-l{ell}", "Eq. (1.4)", fast,
                     brute, tol, wall_time=time.perf_counter() - t0)
 
 
+@_suite("einstein-pfaffian", "Lemma 5.1",
+        "Pfaffian of an Einstein metric from Pf_l(W)", needs=_EINSTEIN_4)
 def _suite_einstein_pfaffian(cfg):
-    for model in _models(cfg, ("S4", "S2xS2", "CP2", "S2xS2xS2")):
+    for model in _models(cfg, _GBC_DEFAULTS):
         yield einstein_pfaffian_expansion(model, tol=cfg.tol or 1e-9)
 
 
+@_suite("cgb", "Eq. (1.1)",
+        "compact Gauss-Bonnet: integral of Pf = (2pi)^{n/2} chi",
+        needs=("compact",))
 def _suite_cgb(cfg):
     for model in _models(cfg, _GBC_DEFAULTS):
         yield integ.verify_cgb(model, tol=cfg.tol or 1e-6)
 
 
+@_suite("gbc", "Cor. 1.8",
+        "Gauss-Bonnet with renormalized curvature corrections",
+        needs=("compact", "homogeneous", "Einstein"))
 def _suite_gbc(cfg):
     for model in _models(cfg, _GBC_DEFAULTS):
         yield from integ.verify_gbc(model, tol=cfg.tol or 1e-6)
@@ -113,6 +160,8 @@ def _ambient_points(cfg, chart, count=20):
     return chart.sample_points(count, seed=cfg.seed)
 
 
+@_suite("ambient-ricci", "Lemma 3.1", "ambient space is Ricci-flat",
+        reads=("seed",), needs=("Einstein",))
 def _suite_ambient_ricci(cfg):
     for model in _models(cfg, _EINSTEIN_DEFAULTS):
         chart = amb.AmbientChart(model)
@@ -120,6 +169,8 @@ def _suite_ambient_ricci(cfg):
                                            tol=cfg.tol or 1e-8)
 
 
+@_suite("ambient-curvature", "Lemma 3.3", "ambient curvature = tau^2 W",
+        reads=("seed",), needs=_EINSTEIN_4)
 def _suite_ambient_curvature(cfg):
     for model in _models(cfg, _EINSTEIN_DEFAULTS):
         chart = amb.AmbientChart(model)
@@ -127,6 +178,9 @@ def _suite_ambient_curvature(cfg):
             chart, _ambient_points(cfg, chart), tol=cfg.tol or 1e-9)
 
 
+@_suite("ambient-christoffel", "Prop. 3.5",
+        "closed-form ambient Christoffel blocks", reads=("seed",),
+        needs=("Einstein",))
 def _suite_ambient_christoffel(cfg):
     for model in _models(cfg, _EINSTEIN_DEFAULTS):
         chart = amb.AmbientChart(model)
@@ -134,6 +188,9 @@ def _suite_ambient_christoffel(cfg):
             chart, _ambient_points(cfg, chart), tol=cfg.tol or 1e-10)
 
 
+@_suite("ambient-laplacian", "Prop. 3.4",
+        "push-pull identity for the ambient Laplacian", reads=("seed",),
+        needs=_EINSTEIN_4)
 def _suite_ambient_laplacian(cfg):
     from .invariants import weyl_norm2_field
     from .jets import const_poly
@@ -154,6 +211,8 @@ def _suite_ambient_laplacian(cfg):
                 lhs, rhs, cfg.tol or 1e-8)
 
 
+@_suite("straightenable", "Def. 1.5", "tau^w push-pull certification",
+        needs=_EINSTEIN_4)
 def _suite_straightenable(cfg):
     for model in _models(cfg, _EINSTEIN_DEFAULTS):
         chart = amb.AmbientChart(model)
@@ -161,6 +220,8 @@ def _suite_straightenable(cfg):
                                        tol=cfg.tol or 1e-9, name="weyl")
 
 
+@_suite("route-equivalence", "Prop. 3.4",
+        "P_{l,n}: ambient route vs Einstein route", needs=_EINSTEIN_4)
 def _suite_route_equivalence(cfg):
     tol = cfg.tol or 1e-7
     for model in _models(cfg, ("S2xS2", "S2xS2xS2")):
@@ -173,11 +234,14 @@ def _suite_route_equivalence(cfg):
                 f"route-P-{ell}-{n}-{model.name}", "Prop. 3.4", a, e, tol)
 
 
+@_suite("divergence", "Remark 3.7", "divergence scalars vanish as predicted")
 def _suite_divergence(cfg):
     yield from integ.divergence_identity_checks(
-        tol_pointwise=cfg.tol or 1e-8)
+        tol_pointwise=cfg.tol or 1e-8, tol_int=cfg.tol or 1e-6)
 
 
+@_suite("main-theorem", "Thm. 1.6",
+        "renormalized-integral coefficient algebra", needs=tuple(_PROPERTIES))
 def _suite_main_theorem(cfg):
     cases = [("S2xS2xS2", "weyl-norm2"), ("S2xS2xS2xS2", "pf3-weyl")]
     if cfg.manifold:
@@ -187,12 +251,16 @@ def _suite_main_theorem(cfg):
             get_model(name), fieldname, tol=cfg.tol or 1e-7)
 
 
+@_suite("worked-examples", "§5 Examples",
+        "integration-by-parts and Weyl-Laplacian identities",
+        needs=("of dimension >= 4",))
 def _suite_worked_examples(cfg):
     for model in _models(cfg, ("S2xS2", "perturbed-S4")):
         yield from integ.verify_worked_examples(
-            model, tol_pointwise=cfg.tol or 1e-8)
+            model, tol_pointwise=cfg.tol or 1e-8, tol_int=cfg.tol or 1e-6)
 
 
+@_suite("rvol", "Eq. (1.2)", "renormalized volumes of hyperbolic space")
 def _suite_rvol(cfg):
     import math
 
@@ -201,84 +269,6 @@ def _suite_rvol(cfg):
         yield CheckReport.compare(
             f"rvol-H{n}", "Eq. (1.2)", integ.renormalized_volume(n),
             expect, cfg.tol or 1e-12)
-
-
-#: suite name -> (source anchor, description, runner)
-SUITES = {
-    "kronecker": ("Lemma 5.1",
-                  "normalized delta Laplace recursion, exact arithmetic",
-                  _suite_kronecker),
-    "pfaffian-identities": ("Lemma 5.2",
-                            "Pf_l Weyl-basis expansions on random Weyl "
-                            "tensors + brute-force oracle",
-                            _suite_pfaffian_identities),
-    "einstein-pfaffian": ("Lemma 5.1",
-                          "Pfaffian of an Einstein metric from Pf_l(W)",
-                          _suite_einstein_pfaffian),
-    "cgb": ("Eq. (1.1)",
-            "compact Gauss-Bonnet: integral of Pf = (2pi)^{n/2} chi",
-            _suite_cgb),
-    "gbc": ("Cor. 1.8",
-            "Gauss-Bonnet with renormalized curvature corrections",
-            _suite_gbc),
-    "ambient-ricci": ("Lemma 3.1", "ambient space is Ricci-flat",
-                      _suite_ambient_ricci),
-    "ambient-curvature": ("Lemma 3.3", "ambient curvature = tau^2 W",
-                          _suite_ambient_curvature),
-    "ambient-christoffel": ("Prop. 3.5",
-                            "closed-form ambient Christoffel blocks",
-                            _suite_ambient_christoffel),
-    "ambient-laplacian": ("Prop. 3.4",
-                          "push-pull identity for the ambient Laplacian",
-                          _suite_ambient_laplacian),
-    "straightenable": ("Def. 1.5", "tau^w push-pull certification",
-                       _suite_straightenable),
-    "route-equivalence": ("Prop. 3.4",
-                          "P_{l,n}: ambient route vs Einstein route",
-                          _suite_route_equivalence),
-    "divergence": ("Remark 3.7", "divergence scalars vanish as predicted",
-                   _suite_divergence),
-    "main-theorem": ("Thm. 1.6", "renormalized-integral coefficient algebra",
-                     _suite_main_theorem),
-    "worked-examples": ("§5 Examples",
-                        "integration-by-parts and Weyl-Laplacian identities",
-                        _suite_worked_examples),
-    "rvol": ("Eq. (1.2)", "renormalized volumes of hyperbolic space",
-             _suite_rvol),
-}
-
-#: what a manifold must be, as tests on its catalog `Model`
-_PROPERTIES = {"compact": lambda m: m.compact,
-               "homogeneous": lambda m: m.homogeneous,
-               "Einstein": lambda m: m.lam is not None,
-               "of dimension >= 4": lambda m: m.dim >= 4}
-_EINSTEIN_4 = ("Einstein", "of dimension >= 4")
-
-#: suite -> what it needs from its manifold; an unlisted suite reads no
-#: --manifold
-_MANIFOLD_NEEDS = {
-    "einstein-pfaffian": _EINSTEIN_4,
-    "cgb": ("compact",),
-    "gbc": ("compact", "homogeneous", "Einstein"),
-    "ambient-ricci": ("Einstein",),
-    "ambient-curvature": _EINSTEIN_4,
-    "ambient-christoffel": ("Einstein",),
-    "ambient-laplacian": _EINSTEIN_4,
-    "straightenable": _EINSTEIN_4,
-    "route-equivalence": _EINSTEIN_4,
-    "main-theorem": tuple(_PROPERTIES),
-    "worked-examples": ("of dimension >= 4",),
-}
-
-#: setting -> the suites that read it; a setting given by flag or config
-#: key when no selected suite reads it is rejected
-_READERS = {"manifold": tuple(_MANIFOLD_NEEDS),
-            "seed": ("kronecker", "pfaffian-identities", "ambient-ricci",
-                     "ambient-curvature", "ambient-christoffel",
-                     "ambient-laplacian"),
-            "samples": ("kronecker", "pfaffian-identities"),
-            "n": ("pfaffian-identities",)}
-
 
 # ---------------------------------------------------------------------------
 # output formatting
@@ -347,9 +337,20 @@ def _build_parser():
     return p
 
 
-#: flag defaults, applied after the config file merge and validation, so
-#: its keys count and only given settings must be read by a suite
-_VERIFY_DEFAULTS = {"seed": 0, "format": "json"}
+#: verify setting -> (type, validity rule, message when the rule fails,
+#: default); defaults apply after the config-file merge and validation, so
+#: only a setting that was given must be read by a selected suite
+_SETTINGS = {
+    "manifold": (str, None, None, None),
+    "tol": ((int, float), lambda v: v > 0, "--tol must be positive", None),
+    "seed": (int, lambda v: v >= 0, "--seed must be non-negative", 0),
+    "samples": (int, lambda v: v >= 1, "--samples must be at least 1", None),
+    "n": (int, lambda v: v in _PFAFFIAN_DIMS,
+          f"--n must be one of {', '.join(map(str, _PFAFFIAN_DIMS))}", None),
+    "format": (str, lambda v: v in _FORMATS,
+               f"--format must be one of {', '.join(_FORMATS)}", "json"),
+    "out": (str, None, None, None),
+}
 
 
 def _apply_config_file(args):
@@ -362,17 +363,15 @@ def _apply_config_file(args):
         raise ConfigError(f"cannot read config file: {exc}")
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")
-    allowed = {"suites", "manifold", "tol", "seed", "samples", "n",
-               "format", "out"}
     for key, val in doc.items():
         attr = key.replace("-", "_")
-        if attr not in allowed:
-            raise ConfigError(f"unknown config key {key!r}")
         # explicit flags win over the config file
         if attr == "suites":
             if not args.suites:
                 args.suites = val
-        elif getattr(args, attr, None) is None:
+        elif attr not in _SETTINGS:
+            raise ConfigError(f"unknown config key {key!r}")
+        elif getattr(args, attr) is None:
             setattr(args, attr, val)
     return args
 
@@ -381,16 +380,11 @@ class ConfigError(Exception):
     pass
 
 
-#: verify setting -> the type its value must have (flags or config file)
-_SETTING_TYPES = {"manifold": str, "tol": (int, float), "seed": int,
-                  "samples": int, "n": int, "format": str, "out": str}
-
-
 def _validate(args):
     if not isinstance(args.suites, list) or not all(
             isinstance(s, str) for s in args.suites):
         raise ConfigError("suites must be a list of suite names")
-    for attr, kind in _SETTING_TYPES.items():
+    for attr, (kind, *_) in _SETTINGS.items():
         val = getattr(args, attr)
         if val is not None and (isinstance(val, bool)
                                 or not isinstance(val, kind)):
@@ -401,9 +395,10 @@ def _validate(args):
         if s not in SUITES:
             raise ConfigError(f"unknown suite {s!r}; available: "
                               f"{', '.join(sorted(SUITES))}")
-    for attr, readers in _READERS.items():
-        if getattr(args, attr) is not None and not set(args.suites) & set(
-                readers):
+    for attr in _SETTINGS:
+        readers = [s for s, (reads, _) in _DECLARED.items() if attr in reads]
+        if readers and getattr(args, attr) is not None and not set(
+                args.suites) & set(readers):
             raise ConfigError(f"--{attr} (or config key {attr!r}) is read "
                               f"by none of the selected suites; only "
                               f"{', '.join(readers)} read it")
@@ -413,22 +408,15 @@ def _validate(args):
         except KeyError as exc:
             raise ConfigError(str(exc))
         for s in args.suites:
-            missing = [p for p in _MANIFOLD_NEEDS.get(s, ())
-                       if not _PROPERTIES[p](model)]
+            missing = [p for p in _DECLARED[s][1] if not _PROPERTIES[p](model)]
             if missing:
                 raise ConfigError(f"suite {s} cannot take --manifold "
                                   f"{args.manifold}: it is not "
                                   f"{' and '.join(missing)}")
-    if args.format not in (None, *_FORMATS):
-        raise ConfigError(f"--format must be one of {', '.join(_FORMATS)}")
-    if args.tol is not None and args.tol <= 0:
-        raise ConfigError("--tol must be positive")
-    if args.seed is not None and args.seed < 0:
-        raise ConfigError("--seed must be non-negative")
-    if args.samples is not None and args.samples < 1:
-        raise ConfigError("--samples must be at least 1")
-    if args.n not in (None, 4, 5, 6, 8):
-        raise ConfigError("--n must be one of 4, 5, 6, 8")
+    for attr, (_, valid, message, _) in _SETTINGS.items():
+        val = getattr(args, attr)
+        if val is not None and valid and not valid(val):
+            raise ConfigError(message)
 
 
 def _run_verify(args, out_stream) -> int:
@@ -480,9 +468,9 @@ def main(argv=None) -> int:
             return _run_rvol(args)
         args = _apply_config_file(args)
         _validate(args)
-        for attr, val in _VERIFY_DEFAULTS.items():
+        for attr, (*_, default) in _SETTINGS.items():
             if getattr(args, attr) is None:
-                setattr(args, attr, val)
+                setattr(args, attr, default)
         try:
             out_stream = open(args.out, "w") if args.out else sys.stdout
         except OSError as exc:

@@ -3,9 +3,12 @@
 import csv
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+import rcint.cli as cli
 from rcint.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, SUITES, main
 from rcint.geometry import MODEL_NAMES
 from rcint.reports import CheckReport
@@ -27,6 +30,13 @@ class TestListSuites:
         assert "gbc" in out and "Cor. 1.8" in out
         assert "cgb" in out and "Eq. (1.1)" in out
         assert "ambient-ricci" in out and "Lemma 3.1" in out
+
+    def test_readme_suite_table_names_every_suite(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        table = readme.split("### Suites", 1)[1].split("\n\n", 2)[1]
+        names = [name for row in table.splitlines()[2:]
+                 for name in re.findall(r"`([^`]+)`", row.split("|")[1])]
+        assert names == list(SUITES)
 
 
 class TestRvol:
@@ -62,6 +72,37 @@ class TestVerify:
         assert code == EXIT_NUMERICAL
         assert "FAIL" in out
         assert "numerical failure in:" in err
+
+    def test_tol_applies_to_every_check(self, capsys):
+        code, out, _ = _run(capsys, "verify", "worked-examples", "--manifold",
+                            "perturbed-S4", "--tol", "1e-3", "--format", "csv")
+        assert code == EXIT_OK
+        rows = list(csv.DictReader(io.StringIO(
+            out[:out.index("\n== summary ==")])))
+        assert [r["check_id"] for r in rows] == [
+            "ibp-u-perturbed-S4", "divergence-int-perturbed-S4"]
+        assert all(float(r["tol"]) == 1e-3 for r in rows)
+
+    def test_brute_oracle_sees_ten_samples(self, capsys, monkeypatch):
+        rows, brute = [], cli.pf_ell_brute
+
+        def counted(W, ell):
+            rows.append(len(W))
+            return brute(W, ell)
+
+        monkeypatch.setattr(cli, "pf_ell_brute", counted)
+        code, out, _ = _run(capsys, "verify", "pfaffian-identities",
+                            "--samples", "30")
+        assert code == EXIT_OK and rows == [10, 10, 10, 10]
+        ids = [json.loads(l)["check_id"] for l in out.splitlines()
+               if l.startswith("{")]
+        assert ids == [
+            "pfaffian-weyl-basis-d4-l2", "pfaffian-brute-d4-l2",
+            "pfaffian-weyl-basis-d5-l2", "pfaffian-brute-d5-l2",
+            "pfaffian-weyl-basis-d6-l2", "pfaffian-weyl-basis-d6-l3",
+            "pfaffian-brute-d6-l2", "pfaffian-brute-d6-l3",
+            "pfaffian-weyl-basis-d8-l2", "pfaffian-weyl-basis-d8-l3",
+            "pfaffian-weyl-basis-d8-l4"]
 
     def test_json_output_is_json_lines(self, capsys):
         code, out, _ = _run(capsys, "verify", "rvol", "--format", "json")
