@@ -2,16 +2,26 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcint.invariants import _perm_sign
 from rcint.tensor import (
+    _BLOCK,
     TensorError,
+    _det,
+    _index_blocks,
     kronecker_component,
     kronecker_recursion_residual,
 )
+
+#: the (k, n) pairs, samples and seed of `rcint verify kronecker`
+SUITE_PAIRS = [(k, n) for n in range(2, 9) for k in range(2, n + 1)]
+SUITE_SAMPLES, SUITE_SEED = 300, 0
 
 
 def generalized_kronecker(k, dim):
@@ -56,3 +66,69 @@ class TestKronecker:
     def test_component_length_mismatch(self):
         with pytest.raises(TensorError):
             kronecker_component((0, 1), (0,))
+
+
+def _leibniz_det(a, b):
+    """det([a_i == b_j]) as the signed sum over permutations."""
+    return sum(_perm_sign(p) * all(x == b[j] for x, j in zip(a, p))
+               for p in itertools.permutations(range(len(a))))
+
+
+@st.composite
+def _tuple_batches(draw):
+    """A batch of (a, b) index tuples of one length k <= 5, each either
+    independent or with distinct a and b a permutation of a."""
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 6))
+    pairs = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            a = draw(st.permutations(range(max(n, k))))[:k]
+            pairs.append((a, draw(st.permutations(a))))
+        else:
+            idx = st.lists(st.integers(0, n - 1), min_size=k, max_size=k)
+            pairs.append((draw(idx), draw(idx)))
+    return pairs
+
+
+class TestBatchedKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(_tuple_batches())
+    def test_det_matches_leibniz(self, pairs):
+        a = np.array([p[0] for p in pairs])
+        b = np.array([p[1] for p in pairs])
+        assert _det(a, b).tolist() == [_leibniz_det(*p) for p in pairs]
+
+    def test_samples_reach_nonzero_deltas_and_catch_a_dropped_sign(self):
+        """At every (k, n) of the suite, some drawn delta is nonzero, and the
+        first-row expansion without its (-1)^j misses D_k somewhere."""
+        for k, n in SUITE_PAIRS:
+            nonzero = missed = False
+            for a, b in _index_blocks(k, n, SUITE_SAMPLES, SUITE_SEED):
+                det = _det(a, b)
+                terms = [(a[:, 0] == b[:, j])
+                         * _det(a[:, 1:], np.delete(b, j, axis=1))
+                         for j in range(k)]
+                assert (sum((-1) ** j * t for j, t in enumerate(terms))
+                        == det).all()
+                nonzero |= bool(det.any())
+                missed |= bool((sum(terms) != det).any())
+            assert nonzero and missed, (k, n)
+
+    def test_blocks_hold_every_sample(self):
+        samples = 3 * _BLOCK + 1
+        random = [len(a) for a, _ in _index_blocks(8, 8, samples, seed=0)]
+        assert sum(random) == samples and max(random) == _BLOCK
+        exhaustive = [tuple(a) + tuple(b) for ab in
+                      _index_blocks(3, 3, 3 ** 6, seed=0)
+                      for a, b in zip(*ab)]
+        assert exhaustive == list(itertools.product(range(3), repeat=6))
+
+    def test_memory_flat_in_samples(self):
+        tracemalloc.start()
+        try:
+            assert kronecker_recursion_residual(8, 8, samples=20000) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2 ** 20
