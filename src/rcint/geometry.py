@@ -19,7 +19,10 @@ other coordinates only and passes each cyclic one to `metric_fn` as a
 constant jet.  `Geometry.gradient` puts a zero slice at every cyclic
 coordinate, which is exact: d_phi vanishes on every field built from a
 phi-independent metric.  A declaration the metric contradicts is rejected
-when the `Geometry` is built.
+when the `Geometry` is built; a derivative of a jet of too low an order is
+rejected naming the metric order it needs.
+
+Each compact `Model` declares its quadrature domain once, as a `Slice`.
 
 Conventions (verified against round spheres in the test suite):
 
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 import math
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -205,6 +208,7 @@ class Geometry:
         """Partial derivatives d_a T along every chart coordinate; the new
         axis of length dim is the first comp axis, zero at the cyclic
         coordinates."""
+        self._require_order(t, 1)
         nb = t.batch_ndim
         b = basis(t.basis.nvars, t.basis.order - 1)
         shape = t.coeffs.shape
@@ -231,11 +235,18 @@ class Geometry:
 
     def laplacian(self, t: PolyTensor) -> PolyTensor:
         """g^{ab} nabla_a nabla_b T (rough Laplacian); costs two orders."""
+        self._require_order(t, 2)
         ddt = self.covariant_derivative(self.covariant_derivative(t))
         names = _letters(t.rank + 2)
         rest = "".join(names[2:])
         return contract(f"ab,ab{rest}->{rest}", self.ginv, ddt,
                         ddt.basis.order)
+
+    def _require_order(self, t: PolyTensor, cost: int):
+        if t.basis.order < cost:  # name the metric order that would do
+            raise ValueError(
+                f"{cost} derivative(s) of an order-{t.basis.order} jet; build "
+                f"the Geometry at order >= {self.order + cost - t.basis.order}")
 
     def raise_all(self, t: PolyTensor) -> PolyTensor:
         """All-lower tensor with every slot raised by the inverse metric."""
@@ -270,9 +281,36 @@ def _check_cyclic(metric_fn, points, cyclic):
 # model catalog
 
 
+@dataclass(frozen=True)
+class Slice:
+    """A compact model's quadrature domain: the box `bounds` of slice
+    variables u, their chart points `embed(u)`, and `weight(u)`, the
+    Jacobian of `embed` times the orbit volume each point stands for."""
+
+    bounds: tuple      # ((lo, hi), ...), one per slice variable
+    embed: object      # (B, q) slice variables -> (B, dim) chart points
+    weight: object     # (B, q) -> (B,)
+
+
+def chart_slice(dim, box, held, orbit) -> Slice:
+    """A slice over the chart axes `box` maps to (lo, hi); every other
+    axis is held at `held`, and each point carries the constant `orbit`
+    (a cyclic axis: held at its midpoint, with its period as orbit)."""
+    axes = sorted(box)
+
+    def embed(u):
+        out = np.full((len(u), dim), float(held))
+        out[:, axes] = u
+        return out
+
+    return Slice(tuple(box[a] for a in axes), embed,
+                 lambda u: np.full(len(u), orbit))
+
+
 @dataclass
 class Model:
-    """A catalog manifold: metric chart plus exact reference constants."""
+    """A catalog manifold: metric chart, exact reference constants and,
+    if compact, the `slice` that carries its quadrature's symmetry."""
 
     name: str
     dim: int
@@ -283,10 +321,7 @@ class Model:
     homogeneous: bool
     compact: bool
     base_point: np.ndarray
-    quad_bounds: list = field(default_factory=list)  # [(lo, hi), ...]
-    # (B, q) quad vars -> (B, dim) chart coords; None: the box is the chart
-    quad_map: object = None
-    quad_density: object = None    # extra Jacobian factor, (B, q) -> (B,)
+    slice: Slice | None = None     # quadrature domain (compact models)
     cyclic: tuple = ()             # chart coordinates the metric never reads
     description: str = ""
 
@@ -322,8 +357,9 @@ def sphere_volume(n, radius=1.0):
     return 2 * math.pi ** ((n + 1) / 2) / math.gamma((n + 1) / 2) * radius ** n
 
 
-def _sphere_bounds(n):
-    return [(EPS_POLE, math.pi - EPS_POLE)] * (n - 1) + [(0.0, 2 * math.pi)]
+def _polar(axes):
+    """Polar angles on (0, pi), clear of the poles: a `chart_slice` box."""
+    return {a: (EPS_POLE, math.pi - EPS_POLE) for a in axes}
 
 
 def sphere(n, radius=1.0) -> Model:
@@ -338,7 +374,7 @@ def sphere(n, radius=1.0) -> Model:
         homogeneous=True,
         compact=True,
         base_point=base,
-        quad_bounds=_sphere_bounds(n),
+        slice=chart_slice(n, _polar(range(n - 1)), math.pi, 2 * math.pi),
         cyclic=(n - 1,),
         description=f"round sphere of radius {radius}",
     )
@@ -359,9 +395,6 @@ def product_of_spheres(k) -> Model:
         return rows
 
     n = 2 * k
-    bounds = []
-    for _ in range(k):
-        bounds += [(EPS_POLE, math.pi - EPS_POLE), (0.0, 2 * math.pi)]
     base = np.array([0.7 + 0.15 * i if i % 2 == 0 else 1.1 + 0.2 * i
                      for i in range(n)])
     return Model(
@@ -374,7 +407,8 @@ def product_of_spheres(k) -> Model:
         homogeneous=True,
         compact=True,
         base_point=base,
-        quad_bounds=bounds,
+        slice=chart_slice(n, _polar(range(0, n, 2)), math.pi,
+                          (2 * math.pi) ** k),
         cyclic=tuple(range(1, n, 2)),
         description=f"product of {k} unit 2-spheres",
     )
@@ -420,7 +454,7 @@ def cp2_metric_fn():
     return fn
 
 
-def _cp2_quad_map(u):
+def _cp2_embed(u):
     chi, t1, t2, t3 = u.T
     r = np.tan(chi)
     w = np.stack([np.cos(t1),
@@ -430,7 +464,7 @@ def _cp2_quad_map(u):
     return r[:, None] * w
 
 
-def _cp2_quad_density(u):
+def _cp2_weight(u):
     chi, t1, t2, _ = u.T
     r = np.tan(chi)
     return (1.0 + r ** 2) * r ** 3 * np.sin(t1) ** 2 * np.sin(t2)
@@ -447,12 +481,10 @@ def cp2() -> Model:
         homogeneous=True,
         compact=True,
         base_point=np.array([0.31, -0.24, 0.47, 0.12]),
-        quad_bounds=[(EPS_POLE, math.pi / 2 - EPS_POLE),
+        slice=Slice(((EPS_POLE, math.pi / 2 - EPS_POLE),
                      (EPS_POLE, math.pi - EPS_POLE),
                      (EPS_POLE, math.pi - EPS_POLE),
-                     (0.0, 2 * math.pi)],
-        quad_map=_cp2_quad_map,
-        quad_density=_cp2_quad_density,
+                     (0.0, 2 * math.pi)), _cp2_embed, _cp2_weight),
         description="Fubini-Study metric with Ric = 6g",
     )
 
@@ -492,39 +524,16 @@ def perturbed_sphere(n=4, amp=0.1) -> Model:
         homogeneous=False,
         compact=True,
         base_point=np.linspace(0.5, 2.0, n),
-        quad_bounds=_sphere_bounds(n)[:2],
-        quad_map=_perturbed_orbit_map(n),
-        quad_density=_perturbed_orbit_density(n),
+        # the perturbation reads only (theta_1, theta_2), so the isometries
+        # of the round S^{n-2} factor carry the slice theta_i = pi/2
+        # (i >= 3) onto every other point: each slice point stands for an
+        # orbit of volume vol(S^{n-2})
+        slice=chart_slice(n, _polar(range(2)), math.pi / 2,
+                          sphere_volume(n - 2)),
         cyclic=(n - 1,),
         description=f"unit S^{n} with a cohomogeneity-two perturbation "
                     f"(amp={amp})",
     )
-
-
-def _perturbed_orbit_map(n):
-    """The perturbation involves only (theta_1, theta_2), so the isometry
-    group of the remaining round S^{n-2} factor acts transitively on the
-    other angles: integrate over a 2d slice at theta_i = pi/2 and account
-    for the orbit volume exactly."""
-
-    def qmap(u):
-        out = np.full((len(u), n), math.pi / 2)
-        out[:, :2] = u
-        out[:, -1] = 1.0  # any azimuth; the grid never touches it
-        return out
-
-    return qmap
-
-
-def _perturbed_orbit_density(n):
-    # vol(round unit S^{n-2}) divided by the slice's own angular density,
-    # which is 1 at theta_3 = ... = pi/2
-    orbit = sphere_volume(n - 2)
-
-    def density(u):
-        return np.full(len(u), orbit)
-
-    return density
 
 
 # -- hyperbolic normal-form metric ----------------------------------------------

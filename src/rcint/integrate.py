@@ -1,12 +1,13 @@
 """Quadrature on compact catalog manifolds, finite-part extraction for
 renormalized volumes, and the end-to-end Gauss--Bonnet-type checks.
 
-Integrals use product Gauss--Legendre rules on the chart boxes declared by
-each catalog model; homogeneous models short-circuit to value x volume.
-When a model integrates over its chart box itself (no `quad_map`), each of
-its cyclic coordinates is an axis the integrand cannot vary along: the rule
-collapses that axis to one node weighted by its period, and the jets at the
-nodes carry no variable for it.  Finite parts are exact rational series
+Integrals use product Gauss--Legendre rules over the `Slice` each compact
+catalog model declares: a box of slice variables, their chart points and a
+weight that carries the Jacobian and the orbit volume of every symmetry the
+slice leaves out (cyclic azimuths, an isometry orbit).  `integrate_scalar`
+is the one integrator; on a homogeneous model it is value x volume, and
+routes that build their own jets (the ambient chart, the I_l operator)
+enter it as pointwise fields.  Finite parts are exact rational series
 bookkeeping in the cutoff, never a numeric limit.
 """
 
@@ -19,9 +20,10 @@ from fractions import Fraction
 import numpy as np
 
 from .geometry import Geometry, Model, get_model, raise_slots
-from .jets import contract as jcontract
+from .jets import const_poly, contract as jcontract
 from .invariants import (
     STRAIGHTENABLE_FIELDS,
+    divergence_construction,
     double_factorial,
     i_ell_closed_form_coeff,
     pfaffian_field,
@@ -34,37 +36,26 @@ _CHUNK = 2048  # quadrature nodes per jet-pipeline batch
 
 
 class QuadratureRule:
-    """Product Gauss--Legendre rule over a model's chart box.
+    """Product Gauss--Legendre rule over the box of a model's `slice`.
 
-    Chart boxes exclude an epsilon neighborhood of coordinate
-    degeneracies; the omitted measure is far below the tolerance budget.
-    A model without `quad_map` integrates over its chart box, and there
-    each cyclic axis is one node at its midpoint weighted by its period.
+    `points` are the chart points of the nodes and `weights` the
+    Gauss--Legendre weights times the slice weight.  Slice boxes exclude an
+    epsilon neighborhood of coordinate degeneracies; the omitted measure is
+    far below the tolerance budget.
     """
 
     def __init__(self, model: Model, nodes_per_axis=24):
-        if not model.quad_bounds:
-            raise ValueError(f"{model.name} has no quadrature chart")
-        collapsed = model.cyclic if model.quad_map is None else ()
-        axes_x, axes_w = [], []
-        for axis, (lo, hi) in enumerate(model.quad_bounds):
-            if axis in collapsed:
-                axes_x.append(np.array([0.5 * (hi + lo)]))
-                axes_w.append(np.array([hi - lo]))
-                continue
-            x, w = np.polynomial.legendre.leggauss(nodes_per_axis)
-            axes_x.append(0.5 * (hi - lo) * x + 0.5 * (hi + lo))
-            axes_w.append(0.5 * (hi - lo) * w)
-        grids = np.meshgrid(*axes_x, indexing="ij")
-        u = np.column_stack([g.ravel() for g in grids])
-        wgrids = np.meshgrid(*axes_w, indexing="ij")
-        weights = np.ones(len(u))
-        for wg in wgrids:
-            weights *= wg.ravel()
-        if model.quad_density is not None:
-            weights = weights * model.quad_density(u)
-        self.points = model.quad_map(u) if model.quad_map else u
-        self.weights = weights
+        sl = model.slice
+        if sl is None:
+            raise ValueError(f"{model.name} declares no quadrature slice")
+        x, w = np.polynomial.legendre.leggauss(nodes_per_axis)
+        half = [(0.5 * (hi - lo), 0.5 * (hi + lo)) for lo, hi in sl.bounds]
+        u = np.stack(np.meshgrid(*[h * x + m for h, m in half],
+                                 indexing="ij"), axis=-1).reshape(-1, len(half))
+        gl = np.prod(np.meshgrid(*[h * w for h, _ in half], indexing="ij"),
+                     axis=0).ravel()
+        self.points = sl.embed(u)
+        self.weights = gl * sl.weight(u)
 
 
 def integrate_scalar(field_fn, model: Model, order=2, nodes_per_axis=24,
@@ -73,7 +64,8 @@ def integrate_scalar(field_fn, model: Model, order=2, nodes_per_axis=24,
 
     `field_fn(geo) -> scalar PolyTensor`; `order` is the metric jet order
     the field consumes.  Homogeneous models with a known exact volume
-    short-circuit to value x volume unless `force_quadrature`.
+    short-circuit to value x volume unless `force_quadrature`; this is the
+    only place a value is multiplied by a volume.
     """
     if not model.compact:
         raise ValueError(f"{model.name} is not compact")
@@ -89,6 +81,12 @@ def integrate_scalar(field_fn, model: Model, order=2, nodes_per_axis=24,
         vals = field_fn(geo).value() * geo.sqrt_det_g()
         total += float(np.sum(w * vals))
     return total
+
+
+def _pointwise(values_fn):
+    """An integrand from a route that builds its own jets: the constant jet
+    of `values_fn(points)`.  Integrate it at order 0."""
+    return lambda geo: const_poly(values_fn(geo.points), geo.basis, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +189,11 @@ def _p_ell_n_integrals(model: Model, ell: int, ambient_route: bool):
 
     key = (model.name, ell, ambient_route)
     if key not in _P_ELL_CACHE:
-        if ambient_route:
-            val = p_ell_n_ambient(AmbientChart(model), ell)[0]
-        else:
-            val = p_ell_n_einstein(model, ell)[0]
-        _P_ELL_CACHE[key] = float(val)
-    return _P_ELL_CACHE[key] * model.volume
+        base = AmbientChart(model) if ambient_route else model
+        route = p_ell_n_ambient if ambient_route else p_ell_n_einstein
+        _P_ELL_CACHE[key] = integrate_scalar(
+            _pointwise(lambda x: route(base, ell, x)), model, order=0)
+    return _P_ELL_CACHE[key]
 
 
 def verify_gbc(model: Model, tol=1e-6):
@@ -211,8 +208,9 @@ def verify_gbc(model: Model, tol=1e-6):
     _require(n % 2 == 0 and n <= 8, "even dimension <= 8 required")
     _require(model.chi is not None, "Euler characteristic unknown")
     lhs = (2 * math.pi) ** (n // 2) * model.chi
-    base = ((2 * model.lam) ** (n // 2) * double_factorial(n - 1)
-            * model.volume)
+    c = (2 * model.lam) ** (n // 2) * double_factorial(n - 1)
+    base = integrate_scalar(_pointwise(lambda x: np.full(len(x), c)), model,
+                            order=0)
     reports = []
     for route in ("einstein", "ambient"):
         rhs = base
@@ -243,9 +241,9 @@ def verify_main_theorem_coefficient(model: Model, field_name: str,
     m = n // 2 - k
     _require(m >= 0, "need k <= n/2")
     chart = AmbientChart(model)
-    amb = ambient_iterated_laplacian(chart, field_fn, m,
-                                     field_order=field_order)[0]
-    lhs = float(amb) * model.volume
+    lhs = integrate_scalar(_pointwise(
+        lambda x: ambient_iterated_laplacian(chart, field_fn, m, x,
+                                             field_order)), model, order=0)
     coeff = i_ell_closed_form_coeff(n, k, m, model.j_value)
     rhs = coeff * integrate_scalar(field_fn, model, order=field_order)
     return CheckReport.compare(
@@ -337,11 +335,11 @@ def _weyl_dot_lap(geo: Geometry, W):
 # divergence identities
 
 
-def _div_div(geo: Geometry, T):
-    """grad^a grad^b T_ab for an all-lower rank-2 jet tensor."""
-    ddT = geo.covariant_derivative(geo.covariant_derivative(T))
-    s = jcontract("feab,fb->ea", ddT, geo.ginv)
-    return jcontract("ea,ea->", s, geo.ginv)
+def _divergence_scalar(geo: Geometry, T, w):
+    """`divergence_construction` at w, then at w - 2, of a symmetric T_ab
+    of weight w: grad^a grad^b T_ab + 1/(w - 2) Delta tr T."""
+    return divergence_construction(
+        geo, divergence_construction(geo, T, w), w - 2)
 
 
 def _w3_rank2_fields(geo: Geometry):
@@ -365,17 +363,13 @@ def _w3_rank2_fields(geo: Geometry):
 
 def remark_divergence_scalars(model: Model, tol=1e-8):
     """The two weight -8 straightenable divergence scalars built from
-    three Weyl factors vanish pointwise on the homogeneous n = 8 catalog
-    model."""
+    three Weyl factors (each T_ab of weight -4) vanish pointwise on the
+    homogeneous n = 8 catalog model."""
     _require(model.homogeneous and model.lam is not None,
              "homogeneous Einstein model required")
     geo = model.geometry(order=4)
-    T1, T2 = _w3_rank2_fields(geo)
-    from .invariants import w31_field
-
-    s1 = _div_div(geo, T1).value()
-    s2 = (_div_div(geo, T2)
-          - (1.0 / 6.0) * geo.laplacian(w31_field(geo))).value()
+    s1, s2 = (_divergence_scalar(geo, T, -4).value()
+              for T in _w3_rank2_fields(geo))
     r1 = CheckReport.compare(f"w8-divergence-1-{model.name}", "Remark 3.7",
                              s1, 0.0, tol)
     r2 = CheckReport.compare(f"w8-divergence-2-{model.name}", "Remark 3.7",
@@ -384,12 +378,13 @@ def remark_divergence_scalars(model: Model, tol=1e-8):
 
 
 def weyl_squared_divergence_scalar(geo: Geometry):
-    """grad^a grad^b (W_acde W_b^cde) - (1/4) Delta |W|^2; equals
+    """grad^a grad^b (W_acde W_b^cde) - (1/4) Delta |W|^2, the divergence
+    scalar of the weight -2 tensor W_acde W_b^cde; equals
     (n-4) grad^a (W_abcd C^cdb), hence zero in dimension four and at all
     Einstein metrics."""
     W = geo.weyl
     T = jcontract("acde,bcde->ab", W, raise_slots(W, geo.ginv, (1, 2, 3)))
-    return _div_div(geo, T) - 0.25 * geo.laplacian(geo.norm_squared(W))
+    return _divergence_scalar(geo, T, -2)
 
 
 def cotton_divergence_scalar(geo: Geometry):

@@ -397,18 +397,6 @@ def random_weyl(dim: int, seed, nsamples=None):
     return weyl_project(rng.normal(size=shape))
 
 
-def curvature_symmetry_residuals(T):
-    """Max residuals of the five algebraic symmetry/trace conditions."""
-    T = np.asarray(T)
-    return {
-        "antisym12": np.abs(T + np.einsum("...abcd->...bacd", T)).max(),
-        "antisym34": np.abs(T + np.einsum("...abcd->...abdc", T)).max(),
-        "pair-exchange": np.abs(T - np.einsum("...abcd->...cdab", T)).max(),
-        "bianchi": np.abs(T - bianchi_project(T)).max(),
-        "trace-free": np.abs(np.einsum("...acbc->...ab", T)).max(),
-    }
-
-
 # ---------------------------------------------------------------------------
 # the iterated-Laplacian straightenable operator
 

@@ -398,6 +398,9 @@ def contract(pattern: str, a: PolyTensor, b: PolyTensor, order: int | None = Non
     """
     if order is None:
         order = min(a.basis.order, b.basis.order)
+    if order < 0:
+        raise ValueError(f"contract at order {order}; a jet product needs "
+                         f"order >= 0")
     order = min(order, a.basis.order + b.basis.order)
     ins, outs = pattern.split("->")
     in_a, in_b = ins.split(",")

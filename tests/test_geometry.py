@@ -245,6 +245,21 @@ class TestFieldOrders:
         if order >= 3:
             assert geo.cotton.basis.order == order - 3
 
+    def test_derivative_past_the_jet_order_names_the_order_needed(self):
+        # Scal is an order-0 jet at metric order 2; its Laplacian needs 4
+        geo = get_model("S4").geometry(order=2)
+        scal = geo.scalar_curvature
+        with pytest.raises(ValueError, match="at order >= 4"):
+            geo.laplacian(scal)
+        with pytest.raises(ValueError, match="at order >= 3"):
+            geo.gradient(scal)
+        with pytest.raises(ValueError, match="at order >= 3"):
+            geo.covariant_derivative(geo.ricci)
+        with pytest.raises(ValueError, match="order >= 0"):
+            contract("ab,ab->", geo.g, geo.g, -1)
+        geo4 = get_model("S4").geometry(order=4)
+        assert abs(geo4.laplacian(geo4.scalar_curvature).value()[0]) < 1e-12
+
     def test_ginv_is_bitwise_symmetric(self):
         geo = get_model("CP2").geometry(order=2)
         c = geo.ginv.coeffs

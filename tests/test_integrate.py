@@ -8,7 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rcint.geometry import get_model, sphere_volume
+import rcint.integrate as integ
+from rcint.geometry import EPS_POLE, chart_slice, get_model, sphere_volume
 from rcint.integrate import (
     LaurentSeries,
     QuadratureRule,
@@ -22,7 +23,7 @@ from rcint.integrate import (
     verify_main_theorem_coefficient,
     verify_worked_examples,
 )
-from rcint.invariants import weyl_norm2_field
+from rcint.invariants import pfaffian_field, weyl_norm2_field
 from rcint.jets import const_poly, contract
 
 
@@ -66,9 +67,12 @@ class TestQuadrature:
     @pytest.mark.parametrize("name", ["S2xS2", "S4"])
     def test_collapsed_rule_matches_full_rule(self, name):
         # one node per cyclic axis, weighted by its period, integrates
-        # exactly what the full Gauss-Legendre axis did
+        # exactly what a full Gauss-Legendre axis over the period does
         m = get_model(name)
-        full = dataclasses.replace(m, cyclic=())
+        box = {a: (0.0, 2 * math.pi) if a in m.cyclic
+               else (EPS_POLE, math.pi - EPS_POLE) for a in range(m.dim)}
+        full = dataclasses.replace(m, cyclic=(),
+                                   slice=chart_slice(m.dim, box, 0.0, 1.0))
         rule, full_rule = QuadratureRule(m, 8), QuadratureRule(full, 8)
         assert len(rule.points) == 8 ** (m.dim - len(m.cyclic))
         assert len(full_rule.points) == 8 ** m.dim
@@ -80,6 +84,23 @@ class TestQuadrature:
             want = integrate_scalar(field, full, order=2, nodes_per_axis=8,
                                     force_quadrature=True)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_perturbed_sphere_orbit_slice_matches_chart_rule(self):
+        # the 2d slice theta_3 = pi/2 weighted by vol(S^2) against the
+        # round S4 chart rule on theta_1..theta_3, azimuth collapsed
+        m = get_model("perturbed-S4")
+        chart = dataclasses.replace(m, slice=get_model("S4").slice)
+        assert len(QuadratureRule(m, 20).points) == 20 ** 2
+        assert len(QuadratureRule(chart, 20).points) == 20 ** 3
+        for field in (weyl_norm2_field, pfaffian_field):
+            got = integrate_scalar(field, m, order=2, nodes_per_axis=20)
+            want = integrate_scalar(field, chart, order=2, nodes_per_axis=20)
+            assert got == pytest.approx(want, rel=1e-11)
+
+    def test_no_slice_rejected(self):
+        m = dataclasses.replace(get_model("perturbed-S4"), slice=None)
+        with pytest.raises(ValueError, match="no quadrature slice"):
+            QuadratureRule(m, 4)
 
     def test_cp2_weyl_integral(self):
         m = get_model("CP2")
@@ -134,7 +155,8 @@ class TestRenormalizedVolume:
 
 
 class TestGaussBonnet:
-    @pytest.mark.parametrize("name", ["S4", "S2xS2", "CP2", "S2xS2xS2"])
+    @pytest.mark.parametrize("name", ["S4", "S2xS2", "CP2", "S2xS2xS2",
+                                      "perturbed-S4"])
     def test_cgb(self, name):
         rep = verify_cgb(get_model(name))
         assert rep.passed, rep
@@ -177,3 +199,18 @@ class TestDivergenceIdentities:
     def test_divergence_identity_suite(self):
         for rep in divergence_identity_checks():
             assert rep.passed, rep
+
+    def test_suite_fails_without_the_trace_term(self, monkeypatch):
+        # `divergence_construction` with its trace term dropped: the Cotton
+        # form of the Weyl-squared divergence scalar no longer holds at the
+        # non-Einstein six-dimensional point, where neither side vanishes
+        def plain_divergence(geo, T, w, order=None):
+            idx = "abcdefg"[:T.rank - 1]
+            return contract(f"e{idx}b,eb->{idx}",
+                            geo.covariant_derivative(T), geo.ginv,
+                            T.basis.order - 1 if order is None else order)
+
+        monkeypatch.setattr(integ, "divergence_construction",
+                            plain_divergence)
+        reports = {r.check_id: r for r in divergence_identity_checks()}
+        assert not reports["w6-divergence-cotton-dim6"].passed

@@ -17,7 +17,7 @@ from rcint.invariants import (
     _pf_plan,
     _pf_prefactor,
     _term_subscripts,
-    curvature_symmetry_residuals,
+    bianchi_project,
     divergence_construction,
     double_factorial,
     einstein_pfaffian_expansion,
@@ -270,6 +270,18 @@ class TestPfPlan:
         pf_ell_poly(_weyl_jet(8, 0, seed=1), 4)
         merges = [s for s in _pf_plan(4)[0] if s[0] == "merge"]
         assert len(calls) == len(merges) < 513
+
+
+def curvature_symmetry_residuals(T):
+    """Max residuals of the five algebraic symmetry/trace conditions."""
+    T = np.asarray(T)
+    return {
+        "antisym12": np.abs(T + np.einsum("...abcd->...bacd", T)).max(),
+        "antisym34": np.abs(T + np.einsum("...abcd->...abdc", T)).max(),
+        "pair-exchange": np.abs(T - np.einsum("...abcd->...cdab", T)).max(),
+        "bianchi": np.abs(T - bianchi_project(T)).max(),
+        "trace-free": np.abs(np.einsum("...acbc->...ab", T)).max(),
+    }
 
 
 class TestRandomWeyl:

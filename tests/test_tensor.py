@@ -42,11 +42,15 @@ def generalized_kronecker(k, dim):
 class TestKronecker:
     @pytest.mark.parametrize("k,dim", [(1, 3), (2, 3), (3, 4), (4, 4)])
     def test_component_matches_dense(self, k, dim):
+        # every (a, b) pair in one batched `_det`, in the dense array's
+        # order; `kronecker_component` is that determinant over k!
         delta = generalized_kronecker(k, dim)
-        for a in itertools.product(range(dim), repeat=k):
-            for b in itertools.product(range(dim), repeat=k):
-                assert delta[a + b] == pytest.approx(
-                    float(kronecker_component(a, b)), abs=1e-14)
+        ab = np.array(list(itertools.product(range(dim), repeat=2 * k)))
+        got = _det(ab[:, :k], ab[:, k:]) / math.factorial(k)
+        np.testing.assert_allclose(got, delta.ravel(), rtol=0, atol=1e-14)
+        a = tuple(range(k))
+        assert float(kronecker_component(a, a[::-1])) == pytest.approx(
+            delta[a + a[::-1]], abs=1e-14)
 
     def test_zero_beyond_dimension(self):
         delta = generalized_kronecker(3, 2)
