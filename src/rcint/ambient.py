@@ -17,7 +17,8 @@ import numpy as np
 
 from .geometry import Geometry, Model
 from .jets import PolyTensor, coordinate_poly
-from .invariants import pf_ell_poly, raise_last_two
+from .invariants import (i_ell_operator, pf_ell_poly, pf_ell_weyl_field,
+                         raise_last_two)
 from .reports import CheckReport
 
 
@@ -88,18 +89,6 @@ class AmbientChart:
         """(1, x, 0) rows for pulling back along the inclusion."""
         x = np.atleast_2d(x)
         return np.column_stack([np.ones(len(x)), x, np.zeros(len(x))])
-
-
-def build_ambient(base: Model, verify=True, tol=1e-8, seed=0) -> AmbientChart:
-    """Construct the ambient chart, optionally spot-checking Ricci-flatness."""
-    chart = AmbientChart(base)
-    if verify:
-        geo = chart.geometry(chart.sample_points(2, seed), order=2)
-        resid = np.abs(geo.ricci.value()).max()
-        if resid > tol:
-            raise ValueError(
-                f"ambient Ricci residual {resid:.3e} exceeds {tol:g}")
-    return chart
 
 
 def ambient_christoffels_exact(chart: AmbientChart, points) -> np.ndarray:
@@ -198,7 +187,7 @@ def tau_power_poly(chart: AmbientChart, geo: Geometry, w: float) -> PolyTensor:
     t = coordinate_poly(b, 0, geo.points[:, 0])
     rho = coordinate_poly(b, b.nvars - 1, geo.points[:, -1])
     tau = t * (1.0 + chart.lam * rho)
-    return tau ** (int(w) if w == int(w) and w >= 0 else float(w))
+    return tau ** w
 
 
 def ambient_laplacian_homogeneous(chart: AmbientChart, base_field_fn, w,
@@ -272,8 +261,6 @@ def p_ell_n_einstein(model: Model, ell: int, x_points=None):
     """P_{l,n} at an Einstein base of dimension n via the
     iterated-Laplacian operator acting on Pf_l(W) (the base route of the
     straightening argument)."""
-    from .invariants import i_ell_operator, pf_ell_weyl_field
-
     n = model.dim
     if model.lam is None:
         raise ValueError("Einstein model required")

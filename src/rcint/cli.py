@@ -3,7 +3,7 @@ machine-readable reports, and evaluate renormalized volumes.
 
 Subcommands:
   verify SUITE [SUITE ...]   run check suites (JSON-lines reports + summary)
-  rvol --space hyperbolic --n N   finite-part renormalized volume
+  rvol --n N                 finite-part renormalized volume of H^N
   list-suites                catalog of suites with their source anchors
 
 `--tol` overrides the tolerance of every check of the selected suites.  The
@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 import traceback
@@ -40,7 +41,9 @@ from .invariants import (
     pf_ell,
     pf_ell_brute,
     random_weyl,
+    weyl_norm2_field,
 )
+from .jets import const_poly
 from .reports import CheckReport
 from .tensor import kronecker_recursion_residual
 
@@ -85,7 +88,7 @@ def _suite(name, anchor, description, reads=(), needs=()):
 
 
 def _models(cfg, defaults):
-    names = [cfg.manifold] if cfg.manifold else list(defaults)
+    names = [cfg.manifold] if cfg.manifold is not None else list(defaults)
     return [get_model(n) for n in names]
 
 
@@ -192,9 +195,6 @@ def _suite_ambient_christoffel(cfg):
         "push-pull identity for the ambient Laplacian", reads=("seed",),
         needs=_EINSTEIN_4)
 def _suite_ambient_laplacian(cfg):
-    from .invariants import weyl_norm2_field
-    from .jets import const_poly
-
     def unit_field(geo):
         return const_poly(np.ones(len(geo.points)), geo.basis, 1)
 
@@ -244,7 +244,7 @@ def _suite_divergence(cfg):
         "renormalized-integral coefficient algebra", needs=tuple(_PROPERTIES))
 def _suite_main_theorem(cfg):
     cases = [("S2xS2xS2", "weyl-norm2"), ("S2xS2xS2xS2", "pf3-weyl")]
-    if cfg.manifold:
+    if cfg.manifold is not None:
         cases = [(cfg.manifold, "weyl-norm2")]
     for name, fieldname in cases:
         yield integ.verify_main_theorem_coefficient(
@@ -262,8 +262,6 @@ def _suite_worked_examples(cfg):
 
 @_suite("rvol", "Eq. (1.2)", "renormalized volumes of hyperbolic space")
 def _suite_rvol(cfg):
-    import math
-
     for n, expect in ((4, 4 * math.pi ** 2 / 3),
                       (6, -8 * math.pi ** 3 / 15)):
         yield CheckReport.compare(
@@ -328,9 +326,8 @@ def _build_parser():
                    help="report format (default json)")
     v.add_argument("--out", help="write the report stream to this path")
 
-    r = sub.add_parser("rvol", help="renormalized volume (finite part)")
-    r.add_argument("--space", default="hyperbolic",
-                   choices=["hyperbolic"])
+    r = sub.add_parser("rvol", help="renormalized volume (finite part) of "
+                                     "hyperbolic space")
     r.add_argument("--n", type=int, required=True, help="even dimension")
 
     sub.add_parser("list-suites", help="list suites with source anchors")
@@ -354,7 +351,7 @@ _SETTINGS = {
 
 
 def _apply_config_file(args):
-    if not getattr(args, "config", None):
+    if args.config is None:
         return args
     try:
         with open(args.config) as fh:
@@ -402,7 +399,7 @@ def _validate(args):
             raise ConfigError(f"--{attr} (or config key {attr!r}) is read "
                               f"by none of the selected suites; only "
                               f"{', '.join(readers)} read it")
-    if args.manifold:
+    if args.manifold is not None:
         try:
             model = get_model(args.manifold)
         except KeyError as exc:
@@ -443,10 +440,8 @@ def _run_verify(args, out_stream) -> int:
 def _run_rvol(args) -> int:
     if args.n % 2 or args.n < 2 or args.n > 10:
         raise ConfigError("--n must be even, 2 <= n <= 10")
-    from .integrate import renormalized_volume, renormalized_volume_exact
-
-    val = renormalized_volume(args.n)
-    coeff = renormalized_volume_exact(args.n)
+    val = integ.renormalized_volume(args.n)
+    coeff = integ.renormalized_volume_exact(args.n)
     print(f"V(H^{args.n}) = {coeff} * pi^{args.n // 2} = {val:.10g}")
     return EXIT_OK
 
@@ -472,7 +467,8 @@ def main(argv=None) -> int:
             if getattr(args, attr) is None:
                 setattr(args, attr, default)
         try:
-            out_stream = open(args.out, "w") if args.out else sys.stdout
+            out_stream = (open(args.out, "w") if args.out is not None
+                          else sys.stdout)
         except OSError as exc:
             raise ConfigError(f"cannot write --out file: {exc}")
     except ConfigError as exc:
@@ -484,7 +480,7 @@ def main(argv=None) -> int:
         print(f"internal numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     finally:
-        if args.out:
+        if args.out is not None:
             out_stream.close()
 
 

@@ -40,6 +40,7 @@ Conventions (verified against round spheres in the test suite):
 
 from __future__ import annotations
 
+import itertools
 import math
 import string
 from dataclasses import dataclass
@@ -63,6 +64,15 @@ def pt_transpose(t: PolyTensor, perm) -> PolyTensor:
     axes = (tuple(range(nb)) + tuple(nb + p for p in perm)
             + (t.coeffs.ndim - 1,))
     return PolyTensor(np.transpose(t.coeffs, axes), t.basis, nb)
+
+
+def pt_symmetrize(t: PolyTensor) -> PolyTensor:
+    """Average of `t` over every permutation of its component axes."""
+    perms = list(itertools.permutations(range(t.rank)))
+    acc = t.coeffs  # perms[0] is the identity
+    for p in perms[1:]:
+        acc = acc + pt_transpose(t, p).coeffs
+    return PolyTensor(acc / len(perms), t.basis, t.batch_ndim)
 
 
 def pt_trace(t: PolyTensor, ax1: int, ax2: int) -> PolyTensor:
@@ -146,8 +156,8 @@ class Geometry:
     def ginv(self) -> PolyTensor:
         """g^{ab}; order - 1, the most any consumer reads.  Symmetrized so
         that both indices carry the same values bit for bit."""
-        x = poly_matrix_inverse(self.g, max(self.order - 1, 0))
-        return 0.5 * (x + pt_transpose(x, (1, 0)))
+        return pt_symmetrize(poly_matrix_inverse(self.g,
+                                                 max(self.order - 1, 0)))
 
     @cached_property
     def christoffel(self) -> PolyTensor:
@@ -323,7 +333,6 @@ class Model:
     base_point: np.ndarray
     slice: Slice | None = None     # quadrature domain (compact models)
     cyclic: tuple = ()             # chart coordinates the metric never reads
-    description: str = ""
 
     def geometry(self, points=None, order=2) -> Geometry:
         if points is None:
@@ -376,7 +385,6 @@ def sphere(n, radius=1.0) -> Model:
         base_point=base,
         slice=chart_slice(n, _polar(range(n - 1)), math.pi, 2 * math.pi),
         cyclic=(n - 1,),
-        description=f"round sphere of radius {radius}",
     )
 
 
@@ -410,7 +418,6 @@ def product_of_spheres(k) -> Model:
         slice=chart_slice(n, _polar(range(0, n, 2)), math.pi,
                           (2 * math.pi) ** k),
         cyclic=tuple(range(1, n, 2)),
-        description=f"product of {k} unit 2-spheres",
     )
 
 
@@ -485,7 +492,6 @@ def cp2() -> Model:
                      (EPS_POLE, math.pi - EPS_POLE),
                      (EPS_POLE, math.pi - EPS_POLE),
                      (0.0, 2 * math.pi)), _cp2_embed, _cp2_weight),
-        description="Fubini-Study metric with Ric = 6g",
     )
 
 
@@ -531,8 +537,6 @@ def perturbed_sphere(n=4, amp=0.1) -> Model:
         slice=chart_slice(n, _polar(range(2)), math.pi / 2,
                           sphere_volume(n - 2)),
         cyclic=(n - 1,),
-        description=f"unit S^{n} with a cohomogeneity-two perturbation "
-                    f"(amp={amp})",
     )
 
 
@@ -572,8 +576,6 @@ def hyperbolic_normal_form(n) -> Model:
         compact=False,
         base_point=base,
         cyclic=(n - 1,),
-        description="hyperbolic space in geodesic normal form at the "
-                    "conformal boundary",
     )
 
 

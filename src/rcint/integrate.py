@@ -19,7 +19,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import Geometry, Model, get_model, raise_slots
+from .ambient import (AmbientChart, ambient_iterated_laplacian,
+                      p_ell_n_ambient, p_ell_n_einstein)
+from .geometry import Geometry, Model, get_model, perturbed_sphere, raise_slots
 from .jets import const_poly, contract as jcontract
 from .invariants import (
     STRAIGHTENABLE_FIELDS,
@@ -137,7 +139,8 @@ def renormalized_volume_exact(n: int) -> Fraction:
     The density r^{-n} (1 - r^2/4)^{n-1} is a Laurent polynomial in r, so
     each term integrates exactly on [eps, 2]; the eps-side primitives are
     pure nonzero powers (n even), so the finite part is the upper-limit
-    value alone.
+    value alone.  Every exponent p = 2k - n is even, so no term
+    integrates to a log.
     """
     if n % 2 or n < 2:
         raise ValueError("even n >= 2 required")
@@ -146,15 +149,10 @@ def renormalized_volume_exact(n: int) -> Fraction:
     for k in range(n):
         c = Fraction(math.comb(n - 1, k)) * Fraction(-1, 4) ** k
         p = 2 * k - n  # exponent of r in this density term
-        if p == -1:
-            # would integrate to a log; cannot occur for even n
-            series.log_coeff += -c
-            continue
         upper += c * Fraction(2) ** (p + 1) / (p + 1)
         series.add(p + 1, -c / (p + 1))
-    total = series
-    total.add(0, upper)
-    fp = total.fp()
+    series.add(0, upper)
+    fp = series.fp()
     # Vol(S^{n-1}) = 2 pi^{n/2} / (n/2 - 1)!
     return fp * Fraction(2, math.factorial(n // 2 - 1))
 
@@ -185,8 +183,6 @@ _P_ELL_CACHE: dict = {}
 def _p_ell_n_integrals(model: Model, ell: int, ambient_route: bool):
     """Integral of P_{l,n} over a homogeneous Einstein model, by either
     route.  Cached: the n = 8 ambient jets are expensive."""
-    from .ambient import AmbientChart, p_ell_n_ambient, p_ell_n_einstein
-
     key = (model.name, ell, ambient_route)
     if key not in _P_ELL_CACHE:
         base = AmbientChart(model) if ambient_route else model
@@ -230,8 +226,6 @@ def verify_main_theorem_coefficient(model: Model, field_name: str,
     shadow: integral of I_{n/2-k} (computed ambiently) equals the
     closed-form constant times the integral of I.
     """
-    from .ambient import AmbientChart, ambient_iterated_laplacian
-
     _require(field_name in STRAIGHTENABLE_FIELDS,
              f"{field_name} is not a straightenable catalog scalar")
     field_fn, k, field_order = STRAIGHTENABLE_FIELDS[field_name]
@@ -263,16 +257,19 @@ def verify_worked_examples(model: Model, tol_pointwise=1e-8, tol_int=1e-6):
                        - 2 W_aecf W_b^e_d^f + 2 W_aedf W_b^e_c^f.
 
     On homogeneous models the integral identities are evaluated pointwise
-    (gradients of invariants vanish); on the perturbed chart they exercise
-    genuine quadrature.  Gradients are `Geometry.gradient`, whose slices at
-    the model's cyclic coordinates are zero by construction, so d|W|^2 is
-    checked along the other coordinates.
+    (gradients of invariants vanish) from one geometry and one Delta W; on
+    the perturbed chart they exercise genuine quadrature.  Gradients are
+    `Geometry.gradient`, whose slices at the model's cyclic coordinates are
+    zero by construction, so d|W|^2 is checked along the other coordinates.
+    The integral of Delta |W|^2 (Lemma 4.1) is checked by
+    `divergence_identity_checks` alone.
     """
     reports = []
-    if model.lam is not None:
+    if model.lam is not None or model.homogeneous:
         geo = model.geometry(order=4)
         W = geo.weyl
-        lap = geo.laplacian(W).value()
+        lap = geo.laplacian(W)
+    if model.lam is not None:
         Wud = raise_last_two(W, geo.ginv, 0)
         Wm = raise_slots(W, geo.ginv, (1, 3), 0)
         n = model.dim
@@ -281,22 +278,21 @@ def verify_worked_examples(model: Model, tol_pointwise=1e-8, tol_int=1e-6):
                - 2 * jcontract("aecf,bedf->abcd", W, Wm, 0)
                + 2 * jcontract("aedf,becf->abcd", W, Wm, 0))
         reports.append(CheckReport.compare(
-            f"delta-weyl-{model.name}", "Eq. (DeltaWeyl)", lap, rhs.value(),
-            tol_pointwise))
+            f"delta-weyl-{model.name}", "Eq. (DeltaWeyl)", lap.value(),
+            rhs.value(), tol_pointwise))
 
     if model.homogeneous:
-        geo = model.geometry(order=4)
-        W = geo.weyl
         # |grad W|^2 + <W, Delta W> = (1/2) Delta |W|^2 = 0 pointwise on a
         # homogeneous model, so the integral identity holds pointwise.
         lhs = geo.norm_squared(geo.covariant_derivative(W)).value()[0]
-        rhs = -_weyl_dot_lap(geo, W)
+        rhs = -jcontract("abcd,abcd->", geo.raise_all(W), lap).value()[0]
         reports.append(CheckReport.compare(
             f"ibp-nablaW-{model.name}", "§5 Examples", lhs, rhs,
             tol_pointwise))
         # int |grad|W|^2|^2 = -int |W|^2 Delta|W|^2: both integrands vanish
-        grad_w2 = np.abs(geo.gradient(weyl_norm2_field(geo)).value()).max()
-        lap_w2 = np.abs(geo.laplacian(weyl_norm2_field(geo)).value()).max()
+        u = weyl_norm2_field(geo)
+        grad_w2 = np.abs(geo.gradient(u).value()).max()
+        lap_w2 = np.abs(geo.laplacian(u).value()).max()
         reports.append(CheckReport.compare(
             f"ibp-u-{model.name}", "§5 Examples",
             max(grad_w2 ** 2, lap_w2), 0.0, tol_pointwise))
@@ -313,22 +309,7 @@ def verify_worked_examples(model: Model, tol_pointwise=1e-8, tol_int=1e-6):
         reports.append(CheckReport.compare(
             f"ibp-u-{model.name}", "§5 Examples", val / max(scale, 1e-30),
             0.0, tol_int))
-
-        def lap_w2_field(geo):
-            return geo.laplacian(weyl_norm2_field(geo))
-
-        val = integrate_scalar(lap_w2_field, model, order=4)
-        reports.append(CheckReport.compare(
-            f"divergence-int-{model.name}", "Lemma 4.1",
-            val / max(scale, 1e-30), 0.0, tol_int))
     return reports
-
-
-def _weyl_dot_lap(geo: Geometry, W):
-    """<W, Delta W> value at the model's points (all indices lowered)."""
-    lap = geo.laplacian(W)
-    up = geo.raise_all(W)
-    return jcontract("abcd,abcd->", up, lap).value()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -368,13 +349,11 @@ def remark_divergence_scalars(model: Model, tol=1e-8):
     _require(model.homogeneous and model.lam is not None,
              "homogeneous Einstein model required")
     geo = model.geometry(order=4)
-    s1, s2 = (_divergence_scalar(geo, T, -4).value()
-              for T in _w3_rank2_fields(geo))
-    r1 = CheckReport.compare(f"w8-divergence-1-{model.name}", "Remark 3.7",
-                             s1, 0.0, tol)
-    r2 = CheckReport.compare(f"w8-divergence-2-{model.name}", "Remark 3.7",
-                             s2, 0.0, tol)
-    return [r1, r2]
+    return [CheckReport.compare(f"w8-divergence-{i}-{model.name}",
+                                "Remark 3.7",
+                                _divergence_scalar(geo, T, -4).value(), 0.0,
+                                tol)
+            for i, T in enumerate(_w3_rank2_fields(geo), 1)]
 
 
 def weyl_squared_divergence_scalar(geo: Geometry):
@@ -429,7 +408,6 @@ def divergence_identity_checks(tol_pointwise=1e-8, tol_int=1e-6):
 
     # nontrivial check of the Cotton form of the divergence scalar, at a
     # non-Einstein six-dimensional metric where neither side vanishes
-    from .geometry import perturbed_sphere
     m6 = perturbed_sphere(6, amp=0.1)
     pts = m6.base_point[None, :] * np.array([[0.9, 1.1, 0.95, 1.05, 1.0,
                                               0.8]])

@@ -38,7 +38,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .jets import PolyTensor, const_poly, contract as jcontract
-from .geometry import Geometry, pt_trace, pt_transpose, raise_slots
+from .geometry import Geometry, pt_symmetrize, pt_trace, raise_slots
 from .reports import CheckReport
 
 
@@ -457,15 +457,7 @@ def divergence_construction(geo: Geometry, T: PolyTensor, w: float,
     rest = letters[:k - 2]
     tr = jcontract(f"{rest}eb,eb->{rest}", T, geo.ginv, order + 1)
     dtr = geo.covariant_derivative(tr).truncate(order)  # rank k-1
-    sym = _symmetrize_poly(dtr)
-    return div + ((k - 1) / (w - 2 * k + 2)) * sym
-
-
-def _symmetrize_poly(t: PolyTensor) -> PolyTensor:
-    """Average of `t` over every permutation of its component axes."""
-    perms = list(itertools.permutations(range(t.rank)))
-    acc = sum(pt_transpose(t, p).coeffs for p in perms)
-    return PolyTensor(acc / len(perms), t.basis, t.batch_ndim)
+    return div + ((k - 1) / (w - 2 * k + 2)) * pt_symmetrize(dtr)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ layout through its reduction by output component and transposes once.
 from __future__ import annotations
 
 import math
+import numbers
 from functools import lru_cache
 
 import numpy as np
@@ -187,7 +188,7 @@ class PolyTensor:
     are broadcast point batches shared by every component.  A rank-0
     PolyTensor is a scalar jet: `+`, `-`, `*`, `/` and `**` combine it with
     numbers, per-point arrays (one value per batch point) and other scalar
-    jets, and it has sin, cos and sqrt.  The result keeps the larger
+    jets, and it has sin and cos.  The result keeps the larger
     `batch_ndim` of the two operands.  Tensors of rank >= 1 add, subtract
     and scale; their products are `contract`.
 
@@ -299,10 +300,13 @@ class PolyTensor:
         return self._reciprocal() * other
 
     def __pow__(self, p):
-        if isinstance(p, int) and p >= 0:
+        # a non-negative integral power is a repeated product: the series
+        # would raise a zero value to a negative power
+        if (isinstance(p, numbers.Integral)
+                or isinstance(p, float) and p.is_integer()) and p >= 0:
             out = const_poly(np.ones_like(self.value()), self.basis,
                              self.batch_ndim)
-            for _ in range(p):
+            for _ in range(int(p)):
                 out = out * self
             return out
         return self._compose(lambda a, k: _pow_series(a, p, k))
@@ -326,9 +330,6 @@ class PolyTensor:
 
     def cos(self):
         return self._compose(lambda a, k: _trig_series(a, k, 1))
-
-    def sqrt(self):
-        return self ** 0.5
 
 
 def _trig_series(a, k, shift):

@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 
 from rcint.ambient import (
+    AmbientChart,
     ambient_christoffel_check,
     ambient_curvature_check,
     ambient_laplacian_homogeneous,
     ambient_ricci_check,
-    build_ambient,
 )
 from rcint.geometry import get_model
 from rcint.integrate import (
@@ -93,7 +93,7 @@ def test_criterion_04_gauss_bonnet_with_corrections():
 
 def test_criterion_05_ambient_space():
     for base in ("S4", "S2xS2"):
-        chart = build_ambient(get_model(base), verify=False)
+        chart = AmbientChart(get_model(base))
         pts = chart.sample_points(20, seed=0)
         for rep in ambient_ricci_check(chart, pts, tol=1e-8):
             assert rep.passed, rep

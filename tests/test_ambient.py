@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from rcint.ambient import (
+    AmbientChart,
     ambient_christoffel_check,
     ambient_christoffels_exact,
     ambient_curvature_check,
     ambient_iterated_laplacian,
     ambient_laplacian_homogeneous,
     ambient_ricci_check,
-    build_ambient,
     check_straightenable,
     p_ell_n_ambient,
     p_ell_n_einstein,
@@ -22,12 +22,12 @@ from rcint.invariants import raise_last_two, weyl_norm2_field
 
 @pytest.fixture(scope="module")
 def s4_chart():
-    return build_ambient(get_model("S4"), verify=False)
+    return AmbientChart(get_model("S4"))
 
 
 @pytest.fixture(scope="module")
 def s2xs2_chart():
-    return build_ambient(get_model("S2xS2"), verify=False)
+    return AmbientChart(get_model("S2xS2"))
 
 
 class TestAmbientStructure:
@@ -59,15 +59,15 @@ class TestAmbientStructure:
         with pytest.raises(ValueError):
             s4_chart.geometry(bad_rho, order=1)
 
-    def test_build_ambient_rejects_non_einstein(self):
+    def test_ambient_chart_rejects_non_einstein(self):
         with pytest.raises(ValueError):
-            build_ambient(get_model("perturbed-S4"))
+            AmbientChart(get_model("perturbed-S4"))
 
 
 class TestAmbientCurvature:
     @pytest.mark.parametrize("base", ["S4", "S2xS2"])
     def test_ricci_flat(self, base):
-        chart = build_ambient(get_model(base), verify=False)
+        chart = AmbientChart(get_model(base))
         pts = chart.sample_points(8, seed=2)
         for rep in ambient_ricci_check(chart, pts, tol=1e-8):
             assert rep.passed, rep
@@ -134,7 +134,7 @@ class TestRouteEquivalence:
                                           ("S2xS2xS2", 2), ("S2xS2xS2", 3)])
     def test_p_ell_n_routes_agree(self, base, ell):
         model = get_model(base)
-        chart = build_ambient(model, verify=False)
+        chart = AmbientChart(model)
         amb = p_ell_n_ambient(chart, ell)
         ein = p_ell_n_einstein(model, ell)
         # abs-or-rel: on S4 the Weyl tensor vanishes, so both routes give 0
@@ -144,7 +144,7 @@ class TestRouteEquivalence:
     def test_p_2_4_equals_weyl_norm(self):
         # In dimension 4, P_{2,4} = Pf_2(W) = |W|^2 / 8.
         model = get_model("S2xS2")
-        chart = build_ambient(model, verify=False)
+        chart = AmbientChart(model)
         val = p_ell_n_ambient(chart, 2)[0]
         w2 = model.geometry(order=2).norm_squared(
             model.geometry(order=2).weyl).value()[0]

@@ -79,8 +79,7 @@ class TestVerify:
         assert code == EXIT_OK
         rows = list(csv.DictReader(io.StringIO(
             out[:out.index("\n== summary ==")])))
-        assert [r["check_id"] for r in rows] == [
-            "ibp-u-perturbed-S4", "divergence-int-perturbed-S4"]
+        assert [r["check_id"] for r in rows] == ["ibp-u-perturbed-S4"]
         assert all(float(r["tol"]) == 1e-3 for r in rows)
 
     def test_brute_oracle_sees_ten_samples(self, capsys, monkeypatch):
@@ -338,6 +337,11 @@ class TestConfigFile:
         assert code == EXIT_CONFIG
         assert out == ""
 
+    def test_empty_config_path_rejected(self, capsys):
+        code, out, _ = _run(capsys, "verify", "rvol", "--config", "")
+        assert code == EXIT_CONFIG
+        assert out == ""
+
     def test_malformed_json_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
@@ -383,5 +387,19 @@ class TestRejectedBeforeComputation:
     def test_out_of_range_values(self, capsys, flags):
         code, out, _ = _run(capsys, "verify", "pfaffian-identities",
                             "--n", "4", *flags)
+        assert code == EXIT_CONFIG
+        assert out == ""
+
+    @pytest.mark.parametrize("suite,setting", [("cgb", "manifold"),
+                                               ("rvol", "out")])
+    def test_empty_value_is_a_given_value(self, capsys, tmp_path, suite,
+                                          setting):
+        # "" names no manifold and no file, by flag or by config key
+        code, out, _ = _run(capsys, "verify", suite, f"--{setting}", "")
+        assert code == EXIT_CONFIG
+        assert out == ""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({setting: ""}))
+        code, out, _ = _run(capsys, "verify", suite, "--config", str(cfg))
         assert code == EXIT_CONFIG
         assert out == ""

@@ -2,14 +2,17 @@
 verification suites."""
 
 import dataclasses
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import rcint.cli as cli
 import rcint.integrate as integ
-from rcint.geometry import EPS_POLE, chart_slice, get_model, sphere_volume
+from rcint.geometry import (EPS_POLE, Model, chart_slice, get_model,
+                            sphere_volume)
 from rcint.integrate import (
     LaurentSeries,
     QuadratureRule,
@@ -191,6 +194,37 @@ class TestDivergenceIdentities:
     def test_worked_examples_perturbed(self):
         for rep in verify_worked_examples(get_model("perturbed-S4")):
             assert rep.passed, rep
+
+    def test_worked_examples_build_one_base_geometry(self, monkeypatch):
+        builds, geometry = [], Model.geometry
+
+        def counted(self, points=None, order=2):
+            if points is None:
+                builds.append(order)
+            return geometry(self, points, order)
+
+        monkeypatch.setattr(Model, "geometry", counted)
+        verify_worked_examples(get_model("S2xS2"))
+        assert builds == [4]
+
+    def test_lemma_4_1_is_integrated_once(self, monkeypatch, tmp_path):
+        # divergence and worked-examples share the perturbed sphere; only
+        # `int-div-perturbed-S4` integrates Delta |W|^2 over it
+        calls, integrate = [], integ.integrate_scalar
+
+        def recorded(field_fn, model, order=2, **kw):
+            calls.append((model.name, order))
+            return integrate(field_fn, model, order, **kw)
+
+        monkeypatch.setattr(integ, "integrate_scalar", recorded)
+        out = tmp_path / "reports.jsonl"
+        assert cli.main(["verify", "divergence", "worked-examples",
+                         "--out", str(out)]) == cli.EXIT_OK
+        assert calls.count(("perturbed-S4", 4)) == 2
+        ids = [json.loads(line)["check_id"]
+               for line in out.read_text().splitlines()]
+        assert ids.count("int-div-perturbed-S4") == 1
+        assert not any(i.startswith("divergence-int") for i in ids)
 
     def test_remark_scalars_vanish(self):
         for rep in remark_divergence_scalars(get_model("S2xS2xS2xS2")):
