@@ -191,8 +191,8 @@ def tau_power_poly(chart: AmbientChart, geo: Geometry, w: float) -> PolyTensor:
 
 
 def ambient_laplacian_homogeneous(chart: AmbientChart, base_field_fn, w,
-                                  points, base_order=0, tol=1e-8):
-    """Residual of Delta~(tau^w pi* u) = tau^{w-2} pi*((Delta + c) u),
+                                  points, base_order=0):
+    """The two sides of Delta~(tau^w pi* u) = tau^{w-2} pi*((Delta + c) u),
     c = 2 lam w (n + w - 1).
 
     `base_field_fn(geo) -> scalar PolyTensor` builds u on the base.

@@ -6,7 +6,10 @@ Subcommands:
   rvol --n N                 finite-part renormalized volume of H^N
   list-suites                catalog of suites with their source anchors
 
-`--tol` overrides the tolerance of every check of the selected suites.  The
+`--tol` overrides the tolerance of every check of the selected suites:
+`_run_verify` re-judges each report a suite yields from its stored errors,
+so no suite reads it.  A suite declared with default models runs on
+`--manifold` alone when it is given, else on each of its defaults.  The
 `pfaffian-identities` brute-force oracle runs on the first 10 samples; the
 Weyl-basis checks cover every sample.
 
@@ -27,7 +30,6 @@ import csv
 import json
 import math
 import sys
-import time
 import traceback
 
 import numpy as np
@@ -69,175 +71,150 @@ SUITES = {}
 _DECLARED = {}
 
 
-def _suite(name, anchor, description, reads=(), needs=()):
+def _suite(name, anchor, description, reads=(), needs=(), models=()):
     """Declare a runner (parsed config -> CheckReports) as suite `name`.
 
     `reads` names the `_SETTINGS` it reads that not every suite reads;
-    `needs` names the `_PROPERTIES` its --manifold must have, and a suite
-    that needs any reads --manifold.  A setting given by flag or config
-    key when no selected suite reads it is rejected."""
-    def declare(runner):
-        SUITES[name] = (anchor, description, runner)
-        _DECLARED[name] = ((*reads, "manifold") if needs else reads, needs)
-        return runner
+    `needs` names the `_PROPERTIES` its --manifold must have.  With
+    `models`, the declared function is a check(cfg, model), and the suite
+    runs it on the --manifold model, or else on each of `models`.  A suite
+    that needs any property, or has models, reads --manifold.  A setting
+    given by flag or config key when no selected suite reads it is
+    rejected.  No runner reads --tol: `_run_verify` re-judges every report
+    a runner yields at a given --tol."""
+    def declare(check):
+        def runner(cfg):
+            names = [cfg.manifold] if cfg.manifold is not None else models
+            for model in map(get_model, names):
+                yield from check(cfg, model)
+        SUITES[name] = (anchor, description, runner if models else check)
+        _DECLARED[name] = ((*reads, "manifold") if needs or models else reads,
+                           needs)
+        return check
     return declare
 
 
 # ---------------------------------------------------------------------------
-# suite runners: each takes the parsed config and yields CheckReports
-
-
-def _models(cfg, defaults):
-    names = [cfg.manifold] if cfg.manifold is not None else list(defaults)
-    return [get_model(n) for n in names]
+# suite runners: each takes the parsed config (and its model, for a suite
+# declared with `models`) and yields CheckReports
 
 
 @_suite("kronecker", "Lemma 5.1",
         "normalized delta Laplace recursion, exact arithmetic",
         reads=("seed", "samples"))
 def _suite_kronecker(cfg):
-    t0 = time.perf_counter()
     worst = 0.0
     for n in range(2, 9):
         for k in range(2, n + 1):
             worst = max(worst, float(kronecker_recursion_residual(
                 k, n, samples=cfg.samples or 300, seed=cfg.seed)))
     yield CheckReport.compare("kronecker-recursion", "Lemma 5.1", worst,
-                              0.0, cfg.tol or 1e-12,
-                              wall_time=time.perf_counter() - t0)
+                              0.0, 1e-12)
 
 
 @_suite("pfaffian-identities", "Lemma 5.2",
         "Pf_l Weyl-basis expansions on random Weyl tensors + brute-force "
         "oracle", reads=("seed", "samples", "n"))
 def _suite_pfaffian_identities(cfg):
-    dims = [cfg.n] if cfg.n else _PFAFFIAN_DIMS
-    samples = cfg.samples or 100
-    tol = cfg.tol or 1e-10
-    for dim in dims:
-        t0 = time.perf_counter()
-        W = random_weyl(dim, seed=cfg.seed, nsamples=samples)
-        for ell in (2, 3, 4):
-            if 2 * ell > dim:
-                continue
-            rep = low_order_pfaffian_identity(W, ell, tol=tol)
-            rep.check_id = f"pfaffian-weyl-basis-d{dim}-l{ell}"
-            rep.wall_time = time.perf_counter() - t0
-            yield rep
+    for dim in [cfg.n] if cfg.n else _PFAFFIAN_DIMS:
+        W = random_weyl(dim, seed=cfg.seed, nsamples=cfg.samples or 100)
+        for ell in range(2, dim // 2 + 1):
+            yield low_order_pfaffian_identity(W, ell)
         if dim <= 6:
-            for ell in (2, 3):
-                if 2 * ell > dim:
-                    continue
-                # the oracle sums (2l)! einsums, so it sees 10 samples
-                fast = pf_ell(W, ell)[:10]
-                brute = pf_ell_brute(W[:10], ell)
+            # the oracle sums (2l)! einsums, so it sees 10 samples
+            for ell in range(2, dim // 2 + 1):
                 yield CheckReport.compare(
-                    f"pfaffian-brute-d{dim}-l{ell}", "Eq. (1.4)", fast,
-                    brute, tol, wall_time=time.perf_counter() - t0)
+                    f"pfaffian-brute-d{dim}-l{ell}", "Eq. (1.4)",
+                    pf_ell(W, ell)[:10], pf_ell_brute(W[:10], ell), 1e-10)
 
 
 @_suite("einstein-pfaffian", "Lemma 5.1",
-        "Pfaffian of an Einstein metric from Pf_l(W)", needs=_EINSTEIN_4)
-def _suite_einstein_pfaffian(cfg):
-    for model in _models(cfg, _GBC_DEFAULTS):
-        yield einstein_pfaffian_expansion(model, tol=cfg.tol or 1e-9)
+        "Pfaffian of an Einstein metric from Pf_l(W)", needs=_EINSTEIN_4,
+        models=_GBC_DEFAULTS)
+def _suite_einstein_pfaffian(cfg, model):
+    yield einstein_pfaffian_expansion(model)
 
 
 @_suite("cgb", "Eq. (1.1)",
         "compact Gauss-Bonnet: integral of Pf = (2pi)^{n/2} chi",
-        needs=("compact",))
-def _suite_cgb(cfg):
-    for model in _models(cfg, _GBC_DEFAULTS):
-        yield integ.verify_cgb(model, tol=cfg.tol or 1e-6)
+        needs=("compact",), models=_GBC_DEFAULTS)
+def _suite_cgb(cfg, model):
+    yield integ.verify_cgb(model)
 
 
 @_suite("gbc", "Cor. 1.8",
         "Gauss-Bonnet with renormalized curvature corrections",
-        needs=("compact", "homogeneous", "Einstein"))
-def _suite_gbc(cfg):
-    for model in _models(cfg, _GBC_DEFAULTS):
-        yield from integ.verify_gbc(model, tol=cfg.tol or 1e-6)
-
-
-def _ambient_points(cfg, chart, count=20):
-    return chart.sample_points(count, seed=cfg.seed)
+        needs=("compact", "homogeneous", "Einstein"), models=_GBC_DEFAULTS)
+def _suite_gbc(cfg, model):
+    yield from integ.verify_gbc(model)
 
 
 @_suite("ambient-ricci", "Lemma 3.1", "ambient space is Ricci-flat",
-        reads=("seed",), needs=("Einstein",))
-def _suite_ambient_ricci(cfg):
-    for model in _models(cfg, _EINSTEIN_DEFAULTS):
-        chart = amb.AmbientChart(model)
-        yield from amb.ambient_ricci_check(chart, _ambient_points(cfg, chart),
-                                           tol=cfg.tol or 1e-8)
+        reads=("seed",), needs=("Einstein",), models=_EINSTEIN_DEFAULTS)
+def _suite_ambient_ricci(cfg, model):
+    chart = amb.AmbientChart(model)
+    yield from amb.ambient_ricci_check(chart,
+                                       chart.sample_points(20, cfg.seed))
 
 
 @_suite("ambient-curvature", "Lemma 3.3", "ambient curvature = tau^2 W",
-        reads=("seed",), needs=_EINSTEIN_4)
-def _suite_ambient_curvature(cfg):
-    for model in _models(cfg, _EINSTEIN_DEFAULTS):
-        chart = amb.AmbientChart(model)
-        yield amb.ambient_curvature_check(
-            chart, _ambient_points(cfg, chart), tol=cfg.tol or 1e-9)
+        reads=("seed",), needs=_EINSTEIN_4, models=_EINSTEIN_DEFAULTS)
+def _suite_ambient_curvature(cfg, model):
+    chart = amb.AmbientChart(model)
+    yield amb.ambient_curvature_check(chart,
+                                      chart.sample_points(20, cfg.seed))
 
 
 @_suite("ambient-christoffel", "Prop. 3.5",
         "closed-form ambient Christoffel blocks", reads=("seed",),
-        needs=("Einstein",))
-def _suite_ambient_christoffel(cfg):
-    for model in _models(cfg, _EINSTEIN_DEFAULTS):
-        chart = amb.AmbientChart(model)
-        yield amb.ambient_christoffel_check(
-            chart, _ambient_points(cfg, chart), tol=cfg.tol or 1e-10)
+        needs=("Einstein",), models=_EINSTEIN_DEFAULTS)
+def _suite_ambient_christoffel(cfg, model):
+    chart = amb.AmbientChart(model)
+    yield amb.ambient_christoffel_check(chart,
+                                        chart.sample_points(20, cfg.seed))
+
+
+def _unit_field(geo):
+    return const_poly(np.ones(len(geo.points)), geo.basis, 1)
 
 
 @_suite("ambient-laplacian", "Prop. 3.4",
         "push-pull identity for the ambient Laplacian", reads=("seed",),
-        needs=_EINSTEIN_4)
-def _suite_ambient_laplacian(cfg):
-    def unit_field(geo):
-        return const_poly(np.ones(len(geo.points)), geo.basis, 1)
-
-    cases = [("unit", unit_field, -4.0, 0),
-             ("weyl-norm2", weyl_norm2_field, -4.0, 2)]
-    for model in _models(cfg, _EINSTEIN_DEFAULTS):
-        chart = amb.AmbientChart(model)
-        pts = _ambient_points(cfg, chart, count=5)
-        for name, field, w, base_order in cases:
-            lhs, rhs = amb.ambient_laplacian_homogeneous(
-                chart, field, w, pts, base_order=base_order)
-            yield CheckReport.compare(
-                f"ambient-laplacian-{name}-{model.name}", "Prop. 3.4",
-                lhs, rhs, cfg.tol or 1e-8)
+        needs=_EINSTEIN_4, models=_EINSTEIN_DEFAULTS)
+def _suite_ambient_laplacian(cfg, model):
+    chart = amb.AmbientChart(model)
+    pts = chart.sample_points(5, cfg.seed)
+    for name, field, base_order in (("unit", _unit_field, 0),
+                                    ("weyl-norm2", weyl_norm2_field, 2)):
+        lhs, rhs = amb.ambient_laplacian_homogeneous(
+            chart, field, -4.0, pts, base_order=base_order)
+        yield CheckReport.compare(f"ambient-laplacian-{name}-{model.name}",
+                                  "Prop. 3.4", lhs, rhs, 1e-8)
 
 
 @_suite("straightenable", "Def. 1.5", "tau^w push-pull certification",
-        needs=_EINSTEIN_4)
-def _suite_straightenable(cfg):
-    for model in _models(cfg, _EINSTEIN_DEFAULTS):
-        chart = amb.AmbientChart(model)
-        yield amb.check_straightenable(lambda g: g.weyl, 2, chart,
-                                       tol=cfg.tol or 1e-9, name="weyl")
+        needs=_EINSTEIN_4, models=_EINSTEIN_DEFAULTS)
+def _suite_straightenable(cfg, model):
+    yield amb.check_straightenable(lambda g: g.weyl, 2,
+                                   amb.AmbientChart(model), name="weyl")
 
 
 @_suite("route-equivalence", "Prop. 3.4",
-        "P_{l,n}: ambient route vs Einstein route", needs=_EINSTEIN_4)
-def _suite_route_equivalence(cfg):
-    tol = cfg.tol or 1e-7
-    for model in _models(cfg, ("S2xS2", "S2xS2xS2")):
-        n = model.dim
-        chart = amb.AmbientChart(model)
-        for ell in range(2, n // 2 + 1):
-            a = amb.p_ell_n_ambient(chart, ell)
-            e = amb.p_ell_n_einstein(model, ell)
-            yield CheckReport.compare(
-                f"route-P-{ell}-{n}-{model.name}", "Prop. 3.4", a, e, tol)
+        "P_{l,n}: ambient route vs Einstein route", needs=_EINSTEIN_4,
+        models=("S2xS2", "S2xS2xS2"))
+def _suite_route_equivalence(cfg, model):
+    n = model.dim
+    chart = amb.AmbientChart(model)
+    for ell in range(2, n // 2 + 1):
+        yield CheckReport.compare(
+            f"route-P-{ell}-{n}-{model.name}", "Prop. 3.4",
+            amb.p_ell_n_ambient(chart, ell), amb.p_ell_n_einstein(model, ell),
+            1e-7)
 
 
 @_suite("divergence", "Remark 3.7", "divergence scalars vanish as predicted")
 def _suite_divergence(cfg):
-    yield from integ.divergence_identity_checks(
-        tol_pointwise=cfg.tol or 1e-8, tol_int=cfg.tol or 1e-6)
+    yield from integ.divergence_identity_checks()
 
 
 @_suite("main-theorem", "Thm. 1.6",
@@ -247,17 +224,15 @@ def _suite_main_theorem(cfg):
     if cfg.manifold is not None:
         cases = [(cfg.manifold, "weyl-norm2")]
     for name, fieldname in cases:
-        yield integ.verify_main_theorem_coefficient(
-            get_model(name), fieldname, tol=cfg.tol or 1e-7)
+        yield integ.verify_main_theorem_coefficient(get_model(name),
+                                                    fieldname)
 
 
 @_suite("worked-examples", "§5 Examples",
         "integration-by-parts and Weyl-Laplacian identities",
-        needs=("of dimension >= 4",))
-def _suite_worked_examples(cfg):
-    for model in _models(cfg, ("S2xS2", "perturbed-S4")):
-        yield from integ.verify_worked_examples(
-            model, tol_pointwise=cfg.tol or 1e-8, tol_int=cfg.tol or 1e-6)
+        needs=("of dimension >= 4",), models=("S2xS2", "perturbed-S4"))
+def _suite_worked_examples(cfg, model):
+    yield from integ.verify_worked_examples(model)
 
 
 @_suite("rvol", "Eq. (1.2)", "renormalized volumes of hyperbolic space")
@@ -266,7 +241,7 @@ def _suite_rvol(cfg):
                       (6, -8 * math.pi ** 3 / 15)):
         yield CheckReport.compare(
             f"rvol-H{n}", "Eq. (1.2)", integ.renormalized_volume(n),
-            expect, cfg.tol or 1e-12)
+            expect, 1e-12)
 
 # ---------------------------------------------------------------------------
 # output formatting
@@ -279,7 +254,7 @@ _CSV_FIELDS = ["check_id", "anchor", "lhs", "rhs", "abs_err", "rel_err",
 def _emit(reports, fmt, stream):
     if fmt == "json":
         for r in reports:
-            stream.write(r.to_json(include_wall_time=False) + "\n")
+            stream.write(r.to_json() + "\n")
     elif fmt == "csv":
         writer = csv.writer(stream)
         writer.writerow(_CSV_FIELDS)
@@ -308,26 +283,27 @@ def _summary(reports, stream):
 
 def _build_parser():
     p = argparse.ArgumentParser(
-        prog="rcint",
+        prog="rcint", allow_abbrev=False,
         description="numerical certification of renormalized curvature "
                     "integral identities on model Einstein manifolds")
     sub = p.add_subparsers(dest="command", required=True)
 
-    v = sub.add_parser("verify", help="run verification suites")
+    v = sub.add_parser("verify", allow_abbrev=False,
+                       help="run verification suites")
     v.add_argument("suites", nargs="*", help="suite names (see list-suites)")
     v.add_argument("--config", help="JSON config file mirroring the flags")
     v.add_argument("--manifold", help="restrict to one catalog manifold")
     v.add_argument("--tol", type=float, help="tolerance override")
     v.add_argument("--seed", type=int, help="fuzz seed (default 0)")
     v.add_argument("--samples", type=int, help="fuzz sample count")
-    v.add_argument("--n", "--dim", dest="n", type=int,
-                   help="dimension for pfaffian-identities")
+    v.add_argument("--n", type=int, help="dimension for pfaffian-identities")
     v.add_argument("--format", choices=_FORMATS,
                    help="report format (default json)")
     v.add_argument("--out", help="write the report stream to this path")
 
-    r = sub.add_parser("rvol", help="renormalized volume (finite part) of "
-                                     "hyperbolic space")
+    r = sub.add_parser("rvol", allow_abbrev=False,
+                       help="renormalized volume (finite part) of hyperbolic "
+                            "space")
     r.add_argument("--n", type=int, required=True, help="even dimension")
 
     sub.add_parser("list-suites", help="list suites with source anchors")
@@ -339,7 +315,8 @@ def _build_parser():
 #: only a setting that was given must be read by a selected suite
 _SETTINGS = {
     "manifold": (str, None, None, None),
-    "tol": ((int, float), lambda v: v > 0, "--tol must be positive", None),
+    "tol": ((int, float), lambda v: 0 < v < math.inf,
+            "--tol must be positive and finite", None),
     "seed": (int, lambda v: v >= 0, "--seed must be non-negative", 0),
     "samples": (int, lambda v: v >= 1, "--samples must be at least 1", None),
     "n": (int, lambda v: v in _PFAFFIAN_DIMS,
@@ -422,7 +399,8 @@ def _run_verify(args, out_stream) -> int:
         anchor, _, runner = SUITES[name]
         try:
             for rep in runner(args):
-                reports.append(rep)
+                reports.append(rep if args.tol is None
+                               else rep.judged(args.tol))
         except Exception:  # noqa: BLE001 - reported, the other suites run
             print(f"internal failure in suite {name}:", file=sys.stderr)
             traceback.print_exc(file=sys.stderr)

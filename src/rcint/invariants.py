@@ -320,8 +320,8 @@ def low_order_pfaffian_identity(W, ell: int = 2, tol=1e-10) -> CheckReport:
     on a flat background."""
     lhs = pf_ell(W, ell)
     rhs = sum(c * v for (_, c), v in zip(WEYL_BASIS[ell], weyl_basis(W, ell)))
-    return CheckReport.compare(f"pfaffian-identity-l{ell}", "Lemma 5.2",
-                               lhs, rhs, tol)
+    return CheckReport.compare(f"pfaffian-weyl-basis-d{W.shape[-1]}-l{ell}",
+                               "Lemma 5.2", lhs, rhs, tol)
 
 
 def einstein_pfaffian_expansion(model, points=None, tol=1e-9) -> CheckReport:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
@@ -21,10 +21,9 @@ class CheckReport:
     tol: float
     passed: bool
     criterion: str  # "abs"/"rel" if passed, else "none"/"nonfinite"/"error"
-    wall_time: float = 0.0
 
     @classmethod
-    def compare(cls, check_id, anchor, lhs, rhs, tol, wall_time=0.0):
+    def compare(cls, check_id, anchor, lhs, rhs, tol):
         """Build a report from two sides; arrays are reduced by max-norm.
 
         For array inputs lhs/rhs record the max-norm of each side and the
@@ -33,30 +32,33 @@ class CheckReport:
         """
         a = np.asarray(lhs, dtype=np.float64)
         b = np.asarray(rhs, dtype=np.float64)
-        with np.errstate(invalid="ignore"):  # inf - inf; failed below
+        # inf - inf is NaN, and finite sides far apart overflow to inf;
+        # both fail below
+        with np.errstate(invalid="ignore", over="ignore"):
             abs_err = float(np.abs(a - b).max(initial=0.0))
         scale = max(float(np.abs(a).max(initial=0.0)),
                     float(np.abs(b).max(initial=0.0)))
         rel_err = abs_err / scale if scale > 0 else 0.0
-        if not (np.isfinite(a).all() and np.isfinite(b).all()):
-            passed, criterion = False, "nonfinite"
-        elif abs_err <= tol:
-            passed, criterion = True, "abs"
-        elif rel_err <= tol:
-            passed, criterion = True, "rel"
-        else:
-            passed, criterion = False, "none"
+        finite = np.isfinite(a).all() and np.isfinite(b).all()
         return cls(check_id=check_id, anchor=anchor,
                    lhs=float(np.abs(a).max(initial=0.0)) if a.ndim else float(a),
                    rhs=float(np.abs(b).max(initial=0.0)) if b.ndim else float(b),
                    abs_err=abs_err, rel_err=rel_err, tol=tol,
-                   passed=passed, criterion=criterion, wall_time=wall_time)
+                   passed=False,
+                   criterion="none" if finite else "nonfinite").judged(tol)
 
-    def to_json(self, include_wall_time=True):
-        d = asdict(self)
-        if not include_wall_time:
-            d.pop("wall_time")
-        return json.dumps(d, sort_keys=True)
+    def judged(self, tol):
+        """This report re-judged at `tol` from its stored errors.  A
+        "nonfinite" or "error" report fails at every tolerance."""
+        if self.criterion in ("nonfinite", "error"):
+            return replace(self, tol=tol)
+        criterion = ("abs" if self.abs_err <= tol else
+                     "rel" if self.rel_err <= tol else "none")
+        return replace(self, tol=tol, passed=criterion != "none",
+                       criterion=criterion)
+
+    def to_json(self):
+        return json.dumps(asdict(self), sort_keys=True)
 
     def __str__(self):
         status = "PASS" if self.passed else "FAIL"

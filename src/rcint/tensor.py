@@ -18,16 +18,6 @@ class TensorError(ValueError):
     pass
 
 
-def kronecker_component(a, b) -> Fraction:
-    """Exact normalized delta det([a_i == b_j]) / k! at index tuples a
-    (upper), b (lower)."""
-    k = len(a)
-    if k != len(b):
-        raise TensorError("index tuples must have equal length")
-    det = _det(np.array([a]), np.array([b]))[0] if k else 1
-    return Fraction(int(det), math.factorial(k))
-
-
 def kronecker_recursion_residual(k, n, samples=300, seed=0):
     """Worst residual of the Laplace recursion for the normalized delta,
 

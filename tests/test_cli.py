@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import re
 from pathlib import Path
 
@@ -147,20 +148,53 @@ class TestVerify:
             raise RuntimeError("suite broke")
 
         monkeypatch.setitem(SUITES, "kronecker", (anchor, desc, breaks))
-        code, out, err = _run(capsys, "verify", "rvol", "kronecker",
-                              "einstein-pfaffian", "--manifold", "S4",
-                              "--format", "json")
-        assert code == EXIT_NUMERICAL
-        docs = {d["check_id"]: d for d in
-                map(json.loads, out.splitlines()[:5])}
-        assert list(docs) == ["rvol-H4", "rvol-H6", "before-break",
-                              "kronecker/error", "einstein-pfaffian-S4"]
-        error = docs["kronecker/error"]
-        assert (error["passed"], error["criterion"]) == (False, "error")
-        assert error["lhs"] == error["rhs"] == 0.0
-        assert docs["einstein-pfaffian-S4"]["passed"]
-        assert "RuntimeError: suite broke" in err
-        assert "numerical failure in: kronecker/error" in err
+        # --tol re-judges every yielded report, and the error report fails
+        # at every tolerance
+        for tol in ([], ["--tol", "1"]):
+            code, out, err = _run(capsys, "verify", "rvol", "kronecker",
+                                  "einstein-pfaffian", "--manifold", "S4",
+                                  "--format", "json", *tol)
+            assert code == EXIT_NUMERICAL
+            docs = {d["check_id"]: d for d in
+                    map(json.loads, out.splitlines()[:5])}
+            assert list(docs) == ["rvol-H4", "rvol-H6", "before-break",
+                                  "kronecker/error", "einstein-pfaffian-S4"]
+            error = docs["kronecker/error"]
+            assert (error["passed"], error["criterion"]) == (False, "error")
+            assert error["lhs"] == error["rhs"] == 0.0
+            assert docs["einstein-pfaffian-S4"]["passed"]
+            assert "RuntimeError: suite broke" in err
+            assert "numerical failure in: kronecker/error" in err
+
+    def test_declared_models_and_tol(self, capsys, monkeypatch):
+        # a check that passes no tolerance still reports --tol
+        monkeypatch.setattr(cli, "SUITES", dict(SUITES))
+        monkeypatch.setattr(cli, "_DECLARED", dict(cli._DECLARED))
+        seen = []
+
+        @cli._suite("stub", "anchor", "stub suite", needs=("compact",),
+                    models=("S4", "S2xS2"))
+        def stub(cfg, model):
+            seen.append(model.name)
+            yield CheckReport.compare(f"stub-{model.name}", "anchor", 1.0,
+                                      1.0 + 1e-6, 1e-9)
+
+        def ran(*argv):
+            seen.clear()
+            code, out, _ = _run(capsys, "verify", "stub", "--format", "csv",
+                                *argv)
+            rows = list(csv.DictReader(io.StringIO(
+                out[:out.index("\n== summary ==")])))
+            return code, list(seen), rows
+
+        code, models, rows = ran()
+        assert (code, models) == (EXIT_NUMERICAL, ["S4", "S2xS2"])
+        assert [float(r["tol"]) for r in rows] == [1e-9, 1e-9]
+        assert ran("--manifold", "CP2")[:2] == (EXIT_NUMERICAL, ["CP2"])
+        code, models, rows = ran("--tol", "1e-3")
+        assert (code, models) == (EXIT_OK, ["S4", "S2xS2"])
+        assert [(float(r["tol"]), r["criterion"]) for r in rows] == [
+            (1e-3, "abs"), (1e-3, "abs")]
 
 
 class TestConfigErrors:
@@ -175,6 +209,26 @@ class TestConfigErrors:
     def test_bad_tol(self, capsys):
         code, _, _ = _run(capsys, "verify", "kronecker", "--tol", "-1")
         assert code == EXIT_CONFIG
+
+    def test_non_finite_tol(self, capsys, tmp_path):
+        for tol in ("inf", "nan"):
+            code, out, err = _run(capsys, "verify", "rvol", "--tol", tol)
+            assert code == EXIT_CONFIG and out == ""
+            assert "--tol must be positive and finite" in err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tol": math.inf}))
+        code, out, err = _run(capsys, "verify", "rvol", "--config", str(cfg))
+        assert code == EXIT_CONFIG and out == ""
+        assert "--tol must be positive and finite" in err
+
+    @pytest.mark.parametrize("flags", [("--dim", "4"), ("--man", "S4"),
+                                       ("--to", "1e-3")])
+    def test_one_spelling_per_setting(self, capsys, flags):
+        # no alias and no abbreviation: the flags mirror the config keys
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "pfaffian-identities", "cgb", *flags])
+        assert exc.value.code == EXIT_CONFIG
+        assert capsys.readouterr().out == ""
 
     def test_bad_n(self, capsys):
         code, _, _ = _run(capsys, "verify", "pfaffian-identities", "--n", "7")

@@ -15,7 +15,6 @@ from rcint.tensor import (
     TensorError,
     _det,
     _index_blocks,
-    kronecker_component,
     kronecker_recursion_residual,
 )
 
@@ -26,7 +25,7 @@ SUITE_SAMPLES, SUITE_SEED = 300, 0
 
 def generalized_kronecker(k, dim):
     """The rank-2k normalized delta as a dense array, built from its
-    signed-permutation definition; the oracle for `kronecker_component`.
+    signed-permutation definition; the oracle for `_det` over k!.
     For k > dim it is the zero array."""
     comps = np.zeros((dim,) * (2 * k))
     if k <= dim:
@@ -43,14 +42,11 @@ class TestKronecker:
     @pytest.mark.parametrize("k,dim", [(1, 3), (2, 3), (3, 4), (4, 4)])
     def test_component_matches_dense(self, k, dim):
         # every (a, b) pair in one batched `_det`, in the dense array's
-        # order; `kronecker_component` is that determinant over k!
+        # order; the normalized delta is that determinant over k!
         delta = generalized_kronecker(k, dim)
         ab = np.array(list(itertools.product(range(dim), repeat=2 * k)))
         got = _det(ab[:, :k], ab[:, k:]) / math.factorial(k)
         np.testing.assert_allclose(got, delta.ravel(), rtol=0, atol=1e-14)
-        a = tuple(range(k))
-        assert float(kronecker_component(a, a[::-1])) == pytest.approx(
-            delta[a + a[::-1]], abs=1e-14)
 
     def test_zero_beyond_dimension(self):
         delta = generalized_kronecker(3, 2)
@@ -66,10 +62,6 @@ class TestKronecker:
             kronecker_recursion_residual(1, 4)
         with pytest.raises(TensorError):
             kronecker_recursion_residual(5, 4)
-
-    def test_component_length_mismatch(self):
-        with pytest.raises(TensorError):
-            kronecker_component((0, 1), (0,))
 
 
 def _leibniz_det(a, b):
