@@ -204,12 +204,11 @@ def _suite_straightenable(cfg, model):
         models=("S2xS2", "S2xS2xS2"))
 def _suite_route_equivalence(cfg, model):
     n = model.dim
-    chart = amb.AmbientChart(model)
     for ell in range(2, n // 2 + 1):
         yield CheckReport.compare(
             f"route-P-{ell}-{n}-{model.name}", "Prop. 3.4",
-            amb.p_ell_n_ambient(chart, ell), amb.p_ell_n_einstein(model, ell),
-            1e-7)
+            integ.p_ell_n_base(model, ell, True),
+            integ.p_ell_n_base(model, ell, False), 1e-7)
 
 
 @_suite("divergence", "Remark 3.7", "divergence scalars vanish as predicted")

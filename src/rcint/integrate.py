@@ -180,16 +180,24 @@ def verify_cgb(model: Model, tol=1e-6) -> CheckReport:
 _P_ELL_CACHE: dict = {}
 
 
-def _p_ell_n_integrals(model: Model, ell: int, ambient_route: bool):
-    """Integral of P_{l,n} over a homogeneous Einstein model, by either
-    route.  Cached: the n = 8 ambient jets are expensive."""
+def p_ell_n_base(model: Model, ell: int, ambient_route: bool):
+    """P_{l,n} at the base point of an Einstein model, by either route, as
+    a length-1 array.  Cached per model, l and route: the n = 8 ambient
+    jets are expensive, and `route-equivalence` and `gbc` read the same
+    values.  The route functions themselves stay uncached."""
     key = (model.name, ell, ambient_route)
     if key not in _P_ELL_CACHE:
-        base = AmbientChart(model) if ambient_route else model
-        route = p_ell_n_ambient if ambient_route else p_ell_n_einstein
-        _P_ELL_CACHE[key] = integrate_scalar(
-            _pointwise(lambda x: route(base, ell, x)), model, order=0)
+        _P_ELL_CACHE[key] = (p_ell_n_ambient(AmbientChart(model), ell)
+                             if ambient_route else p_ell_n_einstein(model, ell))
     return _P_ELL_CACHE[key]
+
+
+def _p_ell_n_integrals(model: Model, ell: int, ambient_route: bool):
+    """Integral of P_{l,n} over a homogeneous Einstein model, by either
+    route: P_{l,n} is constant there, so its base-point value serves."""
+    return integrate_scalar(
+        _pointwise(lambda x: p_ell_n_base(model, ell, ambient_route)), model,
+        order=0)
 
 
 def verify_gbc(model: Model, tol=1e-6):

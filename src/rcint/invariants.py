@@ -73,6 +73,13 @@ def _perm_sign(perm):
     return sign
 
 
+#: the first two entries a class representative can have (`_pf_classes`)
+_PF_HEADS = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 3), (2, 4))
+
+#: group elements times candidates compared per step of `_pf_classes`
+_PF_CHUNK = 1 << 14
+
+
 @lru_cache(maxsize=None)
 def _pf_classes(ell: int):
     """Group S_{2l} into classes with equal contraction value.
@@ -84,43 +91,72 @@ def _pf_classes(ell: int):
     sigma -> sigma^{-1} (pair-exchange symmetry).  Signs are constant on
     each class, so the delta expansion collapses to one term per class.
 
-    The orbits are labelled, not enumerated.  Each permutation, as its
-    index in the lexicographic list of S_{2l}, is mapped through inversion
-    and conjugation by the in-block swap, the swap of blocks 0 and 1 and
-    the block cycle, which generate the pair-block group.  The least index
-    is propagated along these maps until it is constant on each orbit; it
-    marks the orbit's lexicographically first member, its representative.
+    Each class is represented by its lexicographically first member, whose
+    first two entries are one of `_PF_HEADS`: a relabeling makes sigma
+    start with 0 if it fixes a letter, then 1 if it also fixes the partner
+    and else 2; failing that with 1 if it sends a letter to its partner,
+    then 0 if the partner is sent back and else 2; and otherwise with 2,
+    then 3 if the partner goes into the same pair and else 4.  The
+    6 (2l-2)! permutations with these heads are the candidates, one int8
+    array in lexicographic order whose tails come from `np.fromiter`.  A candidate is a representative if no element
+    g of the group (a pair-block conjugation, with or without inversion)
+    maps it lower, and its class then has |group| / #{g : g.sigma = sigma}
+    members.  Images are compared by integer lexicographic keys (see
+    `_pf_key_table`), a chunk of group elements against all remaining
+    candidates at a time; a candidate drops out at its first lower image,
+    and the elements moving fewest letters, which reject the most, go
+    first.  Nothing of size (2l)! is made: l = 5 (241,920 candidates)
+    takes under a second and peaks below 100 MB in a fresh process.
 
     Returns a list of (signed_multiplicity, representative sigma), in the
     lexicographic order of the representatives.
     """
     m = 2 * ell
-    perms = list(itertools.permutations(range(m)))
-    arr = np.array(perms, dtype=np.int64)
+    tail = np.fromiter(itertools.chain.from_iterable(
+        itertools.permutations(range(m - 2))), np.int8).reshape(
+        math.factorial(m - 2), m - 2)
+    cands = np.concatenate([
+        np.hstack((np.tile(np.int8(head), (len(tail), 1)),
+                   np.delete(np.arange(m, dtype=np.int8), head)[tail]))
+        for head in _PF_HEADS if max(head) < m])
+    table = _pf_key_table(ell)
+    rows = cands.T.copy() + np.arange(0, m * m, m)[:, None]  # j m + sigma(j)
+    key = table[:, 0][rows].sum(axis=0)  # column 0 is the identity
+    stab = np.zeros(len(cands), np.int64)
+    done = 0
+    while done < table.shape[1]:
+        keys = table[:, done:done + max(1, _PF_CHUNK // len(cands))][rows]
+        keys = keys.sum(axis=0)
+        keep = (keys >= key[:, None]).all(axis=1)
+        stab += (keys == key[:, None]).sum(axis=1)
+        cands, rows, key, stab = cands[keep], rows[:, keep], key[keep], stab[keep]
+        done += keys.shape[1]
+    return [(_perm_sign(sigma) * (table.shape[1] // int(n)), sigma)
+            for sigma, n in zip(map(tuple, cands.tolist()), stab)]
 
-    def lex_index(p):
-        idx = np.zeros(len(p), np.int64)
-        for i in range(m):  # Lehmer code in Horner form
-            idx = idx * (m - i) + (p[:, i + 1:] < p[:, i:i + 1]).sum(axis=1)
-        return idx
 
-    gens = [np.array([1, 0] + list(range(2, m))), (np.arange(m) + 2) % m]
-    if ell > 1:
-        gens.append(np.array([2, 3, 0, 1] + list(range(4, m))))
-    images = [lex_index(np.argsort(arr, axis=1))]
-    images += [lex_index(pi[arr[:, np.argsort(pi)]]) for pi in gens]
-    label = np.arange(len(perms))
-    while True:
-        new = label
-        for img in images:
-            new = np.minimum(new, new[img])
-        if np.array_equal(new, label):
-            break
-        label = new
-    roots = np.flatnonzero(label == np.arange(len(perms)))
-    sizes = np.bincount(label)[roots]
-    return [(_perm_sign(perms[r]) * int(n), perms[r])
-            for r, n in zip(roots, sizes)]
+def _pf_key_table(ell: int):
+    """Lexicographic keys of the images of a permutation sigma of 2l
+    letters under the group of `_pf_classes`.
+
+    Returns a (2l * 2l, 2 * 2^l * l!) int64 array K whose column for g
+    holds, summed over j, the key sum_k (g.sigma)(k) (2l)^(2l-1-k) as
+    K[j * 2l + sigma(j)].  Columns 2i and 2i + 1 are the conjugation by the
+    i-th pair-block permutation pi without and with inversion; the pi
+    moving fewest letters come first, so column 0 is the identity.
+    """
+    m = 2 * ell
+    blocks = np.array(list(itertools.permutations(range(ell))))
+    flips = np.array(list(itertools.product((0, 1), repeat=ell)))
+    pis = (2 * blocks[:, None, :, None]
+           + (np.arange(2) ^ flips[None, :, :, None])).reshape(-1, m)
+    pis = pis[np.argsort((pis != np.arange(m)).sum(axis=1), kind="stable")]
+    weight = m ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    # (pi sigma pi^-1)(pi(j)) = pi(sigma(j)): sigma(j) = v adds
+    # weight[pi(j)] pi(v), and for sigma^-1 the same with j and v exchanged
+    conj = weight[pis][:, :, None] * pis[:, None, :]
+    table = np.stack((conj, conj.transpose(0, 2, 1)), axis=1)
+    return np.ascontiguousarray(table.reshape(-1, m * m).T)
 
 
 def _term_subscripts(sigma, ell):
@@ -129,6 +165,13 @@ def _term_subscripts(sigma, ell):
     return ["".join(letters[i] for i in
                     (2 * j, 2 * j + 1, sigma[2 * j], sigma[2 * j + 1]))
             for j in range(ell)]
+
+
+def _check_pf_order(ell, dim):
+    if ell < 0:
+        raise ValueError(f"Pf_l requires l >= 0, got l = {ell}")
+    if 2 * ell > dim:
+        raise ValueError(f"Pf_{ell} requires dimension >= {2 * ell}, got {dim}")
 
 
 def _pf_prefactor(ell):
@@ -140,11 +183,12 @@ def pf_ell(T, ell: int):
     leading axes of T: the plan of `_pf_plan` with `np.trace` and two-operand
     `np.einsum` steps, never materializing the rank-4l delta."""
     T = np.asarray(T, dtype=np.float64)
+    _check_pf_order(ell, T.shape[-1])
     if ell == 0:
         return np.ones(T.shape[:-4]) if T.ndim > 4 else 1.0
     b = T.ndim - 4
     return _run_pf_plan(
-        T, ell, T.shape[-1],
+        T, ell,
         lambda x, i, j: np.trace(x, axis1=b + i, axis2=b + j),
         lambda how, x, y: np.einsum(
             "..." + how.replace(",", ",...").replace("->", "->..."), x, y,
@@ -155,11 +199,9 @@ def pf_ell_brute(T, ell: int):
     """Pf_l on a flat background by the naive full sum over S_{2l}
     (independent oracle)."""
     T = np.asarray(T, dtype=np.float64)
-    dim = T.shape[-1]
+    _check_pf_order(ell, T.shape[-1])
     if ell == 0:
         return np.ones(T.shape[:-4]) if T.ndim > 4 else 1.0
-    if 2 * ell > dim:
-        raise ValueError(f"Pf_{ell} requires dimension >= {2 * ell}, got {dim}")
     total = 0.0
     for sigma in itertools.permutations(range(2 * ell)):
         subs = _term_subscripts(sigma, ell)
@@ -188,13 +230,14 @@ def pf_ell_poly(Tud: PolyTensor, ell: int) -> PolyTensor:
     """Pf_l of a jet-valued tensor T_{ab}{}^{cd} (scalar PolyTensor), by
     the plan of `_pf_plan` with `pt_trace` and `contract` steps, each at
     the order of `Tud`."""
+    _check_pf_order(ell, Tud.comp_shape[-1])
     if ell == 0:
         return const_poly(np.ones(Tud.coeffs.shape[:Tud.batch_ndim]),
                           Tud.basis, Tud.batch_ndim)
-    return _run_pf_plan(Tud, ell, Tud.comp_shape[-1], pt_trace, jcontract)
+    return _run_pf_plan(Tud, ell, pt_trace, jcontract)
 
 
-def _run_pf_plan(Tud, ell: int, dim: int, trace, merge):
+def _run_pf_plan(Tud, ell: int, trace, merge):
     """Pf_l of T_{ab}{}^{cd} by the straight-line program of `_pf_plan`.
 
     `trace(x, i, j)` traces x over its component axes i and j, and
@@ -203,8 +246,6 @@ def _run_pf_plan(Tud, ell: int, dim: int, trace, merge):
     representation.  Each intermediate is released after its last use, and
     the class terms are summed in class order.
     """
-    if 2 * ell > dim:
-        raise ValueError(f"Pf_{ell} requires dimension >= {2 * ell}, got {dim}")
     steps, finals = _pf_plan(ell)
     uses = Counter(x for _, _, *ops in steps for x in ops)
     uses.update(v for _, v in finals)
@@ -235,7 +276,8 @@ def _pf_plan(ell: int):
     letters renamed in order of first appearance and by its operands.
     Renaming letters does not change the array a contraction computes, so
     each distinct key becomes one step and every class term keeps its
-    value.
+    value.  The traces of a factor and the pattern of a contraction are
+    worked out once per distinct letter string.
 
     Returns (steps, finals).  Value 0 is T_{ab}{}^{cd}, and step k computes
     value k + 1 as ("trace", (i, j), x), the trace of value x over axes i
@@ -250,33 +292,38 @@ def _pf_plan(ell: int):
             index[key] = len(steps)
         return index[key]
 
-    finals = []
+    finals, traced, merged = [], {}, {}
     for mult, sigma in _pf_classes(ell):
         factors = []
         for s in _term_subscripts(sigma, ell):
-            v = 0
-            while len(set(s)) < len(s):
-                i = next(i for i, c in enumerate(s) if s.count(c) > 1)
-                j = s.index(s[i], i + 1)
-                v = step("trace", (i, j), v)
-                s = s[:i] + s[i + 1:j] + s[j + 1:]
-            factors.append((s, v))
+            if s not in traced:
+                t, v = s, 0
+                while len(set(t)) < len(t):
+                    i = next(i for i, c in enumerate(t) if t.count(c) > 1)
+                    j = t.index(t[i], i + 1)
+                    v = step("trace", (i, j), v)
+                    t = t[:i] + t[i + 1:j] + t[j + 1:]
+                traced[s] = (t, set(t), v)
+            factors.append(traced[s])
         while len(factors) > 1:
             best = None
             for i in range(len(factors)):
                 for j in range(i + 1, len(factors)):
-                    shared = len(set(factors[i][0]) & set(factors[j][0]))
+                    shared = len(factors[i][1] & factors[j][1])
                     if best is None or shared > best[0]:
                         best = (shared, i, j)
             _, i, j = best
-            (si, vi), (sj, vj) = factors[i], factors[j]
-            out = "".join(c for c in si + sj if (si + sj).count(c) == 1)
-            rename = {c: string.ascii_lowercase[k]
-                      for k, c in enumerate(dict.fromkeys(si + sj))}
-            pattern = "".join(rename.get(c, c) for c in f"{si},{sj}->{out}")
+            (si, seti, vi), (sj, setj, vj) = factors[i], factors[j]
+            if (si, sj) not in merged:
+                out = "".join([c for c in si + sj if c not in seti & setj])
+                rename = str.maketrans(dict(zip(dict.fromkeys(si + sj),
+                                                string.ascii_lowercase)))
+                merged[si, sj] = (out, set(out),
+                                  f"{si},{sj}->{out}".translate(rename))
+            out, letters, pattern = merged[si, sj]
             factors = [f for k, f in enumerate(factors) if k not in (i, j)]
-            factors.append((out, step("merge", pattern, vi, vj)))
-        s, v = factors[0]
+            factors.append((out, letters, step("merge", pattern, vi, vj)))
+        s, _, v = factors[0]
         if s:
             raise AssertionError("incomplete contraction")
         finals.append((mult, v))

@@ -104,6 +104,32 @@ class TestVerify:
             "pfaffian-weyl-basis-d8-l2", "pfaffian-weyl-basis-d8-l3",
             "pfaffian-weyl-basis-d8-l4"]
 
+    def test_route_values_shared_by_gbc_and_route_equivalence(
+            self, capsys, monkeypatch):
+        # Both suites read P_{l,n} at the base point from one cache: the
+        # ambient and Einstein routes of S2xS2 (l = 2) and S2xS2xS2
+        # (l = 2, 3) run once each, and the reports match separate runs.
+        import rcint.ambient as amb
+        import rcint.integrate as integ
+        calls = []
+        for name in ("p_ell_n_ambient", "p_ell_n_einstein"):
+            def counted(*args, _route=getattr(amb, name), **kwargs):
+                calls.append(_route)
+                return _route(*args, **kwargs)
+            for module in (amb, integ):
+                monkeypatch.setattr(module, name, counted)
+
+        def reports(*suites):
+            monkeypatch.setattr(integ, "_P_ELL_CACHE", {})
+            code, out, _ = _run(capsys, "verify", *suites, "--format", "json")
+            assert code == EXIT_OK
+            return [l for l in out.splitlines() if l.startswith("{")]
+
+        both = reports("gbc", "route-equivalence")
+        assert len(calls) == 10
+        assert both == reports("gbc") + reports("route-equivalence")
+        assert len(calls) == 10 + 10 + 6
+
     def test_json_output_is_json_lines(self, capsys):
         code, out, _ = _run(capsys, "verify", "rvol", "--format", "json")
         assert code == EXIT_OK

@@ -48,12 +48,20 @@ class TestHelpers:
     def test_class_counts(self):
         # Conjugation by the pair-block group plus inversion collapses
         # S_{2l} to these many contraction classes.
-        assert [len(_pf_classes(ell)) for ell in (1, 2, 3, 4)] == [2, 8, 34, 171]
+        assert [len(_pf_classes(ell)) for ell in (1, 2, 3, 4, 5)] == \
+            [2, 8, 34, 171, 1052]
 
     def test_class_multiplicities_cover_group(self):
-        for ell in (1, 2, 3):
-            total = sum(abs(mult) for mult, _ in _pf_classes(ell))
+        # Each class is an orbit of the group of 2^l l! pair-block
+        # conjugations and inversion, listed by its least member.
+        for ell in (1, 2, 3, 4, 5):
+            classes = _pf_classes(ell)
+            total = sum(abs(mult) for mult, _ in classes)
             assert total == math.factorial(2 * ell)
+            order = 2 * 2 ** ell * math.factorial(ell)
+            assert all(order % abs(mult) == 0 for mult, _ in classes)
+            reps = [sigma for _, sigma in classes]
+            assert reps == sorted(set(reps))
 
 
 class TestPfEll:
@@ -77,6 +85,10 @@ class TestPfEll:
         T = np.zeros((4,) * 4)
         with pytest.raises(ValueError):
             pf_ell(T, 3)
+        for pf, arg in ((pf_ell, T), (pf_ell_brute, T),
+                        (pf_ell_poly, _weyl_jet(4, 2, seed=3))):
+            with pytest.raises(ValueError, match="l = -1"):
+                pf(arg, -1)
         with pytest.raises(ValueError):
             pfaffian_field(sphere(3).geometry(order=2))
 
