@@ -61,7 +61,7 @@ class AmbientChart:
 
         self.metric_fn = metric_fn
 
-    def geometry(self, points, order=2) -> Geometry:
+    def geometry(self, points, order) -> Geometry:
         points = np.atleast_2d(points)
         if np.any(np.abs(self.lam * points[:, -1]) > 0.25 + 1e-14):
             raise ValueError("ambient point outside |lam rho| <= 1/4")
@@ -73,7 +73,7 @@ class AmbientChart:
         points = np.atleast_2d(points)
         return points[:, 0] * (1.0 + self.lam * points[:, -1])
 
-    def sample_points(self, count, seed=0):
+    def sample_points(self, count, seed):
         """Random ambient points: t in [1/2, 2], x near the base point,
         rho within both |rho| <= 1/(4|lam|+1) and |lam rho| <= 1/4."""
         rng = np.random.default_rng(seed)
@@ -123,24 +123,14 @@ def ambient_christoffels_exact(chart: AmbientChart, points) -> np.ndarray:
     return out
 
 
-def ambient_curvature_check(chart: AmbientChart, points, order=2,
+def ambient_curvature_check(chart: AmbientChart, points,
                             tol=1e-9) -> CheckReport:
-    """Residual of Rm~ = tau^2 * pullback(W) componentwise.
-
-    All components with a t- or rho-slot must vanish; the base block must
-    equal tau^2 W(x).
+    """Residual of Rm~ = tau^2 * pullback(W) componentwise: all components
+    with a t- or rho-slot must vanish, the base block must equal tau^2 W(x).
     """
-    points = np.atleast_2d(points)
-    geo = chart.geometry(points, order=order)
-    rm = geo.riemann.value()
-    base_geo = chart.base.geometry(points[:, 1:-1], order=2)
-    w = base_geo.weyl.value()
-    tau = chart.tau(points)
-    want = np.zeros_like(rm)
-    sl = slice(1, chart.dim - 1)
-    want[:, sl, sl, sl, sl] = tau[:, None, None, None, None] ** 2 * w
-    return CheckReport.compare(f"ambient-curvature-{chart.base.name}",
-                               "Lemma 3.3", rm, want, tol)
+    return _pullback_check(lambda g: g.riemann, lambda g: g.weyl, 2, chart,
+                           points, f"ambient-curvature-{chart.base.name}",
+                           "Lemma 3.3", tol)
 
 
 def ambient_ricci_check(chart: AmbientChart, points, tol=1e-8):
@@ -191,7 +181,7 @@ def tau_power_poly(chart: AmbientChart, geo: Geometry, w: float) -> PolyTensor:
 
 
 def ambient_laplacian_homogeneous(chart: AmbientChart, base_field_fn, w,
-                                  points, base_order=0):
+                                  points, base_order):
     """The two sides of Delta~(tau^w pi* u) = tau^{w-2} pi*((Delta + c) u),
     c = 2 lam w (n + w - 1).
 
@@ -219,18 +209,18 @@ def ambient_laplacian_homogeneous(chart: AmbientChart, base_field_fn, w,
 
 
 def ambient_iterated_laplacian(chart: AmbientChart, field_fn, m: int,
-                               x_points=None, field_order=2):
+                               x_points=None):
     """i*(Delta~^m of field_fn(ambient geometry)) at base points x.
 
     `field_fn(geo) -> scalar PolyTensor` must be an ambient-evaluable
-    invariant formula (fixed coefficients).  Points are lifted to
+    invariant formula (fixed coefficients) of a metric jet of order 2.  Points are lifted to
     (1, x, 0); the jets are expanded there, so the pullback is just the
     value after m Laplacians.
     """
     if x_points is None:
         x_points = chart.base.base_point[None, :]
     pts = chart.embed_base_points(x_points)
-    order = field_order + 2 * m
+    order = 2 + 2 * m
     vals = []
     for row in pts:  # one point at a time: ambient jets are memory-heavy
         geo = chart.geometry(row[None, :], order=order)
@@ -278,27 +268,32 @@ def p_ell_n_einstein(model: Model, ell: int, x_points=None):
 
 
 def check_straightenable(field_fn, w, chart: AmbientChart, points=None,
-                         order=2, tol=1e-9, name="field") -> CheckReport:
+                         tol=1e-9, name="field") -> CheckReport:
     """Componentwise residual of (ambient evaluation) = tau^w * pullback.
 
-    `field_fn(geo) -> PolyTensor` must evaluate the same invariant formula
-    on base and ambient geometries; `w` is the scaling weight of the
-    all-lower-index value.  All components carrying a t- or rho-slot are
-    required to vanish.  A large residual is a *finding* (the invariant is
-    not straightenable), so this returns a report rather than raising.
+    `field_fn(geo) -> PolyTensor` evaluates one invariant formula on the
+    base and the ambient geometry, each built at metric jet order 2; `w`
+    is the scaling weight of the all-lower-index value.  Components with a
+    t- or rho-slot must vanish.  A large residual is a *finding* (the
+    invariant is not straightenable), so this returns a report.
     """
     if points is None:
         points = chart.sample_points(3, seed=7)
+    return _pullback_check(field_fn, field_fn, w, chart, points,
+                           f"straightenable-{name}-{chart.base.name}",
+                           "Def. 1.5", tol)
+
+
+def _pullback_check(ambient_fn, base_fn, w, chart, points, check_id, anchor,
+                    tol) -> CheckReport:
+    """The one pullback comparison: `ambient_fn` at the ambient `points`
+    against tau^w times `base_fn` at their x in the base block, and zero
+    on every component with a t- or rho-slot; order-2 metric jets."""
     points = np.atleast_2d(points)
-    geo = chart.geometry(points, order=order)
-    val = field_fn(geo).value()
-    base_geo = chart.base.geometry(points[:, 1:-1], order=order)
-    base_val = field_fn(base_geo).value()
-    tau = chart.tau(points)
+    val = ambient_fn(chart.geometry(points, order=2)).value()
+    base_val = base_fn(chart.base.geometry(points[:, 1:-1], order=2)).value()
     want = np.zeros_like(val)
     rank = val.ndim - 1
     sl = (slice(None),) + (slice(1, chart.dim - 1),) * rank
-    scale = tau ** w
-    want[sl] = scale.reshape((-1,) + (1,) * rank) * base_val
-    return CheckReport.compare(f"straightenable-{name}-{chart.base.name}",
-                               "Def. 1.5", val, want, tol)
+    want[sl] = (chart.tau(points) ** w).reshape((-1,) + (1,) * rank) * base_val
+    return CheckReport.compare(check_id, anchor, val, want, tol)

@@ -85,10 +85,8 @@ def pt_trace(t: PolyTensor, ax1: int, ax2: int) -> PolyTensor:
     return PolyTensor(np.einsum(expr, t.coeffs), t.basis, t.batch_ndim)
 
 
-def _letters(n, banned="P"):
-    pool = [c for c in string.ascii_lowercase + string.ascii_uppercase
-            if c not in banned]
-    return pool[:n]
+def _letters(n):
+    return [c for c in string.ascii_letters if c != "P"][:n]  # P: jet axis
 
 
 def raise_slots(t: PolyTensor, ginv: PolyTensor, slots,
@@ -348,11 +346,11 @@ class Model:
 # -- round spheres -----------------------------------------------------------
 
 
-def sphere_metric_fn(n, radius=1.0):
+def sphere_metric_fn(n):
     def fn(coords):
         dim = len(coords)
         rows = [[0.0] * dim for _ in range(dim)]
-        running = const_poly(radius ** 2, coords[0].basis)
+        running = const_poly(1.0, coords[0].basis)
         for i in range(n):
             rows[i][i] = running
             if i < n - 1:
@@ -362,8 +360,8 @@ def sphere_metric_fn(n, radius=1.0):
     return fn
 
 
-def sphere_volume(n, radius=1.0):
-    return 2 * math.pi ** ((n + 1) / 2) / math.gamma((n + 1) / 2) * radius ** n
+def sphere_volume(n):
+    return 2 * math.pi ** ((n + 1) / 2) / math.gamma((n + 1) / 2)
 
 
 def _polar(axes):
@@ -371,15 +369,15 @@ def _polar(axes):
     return {a: (EPS_POLE, math.pi - EPS_POLE) for a in axes}
 
 
-def sphere(n, radius=1.0) -> Model:
+def sphere(n) -> Model:
     base = np.linspace(0.6, 1.9, n)
     return Model(
-        name=f"S{n}" + ("" if radius == 1.0 else f"(r={radius})"),
+        name=f"S{n}",
         dim=n,
-        metric_fn=sphere_metric_fn(n, radius),
-        lam=1.0 / (2 * radius ** 2),
+        metric_fn=sphere_metric_fn(n),
+        lam=0.5,
         chi=2 if n % 2 == 0 else 0,
-        volume=sphere_volume(n, radius),
+        volume=sphere_volume(n),
         homogeneous=True,
         compact=True,
         base_point=base,
@@ -498,14 +496,14 @@ def cp2() -> Model:
 # -- perturbed sphere ----------------------------------------------------------
 
 
-def perturbed_sphere(n=4, amp=0.1) -> Model:
+def perturbed_sphere(n, amp=0.1) -> Model:
     """Unit S^n pulled back from the flat metric plus amp * X1^2 dX2 (x) dX2.
 
     Cohomogeneity-two, so generically non-Einstein with nonvanishing Weyl and
     Cotton tensors; used wherever a non-symmetric compact test metric is
     needed.
     """
-    round_fn = sphere_metric_fn(n, 1.0)
+    round_fn = sphere_metric_fn(n)
 
     def fn(coords):
         rows = round_fn(coords)
@@ -545,7 +543,7 @@ def perturbed_sphere(n=4, amp=0.1) -> Model:
 
 def hyperbolic_metric_fn(n):
     """g = r^-2 (dr^2 + (1 - r^2/4)^2 h_round) on (0, 2) x S^{n-1}."""
-    round_fn = sphere_metric_fn(n - 1, 1.0)
+    round_fn = sphere_metric_fn(n - 1)
 
     def fn(coords):
         r = coords[0]
@@ -583,7 +581,7 @@ def hyperbolic_normal_form(n) -> Model:
 
 
 def _registry():
-    reg = {
+    return {
         "S2": lambda: sphere(2),
         "S4": lambda: sphere(4),
         "S6": lambda: sphere(6),
@@ -596,22 +594,16 @@ def _registry():
         "H4": lambda: hyperbolic_normal_form(4),
         "H6": lambda: hyperbolic_normal_form(6),
     }
-    return reg
 
 
 MODEL_NAMES = tuple(_registry())
 
 
 def get_model(name: str) -> Model:
-    key = name.replace("_", "-")
-    aliases = {"(S2)^2": "S2xS2", "(S2)^3": "S2xS2xS2", "(S2)^4": "S2xS2xS2xS2",
-               "perturbed-sphere": "perturbed-S4"}
-    key = aliases.get(key, aliases.get(name, key))
+    """The catalog model spelled exactly `name`, one of `MODEL_NAMES`; any
+    other spelling raises `KeyError` listing the catalog."""
     reg = _registry()
-    if key not in reg:
-        lower = {k.lower(): k for k in reg}
-        key = lower.get(key.lower(), key)
-    if key not in reg:
+    if name not in reg:
         raise KeyError(f"unknown model {name!r}; available: "
                        f"{', '.join(sorted(reg))}")
-    return reg[key]()
+    return reg[name]()

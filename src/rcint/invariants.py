@@ -348,7 +348,7 @@ WEYL_BASIS = {
 }
 
 
-def weyl_basis(W, k: int = 2):
+def weyl_basis(W, k: int):
     """The complete contractions W_{k,1}, W_{k,2}, ... of `WEYL_BASIS[k]`
     on a flat background, batched over leading axes of W."""
     if k not in WEYL_BASIS:
@@ -362,7 +362,7 @@ def weyl_basis(W, k: int = 2):
     return out
 
 
-def low_order_pfaffian_identity(W, ell: int = 2, tol=1e-10) -> CheckReport:
+def low_order_pfaffian_identity(W, ell: int, tol=1e-10) -> CheckReport:
     """Residual of Pf_l(W) against its Weyl-basis expansion, l in {2,3,4},
     on a flat background."""
     lhs = pf_ell(W, ell)
@@ -371,14 +371,14 @@ def low_order_pfaffian_identity(W, ell: int = 2, tol=1e-10) -> CheckReport:
                                "Lemma 5.2", lhs, rhs, tol)
 
 
-def einstein_pfaffian_expansion(model, points=None, tol=1e-9) -> CheckReport:
+def einstein_pfaffian_expansion(model, tol=1e-9) -> CheckReport:
     """Pf = sum_l (n-2l-1)!! (2J/n)^{n/2-l} Pf_l(W) at an Einstein model."""
     if model.lam is None:
         raise ValueError(f"{model.name} is not a catalog Einstein model")
     n = model.dim
     if n % 2:
         raise ValueError("even dimension required")
-    geo = model.geometry(points, order=2)
+    geo = model.geometry(order=2)
     J = model.j_value
     lhs = pfaffian_field(geo).value()
     Wud = raise_last_two(geo.weyl, geo.ginv)
@@ -456,19 +456,18 @@ def i_ell_closed_form_coeff(n: int, k: int, ell: int, J: float) -> float:
     return (-4.0 * J / n) ** ell * num / den
 
 
-def i_ell_operator(field_fn, k: int, ell: int, model, points=None,
-                   base_order: int = 2):
+def i_ell_operator(field_fn, k: int, ell: int, model, points=None):
     """I_ell = prod_{j=0}^{ell-1} (Delta - 4(k+j)(n-2k-2j-1) J / n) I.
 
-    `field_fn(geo) -> scalar PolyTensor` builds I from a Geometry;
-    `base_order` is the metric jet order field_fn itself consumes.
-    Returns the values of I_ell at the points (shape (B,)).
+    `field_fn(geo) -> scalar PolyTensor` builds I from a Geometry with a
+    metric jet of order 2.  Returns the values of I_ell at the points
+    (shape (B,)).
     """
     if model.lam is None:
         raise ValueError(f"{model.name} has no Einstein constant")
     n = model.dim
     J = model.j_value
-    geo = model.geometry(points, order=base_order + 2 * ell)
+    geo = model.geometry(points, order=2 + 2 * ell)
     u = field_fn(geo)
     for j in range(ell):
         c = 4.0 * (k + j) * (n - 2 * k - 2 * j - 1) / n * J
@@ -480,8 +479,8 @@ def i_ell_operator(field_fn, k: int, ell: int, model, points=None,
 # divergence construction (ambient divergence on symmetric tensors)
 
 
-def divergence_construction(geo: Geometry, T: PolyTensor, w: float,
-                            order=None) -> PolyTensor:
+def divergence_construction(geo: Geometry, T: PolyTensor,
+                            w: float) -> PolyTensor:
     """U_{a1..a_{k-1}} = div T + (k-1)/(w-2k+2) * grad of the trace.
 
     T must be a symmetric all-lower rank-k jet tensor of scaling weight w;
@@ -493,8 +492,7 @@ def divergence_construction(geo: Geometry, T: PolyTensor, w: float,
         raise ValueError("T must have rank >= 1")
     if w == 2 * k - 2:
         raise ValueError("weight w = 2k-2 is singular for this construction")
-    if order is None:
-        order = T.basis.order - 1
+    order = T.basis.order - 1
     dT = geo.covariant_derivative(T)  # (der, a1..ak)
     letters = string.ascii_lowercase
     idx = letters[:k - 1]
@@ -540,10 +538,10 @@ def pf_ell_weyl_field(geo: Geometry, ell: int) -> PolyTensor:
     return pf_ell_poly(Wud, ell)
 
 
-#: name -> (field_fn, k, metric jet order consumed by the field itself)
+#: name -> (field_fn, k); each field reads a metric jet of order 2
 STRAIGHTENABLE_FIELDS = {
-    "weyl-norm2": (weyl_norm2_field, 2, 2),
-    "W31": (w31_field, 3, 2),
-    "W32": (w32_field, 3, 2),
-    "pf3-weyl": (partial(pf_ell_weyl_field, ell=3), 3, 2),
+    "weyl-norm2": (weyl_norm2_field, 2),
+    "W31": (w31_field, 3),
+    "W32": (w32_field, 3),
+    "pf3-weyl": (partial(pf_ell_weyl_field, ell=3), 3),
 }

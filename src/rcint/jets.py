@@ -224,8 +224,8 @@ class PolyTensor:
         return self.coeffs[..., 0]
 
     def truncate(self, order: int) -> "PolyTensor":
-        if order > self.basis.order:
-            raise ValueError("cannot raise truncation order")
+        if not 0 <= order <= self.basis.order:
+            raise ValueError(f"cannot truncate to order {order}")
         if order == self.basis.order:
             return self
         b = basis(self.basis.nvars, order)
@@ -233,6 +233,8 @@ class PolyTensor:
                           self.support)
 
     def diff(self, var: int) -> "PolyTensor":
+        if self.basis.order == 0:
+            raise ValueError("cannot differentiate an order-0 jet")
         gather, factor = _diff_table(self.basis.nvars, self.basis.order, var)
         b = basis(self.basis.nvars, self.basis.order - 1)
         return PolyTensor(self.coeffs[..., gather] * factor, b,
@@ -380,18 +382,20 @@ def contract(pattern: str, a: PolyTensor, b: PolyTensor, order: int | None = Non
     """Einsum over component axes with convolution of the coefficient axes.
 
     `pattern` names only the component axes, e.g. ``'ae,eb->ab'``; batch axes
-    are broadcast and the jet axis is convolved and truncated to `order`.  A
-    letter must have one length wherever it appears.
+    are broadcast and the jet axis is convolved and truncated to `order`.
+    Each operand's letters name its component axes once each, the output
+    names input letters once each, and a letter has one length wherever
+    it appears; any other pattern raises `ValueError`.  A trace is
+    `geometry.pt_trace`, not a repeated letter.
 
     At output order 0 the result is one einsum of the two values
     (``...{in_a},...{in_b}->...{outs}``) in a fresh array, so a NaN or inf
     value reaches every output its einsum terms reach.
 
     At higher orders only component pairs whose jets are both nonzero at
-    some batch point can contribute.  A letter repeated within one operand
-    first reduces that operand to its diagonal.  The pairs of the two
-    supports (`_support`, read from each operand and scanned at most once
-    per tensor) are joined on the shared letters, only those pairs are
+    some batch point can contribute.  The pairs of the two supports
+    (`_support`, read from each operand and scanned at most once per
+    tensor) are joined on the shared letters, only those pairs are
     multiplied, by `_jet_mul`, and the output components they reach become
     the result's `support`.  NaN and inf count as nonzero, so a non-finite
     jet reaches every output its partners in the supports reach.  The
@@ -407,8 +411,14 @@ def contract(pattern: str, a: PolyTensor, b: PolyTensor, order: int | None = Non
     in_a, in_b = ins.split(",")
     batch_shape = np.broadcast_shapes(
         a.coeffs.shape[: a.batch_ndim], b.coeffs.shape[: b.batch_ndim])
+    if len(set(outs)) < len(outs) or not set(outs) <= set(in_a + in_b):
+        raise ValueError(f"{pattern!r}: the output must name input letters "
+                         f"once each")
     dims = {}
     for letters, arr in ((in_a, a), (in_b, b)):
+        if len(letters) != arr.rank or len(set(letters)) < len(letters):
+            raise ValueError(f"{pattern!r}: {letters!r} must name the "
+                             f"{arr.rank} axes of its operand once each")
         for c, n in zip(letters, arr.comp_shape):
             if dims.setdefault(c, n) != n:
                 raise ValueError(f"letter {c!r} has lengths {dims[c]} and {n}")
@@ -416,7 +426,6 @@ def contract(pattern: str, a: PolyTensor, b: PolyTensor, order: int | None = Non
     if order == 0:  # one jet pair, (0, 0): the einsum of the values
         val = np.einsum(_value_subscripts(pattern), a.value(), b.value())
         return PolyTensor(val[..., None], bout, len(batch_shape))
-    (a, in_a), (b, in_b) = _diagonal(a, in_a), _diagonal(b, in_b)
     out, support = _contract_support(in_a, in_b, outs, a, b, dims,
                                      batch_shape, order)
     return PolyTensor(out, bout, len(batch_shape), support)
@@ -437,16 +446,6 @@ def _value_subscripts(pattern: str) -> str:
     return f"...{in_a},...{in_b}->...{''.join(names[c] for c in outs)}"
 
 
-def _diagonal(x: PolyTensor, letters: str):
-    """`x` and its letters with each repeated letter reduced to its
-    diagonal, an einsum view; `x` itself when no letter repeats."""
-    kept = "".join(dict.fromkeys(letters))
-    if kept == letters:
-        return x, letters
-    view = np.einsum(f"...{letters}P->...{kept}P", x.coeffs)
-    return PolyTensor(view, x.basis, x.batch_ndim), kept
-
-
 def _support(x: PolyTensor, letters: str):
     """Size and coordinates (one array per letter) of the support of `x`:
     the components whose jet is nonzero, NaN or inf at some batch point.
@@ -462,8 +461,7 @@ def _support(x: PolyTensor, letters: str):
 
 
 def _support_join(in_a, in_b, a, b, dims):
-    """Join the supports of `a` and `b` on the letters they share; no
-    letter repeats within one operand.
+    """Join the supports of `a` and `b` on the letters they share.
 
     Returns (coords_a, coords_b, counts, lo, order_b): support entry i of `a`
     pairs with the entries order_b[lo[i] : lo[i] + counts[i]] of `b`.

@@ -27,11 +27,15 @@ class CheckReport:
         """Build a report from two sides; arrays are reduced by max-norm.
 
         For array inputs lhs/rhs record the max-norm of each side and the
-        residual is the componentwise max error.  A side holding NaN or inf
-        fails with criterion "nonfinite", whatever the tolerance.
+        residual is the componentwise max error.  Two array sides must have
+        one shape; a number compares with every component.  A side holding
+        NaN or inf fails with criterion "nonfinite", whatever the tolerance.
         """
         a = np.asarray(lhs, dtype=np.float64)
         b = np.asarray(rhs, dtype=np.float64)
+        if a.ndim and b.ndim and a.shape != b.shape:
+            raise ValueError(f"{check_id}: sides of shapes {a.shape} and "
+                             f"{b.shape}")
         # inf - inf is NaN, and finite sides far apart overflow to inf;
         # both fail below
         with np.errstate(invalid="ignore", over="ignore"):

@@ -110,20 +110,19 @@ class TestAmbientLaplacian:
 class TestStraightenable:
     def test_weyl_norm2_is_straightenable(self, s4_chart):
         rep = check_straightenable(weyl_norm2_field, w=-4.0, chart=s4_chart,
-                                   order=2, tol=1e-9, name="weyl-norm2")
+                                   tol=1e-9, name="weyl-norm2")
         assert rep.passed, rep
 
     def test_weyl_tensor_is_straightenable(self, s4_chart):
         rep = check_straightenable(lambda geo: geo.weyl, w=2.0,
-                                   chart=s4_chart, order=2, tol=1e-9,
-                                   name="weyl")
+                                   chart=s4_chart, tol=1e-9, name="weyl")
         assert rep.passed, rep
 
     def test_riemann_is_not_straightenable(self, s4_chart):
         # Negative control: the full curvature tensor carries metric terms
         # that do not scale homogeneously, so the residual must be large.
         rep = check_straightenable(lambda geo: geo.riemann, w=2.0,
-                                   chart=s4_chart, order=2, tol=1e-9,
+                                   chart=s4_chart, tol=1e-9,
                                    name="riemann")
         assert not rep.passed
         assert rep.abs_err > 0.1

@@ -419,9 +419,10 @@ class TestModelRegistry:
             assert m.base_point.shape == (m.dim,)
 
     def test_aliases_and_case(self):
-        assert get_model("(S2)^2").name == get_model("S2xS2").name
-        assert get_model("s4").name == get_model("S4").name
-        assert get_model("perturbed-sphere").name == get_model("perturbed-S4").name
+        # one spelling per model: the catalog name, exactly
+        for name in ("s4", "(S2)^2", "perturbed-sphere", "perturbed_S4"):
+            with pytest.raises(KeyError, match="available: CP2, H4, H6, "):
+                get_model(name)
 
     def test_unknown_model(self):
         with pytest.raises(KeyError):

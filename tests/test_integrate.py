@@ -131,14 +131,6 @@ class TestLaurentSeries:
         with pytest.raises(ValueError):
             s.fp()
 
-    def test_arithmetic(self):
-        a = LaurentSeries({0: Fraction(1), -2: Fraction(3)})
-        b = LaurentSeries({0: Fraction(2)}, log_coeff=Fraction(1))
-        c = a + 2 * b
-        assert c.coeffs[0] == Fraction(5)
-        assert c.coeffs[-2] == Fraction(3)
-        assert c.log_coeff == Fraction(2)
-
 
 class TestRenormalizedVolume:
     def test_exact_values(self):

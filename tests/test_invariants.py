@@ -351,7 +351,7 @@ def _jet_weyl_rows():
     """(name, k, i, raised) of every catalog field that evaluates a row of
     `WEYL_BASIS` on jets."""
     rows = [(name, fn.keywords["k"], fn.keywords["i"], fn.keywords["raised"])
-            for name, (fn, _, _) in STRAIGHTENABLE_FIELDS.items()
+            for name, (fn, _) in STRAIGHTENABLE_FIELDS.items()
             if getattr(fn, "func", None) is weyl_contraction_field]
     assert len(rows) == 2
     return rows
@@ -417,11 +417,11 @@ class TestIellOperator:
 
     def test_field_catalog_entries(self):
         m = get_model("S2xS2xS2")  # dim 6, so pf3-weyl is defined
-        geo = m.geometry(order=2)
-        for name, (fn, k, base_order) in STRAIGHTENABLE_FIELDS.items():
+        geo = m.geometry(order=2)  # the metric jet order every field reads
+        for name, (fn, k) in STRAIGHTENABLE_FIELDS.items():
             vals = fn(geo).value()
             assert np.all(np.isfinite(vals)), name
-            assert k in (2, 3) and base_order == 2
+            assert k in (2, 3)
 
 
 class TestDivergenceConstruction:

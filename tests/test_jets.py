@@ -90,6 +90,20 @@ class TestContract:
         with pytest.raises(ValueError, match="'b' has lengths 3 and 1"):
             contract("ab,bc->ac", x, y)
 
+    @pytest.mark.parametrize("order", [0, 2])
+    @pytest.mark.parametrize("pattern", [
+        "a,a->",  # leaves an axis of x out
+        "ab,b->aa", "ab,b->c",  # an output letter twice, or not an input
+        "aa,a->a", "aa,ab->b", "aba,b->a",  # a diagonal: a trace is pt_trace
+    ])
+    def test_invalid_pattern_rejected(self, pattern, order):
+        b = basis(2, 2)
+        in_a, in_b = pattern.split("->")[0].split(",")
+        x = _random_poly(b, (3,) * max(len(in_a), 2), seed=14)
+        y = _random_poly(b, (3,) * len(in_b), seed=15)
+        with pytest.raises(ValueError, match="once each"):
+            contract(pattern, x, y, order)
+
     def test_order_zero_is_value_product(self):
         b = basis(3, 3)
         p = _random_poly(b, (2,), seed=5)
@@ -149,14 +163,18 @@ def _assert_matches_oracle(pattern, a, b, order=None, chunk=jets._CHUNK):
                                atol=1e-12)
 
 
+def _operand_letters(draw, letters):
+    """One operand's letters: distinct, at most three."""
+    return "".join(draw(st.lists(st.sampled_from(letters), max_size=3,
+                                 unique=True)))
+
+
 @st.composite
 def _contractions(draw):
-    """Operands of a `contract` at output order >= 1: letters may repeat
-    within an operand (diagonals)."""
+    """Operands of a `contract` at output order >= 1."""
     letters = "abcd"
     dims = {c: draw(st.integers(1, 3)) for c in letters}
-    in_a = "".join(draw(st.lists(st.sampled_from(letters), max_size=3)))
-    in_b = "".join(draw(st.lists(st.sampled_from(letters), max_size=3)))
+    in_a, in_b = (_operand_letters(draw, letters) for _ in range(2))
     union = sorted(set(in_a + in_b))
     outs = "".join(c for c in draw(st.permutations(union))
                    if draw(st.booleans()))
@@ -190,7 +208,7 @@ class TestContractPaths:
         "ab,ab->",  # every letter shared and summed
         "ab,c->ac",  # b summed in one operand only
         "ab,bc->ac", "abcd,cdef->abef", "a,b->ab", "ba,bc->ca",
-        "aa,ab->b", "aba,b->a",  # a diagonal
+        "aa,ab->b", "aba,b->a",  # a diagonal: rejected, a trace is pt_trace
     ])
     @pytest.mark.parametrize("batches", [((), ()), ((), (4,)), ((1,), (4,)),
                                          ((4,), (4,))])
@@ -200,6 +218,11 @@ class TestContractPaths:
         b = basis(2, 3)
         a_, b_ = (_sparse_poly(b, (3,) * len(s), batch, 0.5, rng)
                   for s, batch in zip(ins, batches))
+        if pattern.startswith(("aa", "aba")):
+            for order in (None, 2):
+                with pytest.raises(ValueError, match="once each"):
+                    contract(pattern, a_, b_, order)
+            return
         _assert_matches_oracle(pattern, a_, b_)
         _assert_matches_oracle(pattern, a_, b_, 2)
 
@@ -395,12 +418,11 @@ def _batched_einsum(pattern, x, y):
 
 @st.composite
 def _order0_contractions(draw):
-    """Like `_contractions`, at output order 0: letters may repeat within an
-    operand (diagonals), values may be complex, NaN or inf."""
+    """Like `_contractions`, at output order 0: values may be complex, NaN
+    or inf."""
     letters = "abcd"
     dims = {c: draw(st.integers(1, 3)) for c in letters}
-    in_a = "".join(draw(st.lists(st.sampled_from(letters), max_size=3)))
-    in_b = "".join(draw(st.lists(st.sampled_from(letters), max_size=3)))
+    in_a, in_b = (_operand_letters(draw, letters) for _ in range(2))
     union = sorted(set(in_a + in_b))
     outs = "".join(c for c in draw(st.permutations(union))
                    if draw(st.booleans()))
@@ -444,12 +466,12 @@ class TestOrderZero:
         assert not np.shares_memory(out.coeffs, a.coeffs)
         assert not np.shares_memory(out.coeffs, b.coeffs)
 
-    def test_diagonal_and_unbatched_times_batched(self):
+    def test_unbatched_times_batched(self):
         b = basis(2, 2)
         x = _random_poly(b, (3, 3), seed=11)
         y = _random_poly(b, (3,), batch=(4,), seed=12)
-        out = contract("aa,a->a", x, y, 0)
-        want = np.diagonal(x.value())[None, :] * y.value()
+        out = contract("ab,b->a", x, y, 0)
+        want = np.einsum("ab,zb->za", x.value(), y.value())
         assert out.batch_ndim == 1 and out.coeffs.shape == (4, 3, 1)
         np.testing.assert_allclose(out.coeffs[..., 0], want, rtol=1e-15)
 
@@ -556,7 +578,7 @@ class TestJetMul:
         q = PolyTensor(np.array([1.0, -1j, 0.0]), b)
         np.testing.assert_array_equal((p * q).coeffs, [1.0, 0.0, 1.0])
 
-    @pytest.mark.parametrize("pattern", ["ab,bc->ac", ",ab->ab", "aa,a->a"])
+    @pytest.mark.parametrize("pattern", ["ab,bc->ac", ",ab->ab", "ab,b->a"])
     def test_complex_operands_on_both_kernels(self, pattern):
         # the order-0 einsum and the support kernel
         rng = np.random.default_rng(13)
@@ -587,6 +609,16 @@ class TestDiff:
         assert dx.coeffs[dx.basis.index((1, 1))] == 10.0
         dy = p.diff(1)
         assert dy.coeffs[dy.basis.index((2, 0))] == 5.0
+
+    def test_order_below_zero_rejected(self):
+        # the coefficient axis would be empty, and `value()` an IndexError
+        p = _random_poly(basis(2, 2), (3,), seed=16)
+        with pytest.raises(ValueError, match="to order -1"):
+            p.truncate(-1)
+        with pytest.raises(ValueError, match="order-0 jet"):
+            p.truncate(0).diff(0)
+        with pytest.raises(ValueError, match="to order 3"):
+            p.truncate(3)
 
 
 @st.composite

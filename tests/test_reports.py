@@ -33,6 +33,15 @@ class TestCompare:
         assert r.criterion == "nonfinite"
         assert not r.passed
 
+    @pytest.mark.parametrize("lhs,rhs", [
+        (np.zeros((3, 1)), np.array([0.0, 1.0, 2.0])),
+        (np.zeros(2), np.zeros(3)),
+    ])
+    def test_array_sides_of_different_shapes_rejected(self, lhs, rhs):
+        # broadcasting would compare every pair of components
+        with pytest.raises(ValueError, match="sides of shapes"):
+            CheckReport.compare("id", "anchor", lhs, rhs, 1e-10)
+
 
 _SIDES = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                    st.sampled_from([math.nan, math.inf, -math.inf]))
