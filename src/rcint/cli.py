@@ -379,7 +379,7 @@ def _validate(args):
         try:
             model = get_model(args.manifold)
         except KeyError as exc:
-            raise ConfigError(str(exc))
+            raise ConfigError(exc.args[0])
         for s in args.suites:
             missing = [p for p in _DECLARED[s][1] if not _PROPERTIES[p](model)]
             if missing:

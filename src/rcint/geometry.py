@@ -201,9 +201,10 @@ class Geometry:
 
     @cached_property
     def weyl(self) -> PolyTensor:
-        g, p = self.g, self.schouten
-        kn = (contract("ac,bd->abcd", p, g) - contract("ad,bc->abcd", p, g)
-              + contract("bd,ac->abcd", p, g) - contract("bc,ad->abcd", p, g))
+        # P (.) g from x = P_ac g_bd: P_ad g_bc, P_bd g_ac, P_bc g_ad permute x
+        x = contract("ac,bd->abcd", self.schouten, self.g)
+        kn = (x - pt_transpose(x, (0, 1, 3, 2)) + pt_transpose(x, (1, 0, 3, 2))
+              - pt_transpose(x, (1, 0, 2, 3)))
         return self.riemann - kn
 
     @cached_property

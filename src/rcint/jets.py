@@ -16,9 +16,9 @@ catalog needs (sin, cos, real powers); `const_poly` and
 `coordinate_poly` build the constant and coordinate jets.
 
 At output order 0 a contraction has one jet pair, the two values, and
-`contract` is a single einsum of them.  At higher orders, curvature tensors
-are mostly zero components: the ambient curvature vanishes on every t- and
-rho-slot, and a product of spheres has few nonzero base components.
+`contract` is one batched matmul of them.  At higher orders, curvature
+tensors are mostly zero components: the ambient curvature vanishes on every
+t- and rho-slot, and a product of spheres has few nonzero base components.
 `contract` therefore joins the supports of its operands, the components
 that are nonzero at some batch point, on their shared letters, and
 multiplies only those pairs.  `PolyTensor` stores its coefficients densely
@@ -32,7 +32,8 @@ scalar-jet product share one jet product, `_jet_mul`, which sums the jet
 pairs coefficient-major, with the coefficient axis first in its scratch
 arrays: `_pair_table` orders the pairs so that each pass adds whole
 contiguous rows into a prefix of the running sums.  The kernel keeps that
-layout through its reduction by output component and transposes once.
+layout, sums by one reshape-sum per block of equal pair counts and
+transposes once.
 """
 
 from __future__ import annotations
@@ -388,9 +389,9 @@ def contract(pattern: str, a: PolyTensor, b: PolyTensor, order: int | None = Non
     it appears; any other pattern raises `ValueError`.  A trace is
     `geometry.pt_trace`, not a repeated letter.
 
-    At output order 0 the result is one einsum of the two values
-    (``...{in_a},...{in_b}->...{outs}``) in a fresh array, so a NaN or inf
-    value reaches every output its einsum terms reach.
+    At output order 0 the result is one batched matmul of the two values
+    (`_value_product`) in a fresh array, so a NaN or inf value reaches
+    every output its einsum terms reach.
 
     At higher orders only component pairs whose jets are both nonzero at
     some batch point can contribute.  The pairs of the two supports
@@ -423,8 +424,8 @@ def contract(pattern: str, a: PolyTensor, b: PolyTensor, order: int | None = Non
             if dims.setdefault(c, n) != n:
                 raise ValueError(f"letter {c!r} has lengths {dims[c]} and {n}")
     bout = basis(a.basis.nvars, order)
-    if order == 0:  # one jet pair, (0, 0): the einsum of the values
-        val = np.einsum(_value_subscripts(pattern), a.value(), b.value())
+    if order == 0:  # one jet pair, (0, 0): the product of the values
+        val = _value_product(in_a, in_b, outs, a.value(), b.value())
         return PolyTensor(val[..., None], bout, len(batch_shape))
     out, support = _contract_support(in_a, in_b, outs, a, b, dims,
                                      batch_shape, order)
@@ -432,18 +433,43 @@ def contract(pattern: str, a: PolyTensor, b: PolyTensor, order: int | None = Non
 
 
 @lru_cache(maxsize=None)
-def _value_subscripts(pattern: str) -> str:
-    """Einsum subscripts of an order-0 `contract`, batch axes as an ellipsis.
+def _matmul_plan(in_a, in_b, outs):
+    """`_value_product`'s axis orders and group ends, or None: see there."""
+    if any(c not in outs and (c in in_a) != (c in in_b) for c in in_a + in_b):
+        return None
+    kept = [c for c in in_a if c in in_b and c in outs]
+    summed = [c for c in in_a if c in in_b and c not in outs]
+    rows = [c for c in in_a if c not in in_b]
+    cols = [c for c in in_b if c not in in_a]
+    plan = [(tuple(s.index(c) for c in g0 + g1 + g2), len(g0), len(g0 + g1))
+            for s, (g0, g1, g2) in ((in_a, (kept, rows, summed)),
+                                    (in_b, (kept, summed, cols)))]
+    return *plan, tuple((kept + rows + cols).index(c) for c in outs)
 
-    Letters are renamed in order of first appearance, so patterns equal up
-    to renaming run one einsum, sum in one order and give the same array.
-    """
-    ins, outs = pattern.split("->")
-    names = {}
-    for c in ins.replace(",", ""):
-        names.setdefault(c, chr(ord("a") + len(names)))
-    in_a, in_b = ("".join(names[c] for c in s) for s in ins.split(","))
-    return f"...{in_a},...{in_b}->...{''.join(names[c] for c in outs)}"
+
+def _value_product(in_a, in_b, outs, x, y):
+    """`contract` of two value arrays (batch axes first): one batched
+    `np.matmul` of `a` as (kept, a only, summed) by `b` as (kept, summed,
+    b only), each group in its operand's letter order, shared ones in that
+    of `a`, so renamed letters give the same array.  A complex value or a
+    letter summed in one operand only runs einsum, whose loop order decides
+    which inf * 0 terms it forms there; BLAS's complex product differs."""
+    plan = _matmul_plan(in_a, in_b, outs)
+    if plan is None or np.iscomplexobj(x) or np.iscomplexobj(y):
+        return np.einsum(f"...{in_a},...{in_b}->...{outs}", x, y)
+    mats, shapes = [], []
+    for v, (perm, i, j) in zip((x, y), plan):
+        nb = v.ndim - len(perm)
+        v = v.transpose(tuple(range(nb)) + tuple(nb + p for p in perm))
+        shapes.append(s := v.shape[nb:])
+        mats.append(v.reshape(v.shape[:nb] + (
+            math.prod(s[:i]), math.prod(s[i:j]), math.prod(s[j:]))))
+    with np.errstate(invalid="ignore", over="ignore"):  # silent as einsum
+        val = np.matmul(*mats)
+    nb = val.ndim - 3
+    val = val.reshape(val.shape[:nb] + shapes[0][:plan[0][2]]
+                      + shapes[1][plan[1][2]:])
+    return val.transpose(tuple(range(nb)) + tuple(nb + p for p in plan[2]))
 
 
 def _support(x: PolyTensor, letters: str):
@@ -481,22 +507,22 @@ def _support_join(in_a, in_b, a, b, dims):
 def _support_rows(x: PolyTensor, nbatch: int):
     """The jets of the support of `x`, coefficient-major and contiguous:
     shape (P, support, *reversed batch), the batch first padded to
-    `nbatch` axes."""
+    `nbatch` axes.  A full support is every row: no gather."""
     lead = (1,) * (nbatch - x.batch_ndim) + x.coeffs.shape[: x.batch_ndim]
     flat = x.coeffs.reshape(lead + (math.prod(x.comp_shape), x.basis.size))
-    return np.ascontiguousarray(flat[..., x.support, :].T)
+    if len(x.support) < flat.shape[-2]:
+        flat = flat[..., x.support, :]
+    return np.ascontiguousarray(flat.T)
 
 
 def _contract_support(in_a, in_b, outs, a, b, dims, batch_shape, order):
     """Multiply only the joined pairs and sum them by output component.
 
-    Everything stays coefficient-major, with the batch axes reversed and
-    last: each chunk gathers whole batch rows of the support rows, its
-    product is (P, pairs, *reversed batch), and `np.add.reduceat` sums
-    each run of one output component along the pair axis into the
-    output, which is transposed once at the end.  Returns the output
-    array and its support, the distinct output components the pairs
-    reach.
+    The pairs run by the pair count L of their output component, then by
+    component: a block of equal L is whole components of L pairs.  A chunk
+    of whole components makes one `_jet_mul` product, and a reshape-sum
+    over each block's L axis writes its components.  Returns the output
+    and the distinct output components reached.
     """
     ca, cb, counts, lo, order_b = _support_join(in_a, in_b, a, b, dims)
     total = int(counts.sum())
@@ -506,31 +532,34 @@ def _contract_support(in_a, in_b, outs, a, b, dims, batch_shape, order):
     comp = np.zeros(total, np.int64)
     for c in outs:
         comp = comp * dims[c] + (ca[c][ia] if c in ca else cb[c][ib])
-    by_comp = np.argsort(comp, kind="stable")
-    ia, ib, comp = ia[by_comp], ib[by_comp], comp[by_comp]
-    # comp is sorted: its distinct entries start where a neighbour differs
-    first = np.ones(total, bool)
-    np.not_equal(comp[1:], comp[:-1], out=first[1:])
+    runs = np.bincount(comp)  # the pair count of each output component
+    by_run = np.argsort(runs[comp] * len(runs) + comp, kind="stable")
+    ia, ib, comp = ia[by_run], ib[by_run], comp[by_run]
     nv, oa, ob = a.basis.nvars, a.basis.order, b.basis.order
-    # a chunk's scratch is its pair count times the batch times the jet
-    # pairs of one product, the widest gathered array
+    # a chunk's scratch is about `step` pairs times the batch times the jet
+    # pairs of one product: it starts at the first component of its window
     jet_pairs = len(_pair_table(nv, oa, ob, order)[0])
     step = max(1, _CHUNK // max(math.prod(batch_shape) * jet_pairs, 1))
+    new = comp[1:] != comp[:-1]  # components start where comp changes
+    heads = np.flatnonzero(np.concatenate(([total > 0], new)))
+    blocks = heads[1:][np.diff(runs[comp[heads]]) != 0].tolist()
+    chunks = [*heads[:1], *heads[1:][np.diff(heads // step) != 0]]
     out = np.zeros((basis(nv, order).size,
                     math.prod(dims[c] for c in outs)) + batch_shape[::-1],
                    np.result_type(a.coeffs, b.coeffs, 0.0))
     # the `.T` of a gathered chunk is contiguous, so `_jet_mul` copies none
     ra, rb = (_support_rows(x, len(batch_shape)) for x in (a, b))
-    for s in range(0, total, step):
-        sl = slice(s, s + step)
-        prod = _jet_mul(ra.take(ia[sl], 1).T, rb.take(ib[sl], 1).T,
+    for p0, p1 in zip(chunks, chunks[1:] + [total]):
+        prod = _jet_mul(ra.take(ia[p0:p1], 1).T, rb.take(ib[p0:p1], 1).T,
                         nv, oa, ob, order)
-        runs = first[sl].copy()
-        runs[0] = True  # a chunk may start inside a run
-        runs = np.flatnonzero(runs)
-        out[:, comp[s + runs]] += np.add.reduceat(prod, runs, axis=1)
+        cuts = [p0, *(q for q in blocks if p0 < q < p1), p1]
+        for q0, q1 in zip(cuts, cuts[1:]):
+            n = int(runs[comp[q0]])
+            seg = prod[:, q0 - p0:q1 - p0]
+            out[:, comp[q0:q1:n]] = seg.reshape(
+                (len(seg), -1, n) + seg.shape[2:]).sum(2)
     shape = batch_shape + tuple(dims[c] for c in outs) + (len(out),)
-    return out.T.reshape(shape), comp[first]
+    return out.T.reshape(shape), np.sort(comp[heads])
 
 
 def poly_matrix_inverse(g: PolyTensor, order: int) -> PolyTensor:
@@ -549,7 +578,7 @@ def poly_matrix_inverse(g: PolyTensor, order: int) -> PolyTensor:
     for k in range(1, order + 1):
         blk = slice(b.deg_start[k], b.deg_start[k + 1])
         r = contract("ab,bc->ac", g, x, k).coeffs[..., blk]
-        x.coeffs[..., blk] = -np.einsum("...ab,...bcm->...acm", x0, r)
+        x.coeffs[..., blk] = -_value_product("ab", "bcm", "acm", x0, r)
         # X_k may fill components that X_0 leaves zero, so the support
         # `contract` stored on x is stale: continue with a fresh tensor
         x = PolyTensor(x.coeffs, b, g.batch_ndim)

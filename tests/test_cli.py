@@ -4,7 +4,10 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -231,6 +234,14 @@ class TestConfigErrors:
     def test_unknown_manifold(self, capsys):
         code, _, _ = _run(capsys, "verify", "cgb", "--manifold", "K3")
         assert code == EXIT_CONFIG
+
+    def test_unknown_manifold_message_is_unquoted(self, capsys):
+        # the message of the catalog's KeyError, not its repr
+        code, out, err = _run(capsys, "verify", "cgb", "--manifold", "s4")
+        assert code == EXIT_CONFIG and out == ""
+        assert err == (f"error: unknown model 's4'; available: "
+                       f"{', '.join(sorted(MODEL_NAMES))}\n")
+        assert '"' not in err
 
     def test_bad_tol(self, capsys):
         code, _, _ = _run(capsys, "verify", "kronecker", "--tol", "-1")
@@ -483,3 +494,17 @@ class TestRejectedBeforeComputation:
         code, out, _ = _run(capsys, "verify", suite, "--config", str(cfg))
         assert code == EXIT_CONFIG
         assert out == ""
+
+
+def test_verify_leaves_numpy_ma_unimported():
+    # numpy.ma is imported lazily, e.g. by a bare np.unique; importing it
+    # costs a fresh `rcint verify` about 10 ms and 1.2 MB
+    src = str(Path(cli.__file__).resolve().parents[1])
+    script = ("import os, sys, rcint.cli as c; "
+              "code = c.main(['verify', 'einstein-pfaffian', 'cgb', "
+              "'--out', os.devnull]); "
+              "print(code, 'numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.stdout.splitlines()[-1].split() == ["0", "False"], res.stderr

@@ -181,7 +181,7 @@ def _contractions(draw):
     nvars = draw(st.integers(1, 3))
     order_a, order_b = draw(st.integers(0, 3)), draw(st.integers(0, 3))
     order = draw(st.none() | st.integers(1, 6))
-    # at output order 0 `contract` runs one einsum and not the kernel
+    # at output order 0 `contract` multiplies the values, not in the kernel
     assume(min(order or min(order_a, order_b), order_a + order_b) >= 1)
     batches = st.sampled_from([(), (1,), (3,)])
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -236,6 +236,33 @@ class TestContractPaths:
         assert out.coeffs.shape == (2,) * len(pattern.split("->")[1]) + (
             b.size,)
         assert not out.coeffs.any()
+
+    @pytest.mark.parametrize("chunk", [1, 2, 40])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_mixed_pair_counts_in_one_call(self, order, chunk):
+        # rows 0, 1, 2 and 3 of x meet 3, 1, 2 and 0 rows of y, so the
+        # components (a, c) have 3, 1, 2 or 0 pairs: one call sums blocks
+        # of 1, 2 and 3 pairs, in a chunk per component (`_CHUNK` 1 or 2),
+        # in one chunk (40, order 1) or in windows of 6 pairs (40, order 2)
+        b = basis(1, 2)
+        rng = np.random.default_rng(order)
+        x = np.zeros((4, 3, b.size))
+        for a, row in enumerate([[0, 1, 2], [1], [0, 2], []]):
+            x[a, row] = rng.standard_normal((len(row), b.size))
+        y = rng.standard_normal((3, 2, b.size))
+        _assert_matches_oracle("ab,bc->ac", PolyTensor(x, b), PolyTensor(y, b),
+                               order, chunk)
+        out = _contract_in_chunks("ab,bc->ac", PolyTensor(x, b),
+                                  PolyTensor(y, b), order, chunk)
+        assert np.array_equal(out.support, np.arange(6))  # row 3 is unmet
+        # x[1, 1] reaches (1, 0) and (1, 1); y[2, 0] reaches (0, 0), (2, 0)
+        x[1, 1, 0] = np.nan
+        y[2, 0, 0] = np.nan
+        out = _contract_in_chunks("ab,bc->ac", PolyTensor(x, b),
+                                  PolyTensor(y, b), order, chunk)
+        reached = np.zeros((4, 2), bool)
+        reached[1, :] = reached[[0, 2], 0] = True
+        assert np.array_equal(np.isnan(out.coeffs).any(axis=-1), reached)
 
     def test_nan_reaches_output_through_nonzero_partner(self):
         b = basis(2, 2)
