@@ -294,9 +294,7 @@ def verify_worked_examples(model: Model, tol_pointwise=1e-8, tol_int=1e-6):
         # integration by parts with u = |W|^2: int <grad u, grad u> + u Du = 0
         def ibp_field(geo):
             u = weyl_norm2_field(geo)
-            gu = geo.gradient(u)
-            quad = jcontract("a,a->", jcontract("ab,b->a", geo.ginv, gu), gu)
-            return quad + u * geo.laplacian(u)
+            return geo.norm_squared(geo.gradient(u)) + u * geo.laplacian(u)
 
         val = integrate_scalar(ibp_field, model, order=4)
         scale = abs(integrate_scalar(weyl_norm2_field, model, order=2))

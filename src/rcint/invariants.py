@@ -15,9 +15,10 @@ permutations into equivalence classes under relabelings that preserve the
 term value for any T with the pair symmetries (conjugation by pair-block
 permutations and inversion), so only one complete contraction per class is
 needed.  A plan made once per l computes each distinct self-trace and
-pairwise contraction of the class terms once; the dense and the jet
-evaluator both run it, each with its own trace and two-operand contraction.
-A naive full-permutation evaluator is kept as an independent oracle.
+pairwise contraction of the class terms once, and `pf_ell_poly` runs it
+with `pt_trace` and `contract`; `pf_ell` runs it on a dense array as an
+order-0 jet.  A naive full-permutation evaluator is kept as an independent
+oracle.
 
 Tensors built from a metric are jets, raised only by `geometry.raise_slots`.
 Dense arrays live on a flat background, where the metric is the identity:
@@ -37,7 +38,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .jets import PolyTensor, const_poly, contract as jcontract
+from .jets import PolyTensor, basis, const_poly, contract as jcontract
 from .geometry import Geometry, pt_symmetrize, pt_trace, raise_slots
 from .reports import CheckReport
 
@@ -180,19 +181,10 @@ def _pf_prefactor(ell):
 
 def pf_ell(T, ell: int):
     """Generalized Pfaffian Pf_l(T) on a flat background, batched over
-    leading axes of T: the plan of `_pf_plan` with `np.trace` and two-operand
-    `np.einsum` steps, never materializing the rank-4l delta."""
+    leading axes of T: `pf_ell_poly` of T as an order-0 jet."""
     T = np.asarray(T, dtype=np.float64)
-    _check_pf_order(ell, T.shape[-1])
-    if ell == 0:
-        return np.ones(T.shape[:-4]) if T.ndim > 4 else 1.0
-    b = T.ndim - 4
-    return _run_pf_plan(
-        T, ell,
-        lambda x, i, j: np.trace(x, axis1=b + i, axis2=b + j),
-        lambda how, x, y: np.einsum(
-            "..." + how.replace(",", ",...").replace("->", "->..."), x, y,
-            optimize=True))
+    return pf_ell_poly(PolyTensor(T[..., None], basis(0, 0), T.ndim - 4),
+                       ell).value()
 
 
 def pf_ell_brute(T, ell: int):
@@ -228,24 +220,13 @@ def pfaffian_field(geo: Geometry) -> PolyTensor:
 
 def pf_ell_poly(Tud: PolyTensor, ell: int) -> PolyTensor:
     """Pf_l of a jet-valued tensor T_{ab}{}^{cd} (scalar PolyTensor), by
-    the plan of `_pf_plan` with `pt_trace` and `contract` steps, each at
-    the order of `Tud`."""
+    the straight-line program of `_pf_plan`: `pt_trace` and `contract`
+    steps, each at the order of `Tud`.  Each intermediate is released
+    after its last use, and the class terms are summed in class order."""
     _check_pf_order(ell, Tud.comp_shape[-1])
     if ell == 0:
         return const_poly(np.ones(Tud.coeffs.shape[:Tud.batch_ndim]),
                           Tud.basis, Tud.batch_ndim)
-    return _run_pf_plan(Tud, ell, pt_trace, jcontract)
-
-
-def _run_pf_plan(Tud, ell: int, trace, merge):
-    """Pf_l of T_{ab}{}^{cd} by the straight-line program of `_pf_plan`.
-
-    `trace(x, i, j)` traces x over its component axes i and j, and
-    `merge(pattern, x, y)` contracts two values by a two-operand pattern on
-    their component axes; these are the only operations on T's
-    representation.  Each intermediate is released after its last use, and
-    the class terms are summed in class order.
-    """
     steps, finals = _pf_plan(ell)
     uses = Counter(x for _, _, *ops in steps for x in ops)
     uses.update(v for _, v in finals)
@@ -256,8 +237,8 @@ def _run_pf_plan(Tud, ell: int, trace, merge):
             uses[x] -= 1
             if not uses[x]:
                 vals[x] = None
-        vals.append(trace(*args, *how) if kind == "trace"
-                    else merge(how, *args))
+        vals.append(pt_trace(*args, *how) if kind == "trace"
+                    else jcontract(how, *args))
     total = None
     for mult, v in finals:
         term = float(mult) * vals[v]
@@ -398,7 +379,7 @@ def einstein_pfaffian_expansion(model, tol=1e-9) -> CheckReport:
 def bianchi_project(T):
     """Project a pair-antisymmetric, pair-symmetric tensor onto the
     first-Bianchi subspace by removing its totally antisymmetric part."""
-    A = (np.einsum("...abcd->...abcd", T) + np.einsum("...abcd->...bcad", T)
+    A = (T + np.einsum("...abcd->...bcad", T)
          + np.einsum("...abcd->...cabd", T)) / 3.0
     return T - A
 

@@ -94,6 +94,8 @@ class TestPfEll:
 
     def test_pf_zero_is_one(self):
         assert pf_ell(np.zeros((2, 4, 4, 4, 4)), 0) == pytest.approx([1.0, 1.0])
+        assert pf_ell(np.zeros((4,) * 4), 0) == 1.0
+        assert np.shape(pf_ell(random_weyl(4, seed=1), 2)) == ()
 
     @pytest.mark.parametrize("name,value", [("S4", 3.0), ("S2xS2", 1.0),
                                             ("CP2", 24.0)])
@@ -256,22 +258,10 @@ class TestPfPlan:
         # summation orders differ by up to ~1e-12 of the value itself.
         assert np.all(np.abs(pf_ell(W, ell) - want) <= 1e-13 * size)
 
-    def test_dense_one_einsum_per_merge_step(self, monkeypatch):
-        W = random_weyl(8, seed=2, nsamples=2)
-        calls = []
-        einsum = np.einsum
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return einsum(*args, **kwargs)
-
-        monkeypatch.setattr(np, "einsum", counting)
-        pf_ell(W, 4)
-        merges = [s for s in _pf_plan(4)[0] if s[0] == "merge"]
-        assert len(calls) == len(merges) < 513
-        assert all(len(args) == 3 for args in calls)  # pattern, x, y
-
-    def test_one_contraction_per_merge_step(self, monkeypatch):
+    @pytest.mark.parametrize("evaluate", [
+        lambda: pf_ell(random_weyl(8, seed=2, nsamples=2), 4),
+        lambda: pf_ell_poly(_weyl_jet(8, 0, seed=1), 4)], ids=["dense", "jet"])
+    def test_one_contraction_per_merge_step(self, monkeypatch, evaluate):
         calls = []
 
         def counting(*args):
@@ -279,7 +269,7 @@ class TestPfPlan:
             return jcontract(*args)
 
         monkeypatch.setattr(inv, "jcontract", counting)
-        pf_ell_poly(_weyl_jet(8, 0, seed=1), 4)
+        evaluate()
         merges = [s for s in _pf_plan(4)[0] if s[0] == "merge"]
         assert len(calls) == len(merges) < 513
 
