@@ -17,8 +17,9 @@ permutations and inversion), so only one complete contraction per class is
 needed.  A plan made once per l computes each distinct self-trace and
 pairwise contraction of the class terms once, and `pf_ell_poly` runs it
 with `pt_trace` and `contract`; `pf_ell` runs it on a dense array as an
-order-0 jet.  A naive full-permutation evaluator is kept as an independent
-oracle.
+order-0 jet.  `pf_ell_brute` is an independent oracle: the determinant
+expansion of delta over index values, one signed sum of products over the
+matchings of each 2l-subset of the dimensions.
 
 Tensors built from a metric are jets, raised only by `geometry.raise_slots`.
 Dense arrays live on a flat background, where the metric is the identity:
@@ -188,19 +189,38 @@ def pf_ell(T, ell: int):
 
 
 def pf_ell_brute(T, ell: int):
-    """Pf_l on a flat background by the naive full sum over S_{2l}
-    (independent oracle)."""
+    """Pf_l on a flat background by the determinant expansion of delta over
+    index values (independent oracle):
+
+        Pf_l(T) = sum_S sum_mu sum_nu sgn(mu) sgn(nu) prod_j A[mu_j; nu_j],
+
+    A being T antisymmetrized in each index pair (exact, as delta is
+    antisymmetric).  S runs over the 2l-subsets of {0..d-1}, mu over the
+    (2l-1)!! perfect matchings of S (sorted pairs, ordered by first entry)
+    and nu over the (2l)!/2^l sequences of sorted pairs covering S; each
+    sign is that of the concatenated positions in S.  Dividing the
+    symmetries 4^l l! out of the S_{2l} sum turns its prefactor into 1."""
     T = np.asarray(T, dtype=np.float64)
-    _check_pf_order(ell, T.shape[-1])
+    d = T.shape[-1]
+    _check_pf_order(ell, d)
     if ell == 0:
         return np.ones(T.shape[:-4]) if T.ndim > 4 else 1.0
-    total = 0.0
-    for sigma in itertools.permutations(range(2 * ell)):
-        subs = _term_subscripts(sigma, ell)
-        expr = ",".join("..." + s for s in subs) + "->..."
-        total = total + _perm_sign(sigma) * np.einsum(
-            expr, *([T] * ell), optimize=True)
-    return _pf_prefactor(ell) * total
+    A = T - T.swapaxes(-4, -3)
+    A = (A - A.swapaxes(-2, -1)) / 4
+    seqs = [p for p in itertools.permutations(range(2 * ell))
+            if all(p[i] < p[i + 1] for i in range(0, 2 * ell, 2))]
+    mus = [p for p in seqs if list(p[::2]) == sorted(p[::2])]
+    subsets = np.array(list(itertools.combinations(range(d), 2 * ell)))
+    mu, nu = subsets[:, mus], subsets[:, seqs]
+    pair_mu = mu[..., ::2] * d + mu[..., 1::2]
+    pair_nu = nu[..., ::2] * d + nu[..., 1::2]
+    flat = (pair_mu[:, :, None] * d * d + pair_nu[:, None]).reshape(-1, ell)
+    signs = np.outer([_perm_sign(p) for p in mus], [_perm_sign(p) for p in seqs])
+    A = A.reshape(*A.shape[:-4], d ** 4)
+    prod = A[..., flat[:, 0]]
+    for j in range(1, ell):
+        prod *= A[..., flat[:, j]]
+    return prod @ np.tile(signs.ravel(), len(subsets)).astype(np.float64)
 
 
 # -- jet-valued Pfaffian (for ambient Laplacians of Pf_l) ---------------------

@@ -86,7 +86,7 @@ class TestVerify:
         assert [r["check_id"] for r in rows] == ["ibp-u-perturbed-S4"]
         assert all(float(r["tol"]) == 1e-3 for r in rows)
 
-    def test_brute_oracle_sees_ten_samples(self, capsys, monkeypatch):
+    def test_brute_oracle_sees_every_sample(self, capsys, monkeypatch):
         rows, brute = [], cli.pf_ell_brute
 
         def counted(W, ell):
@@ -96,7 +96,7 @@ class TestVerify:
         monkeypatch.setattr(cli, "pf_ell_brute", counted)
         code, out, _ = _run(capsys, "verify", "pfaffian-identities",
                             "--samples", "30")
-        assert code == EXIT_OK and rows == [10, 10, 10, 10]
+        assert code == EXIT_OK and rows == [30, 30, 30, 30]
         ids = [json.loads(l)["check_id"] for l in out.splitlines()
                if l.startswith("{")]
         assert ids == [

@@ -64,6 +64,42 @@ class TestHelpers:
             assert reps == sorted(set(reps))
 
 
+def _definition_pf(T, ell):
+    """Pf_l as written: the prefactor times the signed sum over S_{2l} of
+    the (2l)! complete contractions, one einsum each."""
+    total = 0.0
+    for sigma in itertools.permutations(range(2 * ell)):
+        subs = _term_subscripts(sigma, ell)
+        expr = ",".join("..." + s for s in subs) + "->..."
+        total = total + _perm_sign(sigma) * np.einsum(
+            expr, *([T] * ell), optimize=True)
+    return _pf_prefactor(ell) * total
+
+
+class TestPfBrute:
+    # arbitrary rank-4 arrays, with neither pair antisymmetric nor the
+    # pairs exchange-symmetric, so the antisymmetrization is exercised
+    @pytest.mark.parametrize("dim,ell,batch", [
+        (d, e, 3) for d in (4, 5, 6) for e in (1, 2)] + [(6, 3, 1)])
+    def test_matches_definition(self, dim, ell, batch):
+        T = np.random.default_rng([dim, ell]).normal(size=(batch,) + (dim,) * 4)
+        got = pf_ell_brute(T, ell)
+        assert got.shape == (batch,)
+        assert got == pytest.approx(_definition_pf(T, ell), rel=1e-12)
+
+    def test_unbatched(self):
+        T = np.random.default_rng(5).normal(size=(5,) * 4)
+        got = pf_ell_brute(T, 2)
+        assert np.shape(got) == ()
+        assert got == pytest.approx(_definition_pf(T, 2), rel=1e-12)
+
+    def test_nan_propagates(self):
+        T = np.random.default_rng(6).normal(size=(2,) + (4,) * 4)
+        T[1, 0, 1, 2, 3] = np.nan
+        got = pf_ell_brute(T, 2)
+        assert np.isfinite(got[0]) and np.isnan(got[1])
+
+
 class TestPfEll:
     @pytest.mark.parametrize("dim,ell", [(4, 1), (4, 2), (5, 2), (6, 2), (6, 3)])
     def test_matches_brute_force(self, dim, ell):
@@ -236,8 +272,7 @@ class TestPfPlan:
         assert np.array_equal(got.coeffs, _per_class_pf_poly(Tud, ell, 2).coeffs)
 
     def test_ell4_order0(self):
-        # one point, because pf_ell_brute sums 8! einsums
-        Tud = _weyl_jet(8, 0, seed=48, batch=1)
+        Tud = _weyl_jet(8, 0, seed=48, batch=3)
         got = pf_ell_poly(Tud, 4)
         assert np.array_equal(got.coeffs, _per_class_pf_poly(Tud, 4, 0).coeffs)
         assert got.value() == pytest.approx(pf_ell_brute(Tud.value(), 4),
