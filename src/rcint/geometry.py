@@ -134,10 +134,7 @@ class Geometry:
         self.cyclic = tuple(sorted(cyclic))
         self.free = tuple(i for i in range(dim) if i not in self.cyclic)
         self.basis = basis(len(self.free), order)
-        coords = [const_poly(points[:, i], self.basis, 1) for i in range(dim)]
-        for v, i in enumerate(self.free):
-            coords[i] = coordinate_poly(self.basis, v, points[:, i])
-        entries = metric_fn(coords)
+        entries = metric_fn(_coordinate_jets(points, self.basis, self.free))
         self.g = scalars_to_poly(entries, self.basis, batch_ndim=1)
         if self.g.comp_shape != (dim, dim):
             raise ValueError("metric_fn did not return a dim x dim matrix")
@@ -272,16 +269,28 @@ class Geometry:
         return np.sqrt(np.linalg.det(self.g.value()))
 
 
+def _coordinate_jets(points, basis_, expanded):
+    """One jet per chart coordinate at `points`: the coordinates listed in
+    `expanded` are the jet variables, in order, and every other one is a
+    constant jet."""
+    coords = [const_poly(points[:, i], basis_, 1)
+              for i in range(points.shape[1])]
+    for v, i in enumerate(expanded):
+        coords[i] = coordinate_poly(basis_, v, points[:, i])
+    return coords
+
+
 def _check_cyclic(metric_fn, points, cyclic):
     """Raise if the metric has a nonzero first derivative along a declared
-    cyclic coordinate at some point; checked on an order-1 jet in every
-    coordinate."""
-    full = basis(points.shape[1], 1)
-    coords = [coordinate_poly(full, i, points[:, i])
-              for i in range(points.shape[1])]
-    g = scalars_to_poly(metric_fn(coords), full, batch_ndim=1)
-    for i in cyclic:
-        if np.any(g.diff(i).coeffs != 0):
+    cyclic coordinate at some point; checked on order-1 jets in the cyclic
+    coordinates only, every other coordinate a constant jet.  The d_i
+    coefficient of each sum, product, power, sin and cos is the number
+    the jets in every coordinate would give."""
+    b = basis(len(cyclic), 1)
+    g = scalars_to_poly(metric_fn(_coordinate_jets(points, b, cyclic)), b,
+                        batch_ndim=1)
+    for v, i in enumerate(cyclic):
+        if np.any(g.diff(v).coeffs != 0):
             raise ValueError(f"coordinate {i} is declared cyclic but the "
                              f"metric depends on it")
 

@@ -16,10 +16,11 @@ term value for any T with the pair symmetries (conjugation by pair-block
 permutations and inversion), so only one complete contraction per class is
 needed.  A plan made once per l computes each distinct self-trace and
 pairwise contraction of the class terms once, and `pf_ell_poly` runs it
-with `pt_trace` and `contract`; `pf_ell` runs it on a dense array as an
-order-0 jet.  `pf_ell_brute` is an independent oracle: the determinant
-expansion of delta over index values, one signed sum of products over the
-matchings of each 2l-subset of the dimensions.
+with `pt_trace`, `contract` and, for two scalars, the scalar jet product;
+`pf_ell` runs it on a dense array as an order-0 jet.  `pf_ell_brute` is
+an independent oracle: the determinant expansion of delta over index
+values, one signed sum of products over the matchings of each 2l-subset
+of the dimensions.
 
 Tensors built from a metric are jets, raised only by `geometry.raise_slots`.
 Dense arrays live on a flat background, where the metric is the identity:
@@ -240,9 +241,15 @@ def pfaffian_field(geo: Geometry) -> PolyTensor:
 
 def pf_ell_poly(Tud: PolyTensor, ell: int) -> PolyTensor:
     """Pf_l of a jet-valued tensor T_{ab}{}^{cd} (scalar PolyTensor), by
-    the straight-line program of `_pf_plan`: `pt_trace` and `contract`
-    steps, each at the order of `Tud`.  Each intermediate is released
-    after its last use, and the class terms are summed in class order."""
+    the straight-line program of `_pf_plan`: `pt_trace`, `contract` and,
+    for two scalars, the scalar jet product `x * y`, each at the order of
+    `Tud`.  Each intermediate is released after its last use.  The
+    multiplicity-weighted class terms are one stacked array, summed in
+    class order by `np.add.accumulate`.
+
+    A scalar product multiplies every batch point, where `contract` skips
+    a pair of jets that is zero at every point: a jet that is zero
+    everywhere times one that is inf somewhere gives NaN there."""
     _check_pf_order(ell, Tud.comp_shape[-1])
     if ell == 0:
         return const_poly(np.ones(Tud.coeffs.shape[:Tud.batch_ndim]),
@@ -257,13 +264,15 @@ def pf_ell_poly(Tud: PolyTensor, ell: int) -> PolyTensor:
             uses[x] -= 1
             if not uses[x]:
                 vals[x] = None
-        vals.append(pt_trace(*args, *how) if kind == "trace"
-                    else jcontract(how, *args))
-    total = None
-    for mult, v in finals:
-        term = float(mult) * vals[v]
-        total = term if total is None else total + term
-    return _pf_prefactor(ell) * total
+        if kind == "trace":
+            vals.append(pt_trace(*args, *how))
+        elif kind == "product":
+            vals.append(args[0] * args[1])
+        else:
+            vals.append(jcontract(how, *args))
+    terms = np.stack([float(mult) * vals[v].coeffs for mult, v in finals])
+    total = np.add.accumulate(terms)[-1] * _pf_prefactor(ell)
+    return PolyTensor(total, Tud.basis, Tud.batch_ndim)
 
 
 @lru_cache(maxsize=None)
@@ -282,8 +291,10 @@ def _pf_plan(ell: int):
 
     Returns (steps, finals).  Value 0 is T_{ab}{}^{cd}, and step k computes
     value k + 1 as ("trace", (i, j), x), the trace of value x over axes i
-    and j, or ("merge", pattern, x, y).  finals holds one (signed
-    multiplicity, value) pair per class, in class order.
+    and j, ("merge", pattern, x, y), or ("product", ",->", x, y), the
+    merge of two scalars, which runs as the scalar jet product.  finals
+    holds one (signed multiplicity, value) pair per class, in class
+    order.
     """
     steps, index = [], {}
 
@@ -323,7 +334,8 @@ def _pf_plan(ell: int):
                                   f"{si},{sj}->{out}".translate(rename))
             out, letters, pattern = merged[si, sj]
             factors = [f for k, f in enumerate(factors) if k not in (i, j)]
-            factors.append((out, letters, step("merge", pattern, vi, vj)))
+            kind = "merge" if si or sj else "product"
+            factors.append((out, letters, step(kind, pattern, vi, vj)))
         s, _, v = factors[0]
         if s:
             raise AssertionError("incomplete contraction")

@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 import numbers
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -368,14 +369,32 @@ def coordinate_poly(basis_, var: int, values) -> PolyTensor:
 
 
 def scalars_to_poly(entries, basis_, batch_ndim=0) -> PolyTensor:
-    """Stack a nested list of scalar jets and numbers into a PolyTensor."""
-    grid = np.array(entries, dtype=object)
-    leaves = np.broadcast_arrays(*(
-        e.coeffs if isinstance(e, PolyTensor) else const_poly(e, basis_).coeffs
-        for e in grid.flat))
-    coeffs = np.stack(leaves, axis=-2)
-    return PolyTensor(coeffs.reshape(coeffs.shape[:-2] + grid.shape
-                                     + (basis_.size,)), basis_, batch_ndim)
+    """Stack a nested list of scalar jets, numbers and per-point arrays
+    into a PolyTensor.
+
+    The leaves broadcast over their leading axes and promote to one dtype,
+    complex included, as constant jets of numbers would; the coefficients
+    are one array of shape (*leading axes, *grid, basis size), each leaf
+    written into its slot.
+    """
+    grid, leaves = (), [entries]
+    while leaves and isinstance(leaves[0], (list, tuple)):
+        n = len(leaves[0])
+        if any(not isinstance(e, (list, tuple)) or len(e) != n
+               for e in leaves):
+            raise ValueError("entries must be a rectangular nested list")
+        grid += (n,)
+        leaves = [x for row in leaves for x in row]
+    # a number, or per-point array, is the value of a constant jet: its
+    # jet over the one-monomial basis, written into the value slot
+    cols = [e.coeffs if isinstance(e, PolyTensor)
+            else const_poly(e, basis(0, 0)).coeffs for e in leaves]
+    lead = np.broadcast_shapes(*(v.shape[:-1] for v in cols))
+    coeffs = np.zeros(lead + (len(cols), basis_.size), np.result_type(*cols))
+    for i, v in enumerate(cols):
+        coeffs[..., i, :v.shape[-1]] = v
+    return PolyTensor(coeffs.reshape(lead + grid + (basis_.size,)), basis_,
+                      batch_ndim)
 
 
 def contract(pattern: str, a: PolyTensor, b: PolyTensor, order: int | None = None,
@@ -386,8 +405,11 @@ def contract(pattern: str, a: PolyTensor, b: PolyTensor, order: int | None = Non
     are broadcast and the jet axis is convolved and truncated to `order`.
     Each operand's letters name its component axes once each, the output
     names input letters once each, and a letter has one length wherever
-    it appears; any other pattern raises `ValueError`.  A trace is
-    `geometry.pt_trace`, not a repeated letter.
+    it appears; any other pattern, or one that is not two operands and an
+    output, raises `ValueError`.  A trace is `geometry.pt_trace`, not a
+    repeated letter.  The pattern is read and checked once per pattern and
+    operand shapes (`_contract_plan`), and every call with an invalid one
+    raises again.
 
     At output order 0 the result is one batched matmul of the two values
     (`_value_product`) in a fresh array, so a NaN or inf value reaches
@@ -408,21 +430,9 @@ def contract(pattern: str, a: PolyTensor, b: PolyTensor, order: int | None = Non
         raise ValueError(f"contract at order {order}; a jet product needs "
                          f"order >= 0")
     order = min(order, a.basis.order + b.basis.order)
-    ins, outs = pattern.split("->")
-    in_a, in_b = ins.split(",")
-    batch_shape = np.broadcast_shapes(
-        a.coeffs.shape[: a.batch_ndim], b.coeffs.shape[: b.batch_ndim])
-    if len(set(outs)) < len(outs) or not set(outs) <= set(in_a + in_b):
-        raise ValueError(f"{pattern!r}: the output must name input letters "
-                         f"once each")
-    dims = {}
-    for letters, arr in ((in_a, a), (in_b, b)):
-        if len(letters) != arr.rank or len(set(letters)) < len(letters):
-            raise ValueError(f"{pattern!r}: {letters!r} must name the "
-                             f"{arr.rank} axes of its operand once each")
-        for c, n in zip(letters, arr.comp_shape):
-            if dims.setdefault(c, n) != n:
-                raise ValueError(f"letter {c!r} has lengths {dims[c]} and {n}")
+    in_a, in_b, outs, dims, batch_shape = _contract_plan(
+        pattern, a.coeffs.shape[:-1], a.batch_ndim, b.coeffs.shape[:-1],
+        b.batch_ndim)
     bout = basis(a.basis.nvars, order)
     if order == 0:  # one jet pair, (0, 0): the product of the values
         val = _value_product(in_a, in_b, outs, a.value(), b.value())
@@ -433,43 +443,73 @@ def contract(pattern: str, a: PolyTensor, b: PolyTensor, order: int | None = Non
 
 
 @lru_cache(maxsize=None)
-def _matmul_plan(in_a, in_b, outs):
-    """`_value_product`'s axis orders and group ends, or None: see there."""
+def _contract_plan(pattern, shape_a, nb_a, shape_b, nb_b):
+    """`contract`'s reading of `pattern` for operands with these shapes
+    (batch and component axes) and batch ndims: (in_a, in_b, outs, dims,
+    batch_shape), dims a read-only map from letter to length.  An invalid
+    pattern raises `ValueError`, and `lru_cache` keeps no exception, so
+    every call checks it again."""
+    try:
+        ins, outs = pattern.split("->")
+        in_a, in_b = ins.split(",")
+    except ValueError:
+        raise ValueError(f"{pattern!r} is not of the form "
+                         f"'<letters>,<letters>-><letters>'") from None
+    batch_shape = np.broadcast_shapes(shape_a[:nb_a], shape_b[:nb_b])
+    if len(set(outs)) < len(outs) or not set(outs) <= set(in_a + in_b):
+        raise ValueError(f"{pattern!r}: the output must name input letters "
+                         f"once each")
+    dims = {}
+    for letters, comp in ((in_a, shape_a[nb_a:]), (in_b, shape_b[nb_b:])):
+        if len(letters) != len(comp) or len(set(letters)) < len(letters):
+            raise ValueError(f"{pattern!r}: {letters!r} must name the "
+                             f"{len(comp)} axes of its operand once each")
+        for c, n in zip(letters, comp):
+            if dims.setdefault(c, n) != n:
+                raise ValueError(f"letter {c!r} has lengths {dims[c]} and {n}")
+    return in_a, in_b, outs, MappingProxyType(dims), batch_shape
+
+
+@lru_cache(maxsize=None)
+def _matmul_plan(in_a, in_b, outs, shape_x, shape_y):
+    """`_value_product`'s layout for values of these shapes, or None: see
+    there.  Returns the axis order and matrix shape of each operand, then
+    the shape and axis order that turn the product into the output."""
     if any(c not in outs and (c in in_a) != (c in in_b) for c in in_a + in_b):
         return None
     kept = [c for c in in_a if c in in_b and c in outs]
     summed = [c for c in in_a if c in in_b and c not in outs]
     rows = [c for c in in_a if c not in in_b]
     cols = [c for c in in_b if c not in in_a]
-    plan = [(tuple(s.index(c) for c in g0 + g1 + g2), len(g0), len(g0 + g1))
-            for s, (g0, g1, g2) in ((in_a, (kept, rows, summed)),
-                                    (in_b, (kept, summed, cols)))]
-    return *plan, tuple((kept + rows + cols).index(c) for c in outs)
+    nb_x, nb_y = len(shape_x) - len(in_a), len(shape_y) - len(in_b)
+    dims = dict(zip(in_a + in_b, shape_x[nb_x:] + shape_y[nb_y:]))
+    ops = [(tuple(range(nb)) + tuple(nb + s.index(c) for g in gs for c in g),
+            shape[:nb] + tuple(math.prod(dims[c] for c in g) for g in gs))
+           for s, shape, nb, gs in (
+               (in_a, shape_x, nb_x, (kept, rows, summed)),
+               (in_b, shape_y, nb_y, (kept, summed, cols)))]
+    batch = np.broadcast_shapes(shape_x[:nb_x], shape_y[:nb_y])
+    nb, letters = len(batch), kept + rows + cols
+    return (*ops, batch + tuple(dims[c] for c in letters),
+            tuple(range(nb)) + tuple(nb + letters.index(c) for c in outs))
 
 
 def _value_product(in_a, in_b, outs, x, y):
     """`contract` of two value arrays (batch axes first): one batched
     `np.matmul` of `a` as (kept, a only, summed) by `b` as (kept, summed,
     b only), each group in its operand's letter order, shared ones in that
-    of `a`, so renamed letters give the same array.  A complex value or a
+    of `a`, so renamed letters give the same array.  The layout is worked
+    out once per letters and shapes (`_matmul_plan`).  A complex value or a
     letter summed in one operand only runs einsum, whose loop order decides
     which inf * 0 terms it forms there; BLAS's complex product differs."""
-    plan = _matmul_plan(in_a, in_b, outs)
+    plan = _matmul_plan(in_a, in_b, outs, x.shape, y.shape)
     if plan is None or np.iscomplexobj(x) or np.iscomplexobj(y):
         return np.einsum(f"...{in_a},...{in_b}->...{outs}", x, y)
-    mats, shapes = [], []
-    for v, (perm, i, j) in zip((x, y), plan):
-        nb = v.ndim - len(perm)
-        v = v.transpose(tuple(range(nb)) + tuple(nb + p for p in perm))
-        shapes.append(s := v.shape[nb:])
-        mats.append(v.reshape(v.shape[:nb] + (
-            math.prod(s[:i]), math.prod(s[i:j]), math.prod(s[j:]))))
+    (axes_x, mat_x), (axes_y, mat_y), shape, axes = plan
     with np.errstate(invalid="ignore", over="ignore"):  # silent as einsum
-        val = np.matmul(*mats)
-    nb = val.ndim - 3
-    val = val.reshape(val.shape[:nb] + shapes[0][:plan[0][2]]
-                      + shapes[1][plan[1][2]:])
-    return val.transpose(tuple(range(nb)) + tuple(nb + p for p in plan[2]))
+        val = np.matmul(x.transpose(axes_x).reshape(mat_x),
+                        y.transpose(axes_y).reshape(mat_y))
+    return val.reshape(shape).transpose(axes)
 
 
 def _support(x: PolyTensor, letters: str):

@@ -386,6 +386,19 @@ class TestCyclicCoordinates:
             Geometry(m.metric_fn, 2, pts, 2, cyclic=(0,))
         Geometry(m.metric_fn, 2, pts, 2, cyclic=(1,))
 
+    def test_dependence_through_a_free_coordinate_is_seen(self):
+        # x1 enters g_00 only in a product with the free x0, so its jet in
+        # the cyclic coordinates alone meets x0 as a constant
+        def fn(x):
+            return [[1.0 + x[0] * x[1], 0.0], [0.0, 1.0]]
+
+        pts = np.array([[0.3, 0.5], [0.2, 0.1]])
+        with pytest.raises(ValueError, match="coordinate 1 is declared "
+                                             "cyclic"):
+            Geometry(fn, 2, pts, 2, cyclic=(1,))
+        Geometry(lambda x: [[1.0 + x[0] * x[0], 0.0], [0.0, 1.0]], 2, pts, 2,
+                 cyclic=(1,))
+
     def test_catalog_declarations(self):
         assert get_model("S4").cyclic == (3,)
         assert get_model("S2xS2xS2xS2").cyclic == (1, 3, 5, 7)

@@ -37,6 +37,7 @@ from rcint.invariants import (
     weyl_contraction_field,
     weyl_norm2_field,
 )
+from rcint import jets
 from rcint.jets import PolyTensor, basis, contract as jcontract
 
 
@@ -297,16 +298,39 @@ class TestPfPlan:
         lambda: pf_ell(random_weyl(8, seed=2, nsamples=2), 4),
         lambda: pf_ell_poly(_weyl_jet(8, 0, seed=1), 4)], ids=["dense", "jet"])
     def test_one_contraction_per_merge_step(self, monkeypatch, evaluate):
-        calls = []
+        # a merge of two scalars is one scalar jet product, every other
+        # merge one contract; at order 0 contract runs no jet product
+        calls, products = [], []
 
         def counting(*args):
             calls.append(args[0])
             return jcontract(*args)
 
+        def counting_mul(*args):
+            products.append(args[2:])
+            return jet_mul(*args)
+
+        jet_mul = jets._jet_mul
         monkeypatch.setattr(inv, "jcontract", counting)
+        monkeypatch.setattr(jets, "_jet_mul", counting_mul)
         evaluate()
-        merges = [s for s in _pf_plan(4)[0] if s[0] == "merge"]
-        assert len(calls) == len(merges) < 513
+        steps = _pf_plan(4)[0]
+        merges = [s for s in steps if s[0] == "merge"]
+        scalar = [s for s in steps if s[0] == "product"]
+        assert all(s[1] == ",->" for s in scalar)
+        assert len(calls) == len(merges) and len(products) == len(scalar)
+        assert len(merges) + len(scalar) < 513
+
+    @pytest.mark.parametrize("ell", [2, 3])
+    def test_nan_stays_in_its_sample(self, ell):
+        T = random_weyl(6, seed=ell, nsamples=3)
+        T[1, 0, 1, 2, 3] = np.nan
+        got = pf_ell(T, ell)
+        assert np.isnan(got[1]) and np.isfinite(got[[0, 2]]).all()
+        Tud = _weyl_jet(6, 2, seed=ell, batch=3)
+        Tud.coeffs[1, 0, 1, 2, 3, 0] = np.nan
+        got = pf_ell_poly(Tud, ell).coeffs
+        assert np.isnan(got[1]).any() and np.isfinite(got[[0, 2]]).all()
 
 
 def curvature_symmetry_residuals(T):

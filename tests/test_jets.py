@@ -1,6 +1,7 @@
 """Truncated multivariate Taylor (jet) arithmetic."""
 
 import math
+import re
 import warnings
 from collections import Counter
 
@@ -10,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rcint import jets
-from rcint.geometry import get_model
+from rcint.geometry import MODEL_NAMES, _coordinate_jets, get_model
 from rcint.invariants import pf_ell_poly, raise_last_two
 from rcint.jets import (
     PolyTensor,
@@ -103,6 +104,25 @@ class TestContract:
         y = _random_poly(b, (3,) * len(in_b), seed=15)
         with pytest.raises(ValueError, match="once each"):
             contract(pattern, x, y, order)
+
+    @pytest.mark.parametrize("pattern", [
+        "ab,bc", "ab->a", "ab,bc,c->a", "ab,bc->ac->a"])
+    def test_malformed_pattern_rejected(self, pattern):
+        b = basis(2, 1)
+        x = _random_poly(b, (3, 3), seed=16)
+        with pytest.raises(ValueError, match="^" + re.escape(repr(pattern))):
+            contract(pattern, x, x)
+
+    def test_each_shape_is_checked(self):
+        # the plan cache holds valid shapes only: a mismatch with the same
+        # pattern still raises, at both orders and on every call
+        b = basis(2, 1)
+        x = _random_poly(b, (1, 3), seed=8)
+        contract("ab,bc->ac", x, _random_poly(b, (3, 2), seed=9))
+        y = _random_poly(b, (1, 3), seed=10)
+        for order in (0, 1, 1):
+            with pytest.raises(ValueError, match="'b' has lengths 3 and 1"):
+                contract("ab,bc->ac", x, y, order)
 
     def test_order_zero_is_value_product(self):
         b = basis(3, 3)
@@ -955,7 +975,70 @@ class TestTaylorScalar:
             t * x
 
 
+def _stacked(entries, b, batch_ndim):
+    """`scalars_to_poly` as an object array of the entries whose leaves
+    are broadcast to one shape and stacked."""
+    grid = np.array(entries, dtype=object)
+    leaves = np.broadcast_arrays(*(
+        e.coeffs if isinstance(e, PolyTensor) else const_poly(e, b).coeffs
+        for e in grid.flat))
+    coeffs = np.stack(leaves, axis=-2)
+    return PolyTensor(coeffs.reshape(coeffs.shape[:-2] + grid.shape
+                                     + (b.size,)), b, batch_ndim)
+
+
+#: leaf kinds of a `scalars_to_poly` grid
+_LEAVES = ("jet", "unbatched jet", "complex jet", "unbatched complex jet",
+           "float", "int", "per-point array")
+
+
 class TestScalarsToPoly:
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 3), cols=st.integers(1, 3),
+           npts=st.integers(1, 3), seed=st.integers(0, 2 ** 16),
+           kinds=st.lists(st.sampled_from(_LEAVES), min_size=9, max_size=9))
+    def test_matches_stacked_leaves(self, rows, cols, npts, seed, kinds):
+        kinds = kinds[: rows * cols]
+        # a grid of arrays only would be read by np.array as one more axis
+        assume(any(k != "per-point array" for k in kinds))
+        b = basis(2, 2)
+        rng = np.random.default_rng(seed)
+
+        def leaf(kind):
+            batch = () if kind.startswith("unbatched") else (npts,)
+            if kind.endswith("complex jet"):
+                return PolyTensor(rng.normal(size=batch + (b.size,))
+                                  + 1j * rng.normal(size=batch + (b.size,)),
+                                  b, len(batch))
+            if kind.endswith("jet"):
+                return PolyTensor(rng.normal(size=batch + (b.size,)), b,
+                                  len(batch))
+            if kind == "float":
+                return float(rng.normal())
+            if kind == "int":
+                return int(rng.integers(-3, 4))
+            return rng.normal(size=npts)
+
+        leaves = [leaf(k) for k in kinds]
+        entries = [leaves[i * cols:(i + 1) * cols] for i in range(rows)]
+        nb = int(any(k not in ("float", "int") and "unbatched" not in k
+                     for k in kinds))
+        got, want = scalars_to_poly(entries, b, nb), _stacked(entries, b, nb)
+        assert got.coeffs.shape == want.coeffs.shape
+        assert got.coeffs.dtype == want.coeffs.dtype
+        assert got.batch_ndim == want.batch_ndim == nb
+        assert np.array_equal(got.coeffs, want.coeffs)
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_catalog_metrics_match_stacked_leaves(self, name):
+        model = get_model(name)
+        pts = model.base_point + np.linspace(-0.1, 0.1, 3)[:, None]
+        geo = model.geometry(pts, order=2)
+        coords = _coordinate_jets(pts, geo.basis, geo.free)
+        want = _stacked(model.metric_fn(coords), geo.basis, 1)
+        assert geo.g.coeffs.dtype == want.coeffs.dtype
+        assert np.array_equal(geo.g.coeffs, want.coeffs)
+
     def test_mixed_entries_broadcast(self):
         b = basis(2, 2)
         x = coordinate_poly(b, 0, np.array([0.1, 0.2, 0.3]))
