@@ -89,18 +89,18 @@ def _letters(n):
     return [c for c in string.ascii_letters if c != "P"][:n]  # P: jet axis
 
 
-def raise_slots(t: PolyTensor, ginv: PolyTensor, slots,
-                order=None) -> PolyTensor:
+def raise_slots(t: PolyTensor, ginv: PolyTensor, slots) -> PolyTensor:
     """Raise the listed component axes of `t` with the inverse metric.
 
     One contraction per slot, T^{..x..} = T_{..d..} g^{dx}; the raised
-    index stays in the slot's place.  `order` is passed to each `contract`.
+    index stays in the slot's place.  The result has the lower order of
+    `t` and `ginv`; a lower one is `t.truncate(k)`.
     """
     *names, new = _letters(t.rank + 1)
     idx = "".join(names)
     for s in slots:
         out = idx[:s] + new + idx[s + 1:]
-        t = contract(f"{idx},{idx[s]}{new}->{out}", t, ginv, order)
+        t = contract(f"{idx},{idx[s]}{new}->{out}", t, ginv)
     return t
 
 
@@ -151,8 +151,8 @@ class Geometry:
     def ginv(self) -> PolyTensor:
         """g^{ab}; order - 1, the most any consumer reads.  Symmetrized so
         that both indices carry the same values bit for bit."""
-        return pt_symmetrize(poly_matrix_inverse(self.g,
-                                                 max(self.order - 1, 0)))
+        return pt_symmetrize(poly_matrix_inverse(
+            self.g.truncate(max(self.order - 1, 0))))
 
     @cached_property
     def christoffel(self) -> PolyTensor:
@@ -227,8 +227,7 @@ class Geometry:
     def covariant_derivative(self, t: PolyTensor) -> PolyTensor:
         """nabla_a T_{b1..bk} for an all-lower-index T; new axis is first."""
         out = self.gradient(t)
-        gam = self.christoffel.truncate(min(self.christoffel.basis.order,
-                                            out.basis.order))
+        gam = self.christoffel.truncate(out.basis.order)
         k = t.rank
         names = _letters(k + 2)
         a, c, idx = names[0], names[1], names[2: 2 + k]
@@ -236,7 +235,7 @@ class Geometry:
             tin = idx.copy()
             tin[i] = c
             pat = f"{c}{a}{idx[i]},{''.join(tin)}->{a}{''.join(idx)}"
-            out = out - contract(pat, gam, t, out.basis.order)
+            out = out - contract(pat, gam, t)
         return out
 
     def laplacian(self, t: PolyTensor) -> PolyTensor:
@@ -245,8 +244,7 @@ class Geometry:
         ddt = self.covariant_derivative(self.covariant_derivative(t))
         names = _letters(t.rank + 2)
         rest = "".join(names[2:])
-        return contract(f"ab,ab{rest}->{rest}", self.ginv, ddt,
-                        ddt.basis.order)
+        return contract(f"ab,ab{rest}->{rest}", self.ginv, ddt)
 
     def _require_order(self, t: PolyTensor, cost: int):
         if t.basis.order < cost:  # name the metric order that would do
@@ -256,13 +254,13 @@ class Geometry:
 
     def raise_all(self, t: PolyTensor) -> PolyTensor:
         """All-lower tensor with every slot raised by the inverse metric."""
-        return raise_slots(t, self.ginv, range(t.rank), t.basis.order)
+        return raise_slots(t, self.ginv, range(t.rank))
 
     def norm_squared(self, t: PolyTensor) -> PolyTensor:
         """|T|^2 for an all-lower-index tensor field."""
         up = self.raise_all(t)
         idx = "".join(_letters(t.rank + 2)[2:])
-        return contract(f"{idx},{idx}->", t, up, t.basis.order)
+        return contract(f"{idx},{idx}->", t, up)
 
     def sqrt_det_g(self) -> np.ndarray:
         """Riemannian volume density at the expansion points; shape (B,)."""

@@ -227,9 +227,9 @@ def pf_ell_brute(T, ell: int):
 # -- jet-valued Pfaffian (for ambient Laplacians of Pf_l) ---------------------
 
 
-def raise_last_two(T: PolyTensor, ginv: PolyTensor, order=None) -> PolyTensor:
+def raise_last_two(T: PolyTensor, ginv: PolyTensor) -> PolyTensor:
     """T_{ab}{}^{cd} from all-lower jets T_{abcd}."""
-    return raise_slots(T, ginv, (2, 3), order)
+    return raise_slots(T, ginv, (2, 3))
 
 
 def pfaffian_field(geo: Geometry) -> PolyTensor:
@@ -498,23 +498,23 @@ def divergence_construction(geo: Geometry, T: PolyTensor,
 
     T must be a symmetric all-lower rank-k jet tensor of scaling weight w;
     the result has rank k-1 and weight w-2.  Rejects w = 2k-2 where the
-    trace coefficient blows up.
+    trace coefficient blows up.  The contractions with g^{-1} run at their
+    operands' lower order: for T at most g^{-1}'s order, one below T's.
     """
     k = T.rank
     if k < 1:
         raise ValueError("T must have rank >= 1")
     if w == 2 * k - 2:
         raise ValueError("weight w = 2k-2 is singular for this construction")
-    order = T.basis.order - 1
     dT = geo.covariant_derivative(T)  # (der, a1..ak)
     letters = string.ascii_lowercase
     idx = letters[:k - 1]
-    div = jcontract(f"e{idx}b,eb->{idx}", dT, geo.ginv, order)
+    div = jcontract(f"e{idx}b,eb->{idx}", dT, geo.ginv)
     if k == 1:
         return div
     rest = letters[:k - 2]
-    tr = jcontract(f"{rest}eb,eb->{rest}", T, geo.ginv, order + 1)
-    dtr = geo.covariant_derivative(tr).truncate(order)  # rank k-1
+    tr = jcontract(f"{rest}eb,eb->{rest}", T, geo.ginv)
+    dtr = geo.covariant_derivative(tr)  # rank k-1
     return div + ((k - 1) / (w - 2 * k + 2)) * pt_symmetrize(dtr)
 
 

@@ -9,37 +9,38 @@ truncation a slice and embedding a zero-pad.
 
 One jet type sits on top of the basis: `PolyTensor`, a tensor whose
 components are jets, with leading batch axes so a chart can be expanded at
-many points at once.  `contract` is its einsum-like product, convolving the
-coefficient axis; the curvature pipeline runs on it.  A rank-0 PolyTensor is
-a scalar jet with operator overloading and the analytic functions the metric
-catalog needs (sin, cos, real powers); `const_poly` and
-`coordinate_poly` build the constant and coordinate jets.
+many points at once.  `contract` is its product over lettered component
+axes, convolving the coefficient axis at the lower order of the two
+operands; the curvature pipeline runs on it.  A rank-0 PolyTensor is a
+scalar jet with operator overloading and the analytic functions the metric
+catalog needs (sin, cos, real powers); `const_poly` and `coordinate_poly`
+build the constant and coordinate jets.
 
-At output order 0 a contraction has one jet pair, the two values, and
-`contract` is one batched matmul of them.  At higher orders, curvature
-tensors are mostly zero components: the ambient curvature vanishes on every
-t- and rho-slot, and a product of spheres has few nonzero base components.
-`contract` therefore joins the supports of its operands, the components
-that are nonzero at some batch point, on their shared letters, and
-multiplies only those pairs.  `PolyTensor` stores its coefficients densely
-but carries its support once known: the contraction kernel, negation,
-`truncate`, `diff` and finite scalings pass it on, and any other tensor is
-scanned for it once, by the first contraction that joins it.  Sums are
-scanned too, because they cancel exactly on some components
+One cached plan per pattern (`_contract_plan`) serves both paths of
+`contract`.  At output order 0 it is one batched matmul of the values.  At
+higher orders, curvature tensors are mostly zero components: the ambient
+curvature vanishes on every t- and rho-slot, and a product of spheres has
+few nonzero base components.  `contract` therefore joins the supports of its
+operands, the components that are nonzero at some batch point, on their
+shared letters, and multiplies only those pairs.  `PolyTensor` stores its
+coefficients densely but carries its support once known: the contraction
+kernel, negation, `truncate`, `diff` and finite scalings pass it on, and any
+other tensor is scanned for it once, by the first contraction that joins it.
+Sums are scanned too, because they cancel exactly on some components
 (`riemann_up`'s `-t1 + t2` on its a = b slots): a union of the supports
-would keep those as extra pairs.  The contraction kernel and the
-scalar-jet product share one jet product, `_jet_mul`, which sums the jet
-pairs coefficient-major, with the coefficient axis first in its scratch
-arrays: `_pair_table` orders the pairs so that each pass adds whole
-contiguous rows into a prefix of the running sums.  The kernel keeps that
-layout, sums by one reshape-sum per block of equal pair counts and
-transposes once.
+would keep those as extra pairs.  The contraction kernel and the scalar-jet
+product share one jet product, `_jet_mul`, which sums the jet pairs
+coefficient-major, with the coefficient axis first in its scratch arrays:
+`_pair_table` orders the pairs so that each pass adds whole contiguous rows
+into a prefix of the running sums.  The kernel keeps that layout, sums by
+one reshape-sum per block of equal pair counts and transposes once.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections import namedtuple
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -399,21 +400,28 @@ def scalars_to_poly(entries, basis_, batch_ndim=0) -> PolyTensor:
 
 def contract(pattern: str, a: PolyTensor, b: PolyTensor, order: int | None = None,
              ) -> PolyTensor:
-    """Einsum over component axes with convolution of the coefficient axes.
+    """Product over lettered component axes, convolving the coefficient
+    axes.
 
     `pattern` names only the component axes, e.g. ``'ae,eb->ab'``; batch axes
-    are broadcast and the jet axis is convolved and truncated to `order`.
-    Each operand's letters name its component axes once each, the output
-    names input letters once each, and a letter has one length wherever
-    it appears; any other pattern, or one that is not two operands and an
-    output, raises `ValueError`.  A trace is `geometry.pt_trace`, not a
-    repeated letter.  The pattern is read and checked once per pattern and
-    operand shapes (`_contract_plan`), and every call with an invalid one
-    raises again.
+    are broadcast.  Each operand's letters name its component axes once
+    each, the output names input letters once each, a letter has one length
+    wherever it appears, and a letter the output leaves out is summed, so
+    both operands name it; any other pattern, or one that is not two
+    operands and an output, raises `ValueError` on every call.  A trace is
+    `geometry.pt_trace`, not a repeated letter.  `_contract_plan` reads a
+    pattern once per operand shapes.
+
+    The product has the lower order of the two operands, the most their
+    coefficients determine; `order` may lower it, and any other order
+    raises `ValueError`.  A lowered order gives the bits of truncated
+    operands when truncation keeps their supports; else a component zero
+    up to `order` still joins, so a NaN or inf partner makes it NaN.
 
     At output order 0 the result is one batched matmul of the two values
-    (`_value_product`) in a fresh array, so a NaN or inf value reaches
-    every output its einsum terms reach.
+    (`_value_product`) in a fresh array.  A real NaN or inf reaches every
+    output its terms reach, as in their sum; a complex one makes the same
+    outputs non-finite, though it may leave NaN and inf in other parts.
 
     At higher orders only component pairs whose jets are both nonzero at
     some batch point can contribute.  The pairs of the two supports
@@ -424,31 +432,35 @@ def contract(pattern: str, a: PolyTensor, b: PolyTensor, order: int | None = Non
     jet reaches every output its partners in the supports reach.  The
     result keeps the operands' dtype, complex included.
     """
-    if order is None:
-        order = min(a.basis.order, b.basis.order)
-    if order < 0:
-        raise ValueError(f"contract at order {order}; a jet product needs "
-                         f"order >= 0")
-    order = min(order, a.basis.order + b.basis.order)
-    in_a, in_b, outs, dims, batch_shape = _contract_plan(
-        pattern, a.coeffs.shape[:-1], a.batch_ndim, b.coeffs.shape[:-1],
-        b.batch_ndim)
-    bout = basis(a.basis.nvars, order)
+    top = min(a.basis.order, b.basis.order)
+    order = top if order is None else order
+    if not 0 <= order <= top:
+        raise ValueError(f"contract at order {order}; operands of order "
+                         f"{a.basis.order} and {b.basis.order} give a jet "
+                         f"product of order >= 0 and <= {top}")
+    plan = _contract_plan(pattern, a.coeffs.shape[:-1], a.batch_ndim,
+                          b.coeffs.shape[:-1], b.batch_ndim)
+    bout, nbatch = basis(a.basis.nvars, order), len(plan.batch_shape)
     if order == 0:  # one jet pair, (0, 0): the product of the values
-        val = _value_product(in_a, in_b, outs, a.value(), b.value())
-        return PolyTensor(val[..., None], bout, len(batch_shape))
-    out, support = _contract_support(in_a, in_b, outs, a, b, dims,
-                                     batch_shape, order)
-    return PolyTensor(out, bout, len(batch_shape), support)
+        val = _value_product(plan, a.value(), b.value())
+        return PolyTensor(val[..., None], bout, nbatch)
+    out, support = _contract_support(plan, a, b, order)
+    return PolyTensor(out, bout, nbatch, support)
+
+
+#: `_contract_plan`'s result; `dims` is a read-only map from letter to length
+_Plan = namedtuple("_Plan", "in_a in_b outs dims batch_shape layout")
 
 
 @lru_cache(maxsize=None)
 def _contract_plan(pattern, shape_a, nb_a, shape_b, nb_b):
     """`contract`'s reading of `pattern` for operands with these shapes
-    (batch and component axes) and batch ndims: (in_a, in_b, outs, dims,
-    batch_shape), dims a read-only map from letter to length.  An invalid
-    pattern raises `ValueError`, and `lru_cache` keeps no exception, so
-    every call checks it again."""
+    (batch and component axes) and batch ndims, as a `_Plan`.  Its
+    `layout` is `_value_product`'s: `a` as (kept, a only, summed) by `b` as
+    (kept, summed, b only), each group in its operand's letter order and
+    shared letters in that of `a`, so renamed letters give the same array.
+    An invalid pattern raises `ValueError`, and `lru_cache` keeps no
+    exception, so every call checks it again."""
     try:
         ins, outs = pattern.split("->")
         in_a, in_b = ins.split(",")
@@ -467,46 +479,31 @@ def _contract_plan(pattern, shape_a, nb_a, shape_b, nb_b):
         for c, n in zip(letters, comp):
             if dims.setdefault(c, n) != n:
                 raise ValueError(f"letter {c!r} has lengths {dims[c]} and {n}")
-    return in_a, in_b, outs, MappingProxyType(dims), batch_shape
-
-
-@lru_cache(maxsize=None)
-def _matmul_plan(in_a, in_b, outs, shape_x, shape_y):
-    """`_value_product`'s layout for values of these shapes, or None: see
-    there.  Returns the axis order and matrix shape of each operand, then
-    the shape and axis order that turn the product into the output."""
-    if any(c not in outs and (c in in_a) != (c in in_b) for c in in_a + in_b):
-        return None
+    lone = sorted(set(in_a).symmetric_difference(in_b) - set(outs))
+    if lone:
+        raise ValueError(f"{pattern!r}: letter {lone[0]!r} is summed, so "
+                         f"both operands must name it")
     kept = [c for c in in_a if c in in_b and c in outs]
-    summed = [c for c in in_a if c in in_b and c not in outs]
+    summed = [c for c in in_a if c not in outs]
     rows = [c for c in in_a if c not in in_b]
     cols = [c for c in in_b if c not in in_a]
-    nb_x, nb_y = len(shape_x) - len(in_a), len(shape_y) - len(in_b)
-    dims = dict(zip(in_a + in_b, shape_x[nb_x:] + shape_y[nb_y:]))
-    ops = [(tuple(range(nb)) + tuple(nb + s.index(c) for g in gs for c in g),
-            shape[:nb] + tuple(math.prod(dims[c] for c in g) for g in gs))
-           for s, shape, nb, gs in (
-               (in_a, shape_x, nb_x, (kept, rows, summed)),
-               (in_b, shape_y, nb_y, (kept, summed, cols)))]
-    batch = np.broadcast_shapes(shape_x[:nb_x], shape_y[:nb_y])
-    nb, letters = len(batch), kept + rows + cols
-    return (*ops, batch + tuple(dims[c] for c in letters),
-            tuple(range(nb)) + tuple(nb + letters.index(c) for c in outs))
+    layout = tuple(
+        (tuple(range(nb)) + tuple(nb + s.index(c) for g in gs for c in g),
+         shape[:nb] + tuple(math.prod(dims[c] for c in g) for g in gs))
+        for s, shape, nb, gs in ((in_a, shape_a, nb_a, (kept, rows, summed)),
+                                 (in_b, shape_b, nb_b, (kept, summed, cols))))
+    nb, letters = len(batch_shape), kept + rows + cols
+    layout += ((batch_shape + tuple(dims[c] for c in letters),
+                tuple(range(nb)) + tuple(nb + letters.index(c) for c in outs)),)
+    return _Plan(in_a, in_b, outs, MappingProxyType(dims), batch_shape,
+                 layout)
 
 
-def _value_product(in_a, in_b, outs, x, y):
-    """`contract` of two value arrays (batch axes first): one batched
-    `np.matmul` of `a` as (kept, a only, summed) by `b` as (kept, summed,
-    b only), each group in its operand's letter order, shared ones in that
-    of `a`, so renamed letters give the same array.  The layout is worked
-    out once per letters and shapes (`_matmul_plan`).  A complex value or a
-    letter summed in one operand only runs einsum, whose loop order decides
-    which inf * 0 terms it forms there; BLAS's complex product differs."""
-    plan = _matmul_plan(in_a, in_b, outs, x.shape, y.shape)
-    if plan is None or np.iscomplexobj(x) or np.iscomplexobj(y):
-        return np.einsum(f"...{in_a},...{in_b}->...{outs}", x, y)
-    (axes_x, mat_x), (axes_y, mat_y), shape, axes = plan
-    with np.errstate(invalid="ignore", over="ignore"):  # silent as einsum
+def _value_product(plan: _Plan, x, y):
+    """`contract` of two value arrays (batch axes first) by `plan`: one
+    batched `np.matmul`, real or complex, in the plan's `layout`."""
+    (axes_x, mat_x), (axes_y, mat_y), (shape, axes) = plan.layout
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 is NaN
         val = np.matmul(x.transpose(axes_x).reshape(mat_x),
                         y.transpose(axes_y).reshape(mat_y))
     return val.reshape(shape).transpose(axes)
@@ -555,7 +552,7 @@ def _support_rows(x: PolyTensor, nbatch: int):
     return np.ascontiguousarray(flat.T)
 
 
-def _contract_support(in_a, in_b, outs, a, b, dims, batch_shape, order):
+def _contract_support(plan: _Plan, a, b, order):
     """Multiply only the joined pairs and sum them by output component.
 
     The pairs run by the pair count L of their output component, then by
@@ -564,6 +561,7 @@ def _contract_support(in_a, in_b, outs, a, b, dims, batch_shape, order):
     over each block's L axis writes its components.  Returns the output
     and the distinct output components reached.
     """
+    in_a, in_b, outs, dims, batch_shape, _ = plan
     ca, cb, counts, lo, order_b = _support_join(in_a, in_b, a, b, dims)
     total = int(counts.sum())
     starts = np.cumsum(counts) - counts
@@ -602,24 +600,24 @@ def _contract_support(in_a, in_b, outs, a, b, dims, batch_shape, order):
     return out.T.reshape(shape), np.sort(comp[heads])
 
 
-def poly_matrix_inverse(g: PolyTensor, order: int) -> PolyTensor:
-    """Jet inverse of a square matrix of polynomials.
+def poly_matrix_inverse(g: PolyTensor) -> PolyTensor:
+    """Jet inverse of a square matrix of polynomials, to the order of `g`.
 
     Degree recursion for power-series inversion (Brent & Kung, J. ACM 1978):
     X_0 = g_0^{-1} and X_k = -X_0 R_k, where R_k = sum_{j=1..k} g_j X_{k-j}
     is the degree-k block of g X while X_k is still zero.  So degree k costs
     one `contract` at order k and one order-0 product with X_0, and g X = I
-    holds in every degree up to `order`.
+    holds in every degree of `g`.  A lower order is `g.truncate(k)`.
     """
-    g = g.truncate(order) if g.basis.order > order else g
     x0 = np.linalg.inv(g.value())
-    b = basis(g.basis.nvars, order)
-    x = const_poly(x0, b, g.batch_ndim)
-    for k in range(1, order + 1):
+    b, nb = g.basis, g.batch_ndim
+    x = const_poly(x0, b, nb)
+    for k in range(1, b.order + 1):
         blk = slice(b.deg_start[k], b.deg_start[k + 1])
         r = contract("ab,bc->ac", g, x, k).coeffs[..., blk]
-        x.coeffs[..., blk] = -_value_product("ab", "bcm", "acm", x0, r)
+        plan = _contract_plan("ab,bcm->acm", x0.shape, nb, r.shape, nb)
+        x.coeffs[..., blk] = -_value_product(plan, x0, r)
         # X_k may fill components that X_0 leaves zero, so the support
         # `contract` stored on x is stale: continue with a fresh tensor
-        x = PolyTensor(x.coeffs, b, g.batch_ndim)
+        x = PolyTensor(x.coeffs, b, nb)
     return x

@@ -189,20 +189,26 @@ def _operand_letters(draw, letters):
                                  unique=True)))
 
 
+def _pattern_letters(draw, letters):
+    """The letters of a valid pattern: an output letter is named by an
+    operand, and a letter the output leaves out by both."""
+    in_a, in_b = (_operand_letters(draw, letters) for _ in range(2))
+    union = sorted(set(in_a + in_b))
+    outs = "".join(c for c in draw(st.permutations(union))
+                   if c not in in_a or c not in in_b or draw(st.booleans()))
+    return in_a, in_b, outs
+
+
 @st.composite
 def _contractions(draw):
     """Operands of a `contract` at output order >= 1."""
     letters = "abcd"
     dims = {c: draw(st.integers(1, 3)) for c in letters}
-    in_a, in_b = (_operand_letters(draw, letters) for _ in range(2))
-    union = sorted(set(in_a + in_b))
-    outs = "".join(c for c in draw(st.permutations(union))
-                   if draw(st.booleans()))
+    in_a, in_b, outs = _pattern_letters(draw, letters)
     nvars = draw(st.integers(1, 3))
-    order_a, order_b = draw(st.integers(0, 3)), draw(st.integers(0, 3))
-    order = draw(st.none() | st.integers(1, 6))
     # at output order 0 `contract` multiplies the values, not in the kernel
-    assume(min(order or min(order_a, order_b), order_a + order_b) >= 1)
+    order_a, order_b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    order = draw(st.none() | st.integers(1, min(order_a, order_b)))
     batches = st.sampled_from([(), (1,), (3,)])
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     a = _sparse_poly(basis(nvars, order_a), tuple(dims[c] for c in in_a),
@@ -226,7 +232,7 @@ class TestContractPaths:
         ",->", ",ab->ab", "ab,->ab",  # rank-0 operands
         "ab,ab->ab",  # a letter shared and kept
         "ab,ab->",  # every letter shared and summed
-        "ab,c->ac",  # b summed in one operand only
+        "ab,c->ac",  # b summed in one operand only: rejected
         "ab,bc->ac", "abcd,cdef->abef", "a,b->ab", "ba,bc->ca",
         "aa,ab->b", "aba,b->a",  # a diagonal: rejected, a trace is pt_trace
     ])
@@ -241,6 +247,12 @@ class TestContractPaths:
         if pattern.startswith(("aa", "aba")):
             for order in (None, 2):
                 with pytest.raises(ValueError, match="once each"):
+                    contract(pattern, a_, b_, order)
+            return
+        if pattern == "ab,c->ac":  # checked at both orders, on every call
+            for order in (0, 1, 1):
+                with pytest.raises(ValueError, match="'ab,c->ac': letter "
+                                   "'b' is summed, so both operands"):
                     contract(pattern, a_, b_, order)
             return
         _assert_matches_oracle(pattern, a_, b_)
@@ -297,6 +309,35 @@ class TestContractPaths:
         # other output
         assert np.isfinite(out.coeffs[0, 1:]).all()
         assert np.isfinite(out.coeffs[1:]).all()
+
+
+class TestOrderRule:
+    """`contract` runs at the lower operand order unless `order` lowers it:
+    the order is a truncation of the operands, never more."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_contractions())
+    def test_order_is_truncating_the_operands(self, case):
+        # each component of `_sparse_poly` is zero in every coefficient or
+        # in none, so truncation keeps the supports and the joined pairs
+        pattern, a, b, _, _ = case
+        for m in range(min(a.basis.order, b.basis.order) + 1):
+            got = contract(pattern, a.truncate(m), b.truncate(m))
+            want = contract(pattern, a, b, m)
+            assert got.basis is want.basis is basis(a.basis.nvars, m)
+            assert got.batch_ndim == want.batch_ndim
+            assert got.coeffs.dtype == want.coeffs.dtype
+            assert got.coeffs.shape == want.coeffs.shape
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+    def test_order_above_an_operand_is_rejected(self):
+        x = _random_poly(basis(2, 3), (3,), seed=1)
+        y = _random_poly(basis(2, 2), (3,), seed=2)
+        assert contract("a,a->", x, y).basis is basis(2, 2)
+        for order in (3, 3, 5):
+            with pytest.raises(ValueError, match=f"at order {order}; "
+                               "operands of order 3 and 2"):
+                contract("a,a->", x, y, order)
 
 
 def _scanned(x: PolyTensor):
@@ -449,18 +490,23 @@ class TestSupport:
         assert max(scans.values()) == 1
 
 
-def _batched_einsum(pattern, x, y):
-    """Reference for an order-0 `contract` of values with batch shapes
-    `bx` and `by`: both operands broadcast to the joint batch and one einsum
-    letter per batch axis (``ZY...``) in place of the ellipsis."""
+def _sum_of_terms(pattern, x, y):
+    """Reference for an order-0 `contract` of values (batch axes first,
+    broadcast): every term, one entry of `x` times one of `y`, added in
+    turn into the output entry it belongs to."""
     (in_x, in_y), outs = pattern.split("->")[0].split(","), pattern.split("->")[1]
-    bx = x.shape[: x.ndim - len(in_x)]
-    by = y.shape[: y.ndim - len(in_y)]
-    batch = np.broadcast_shapes(bx, by)
-    z = "ZYXW"[: len(batch)]
-    return np.einsum(f"{z}{in_x},{z}{in_y}->{z}{outs}",
-                     np.broadcast_to(x, batch + x.shape[len(bx):]),
-                     np.broadcast_to(y, batch + y.shape[len(by):]))
+    nx, ny = x.ndim - len(in_x), y.ndim - len(in_y)
+    dims = dict(zip(in_x + in_y, x.shape[nx:] + y.shape[ny:]))
+    letters = sorted(dims)
+    out = np.zeros(np.broadcast_shapes(x.shape[:nx], y.shape[:ny])
+                   + tuple(dims[c] for c in outs), np.result_type(x, y))
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 is NaN
+        for ix in np.ndindex(*(dims[c] for c in letters)):
+            at = dict(zip(letters, ix))
+            out[(...,) + tuple(at[c] for c in outs)] += (
+                x[(...,) + tuple(at[c] for c in in_x)]
+                * y[(...,) + tuple(at[c] for c in in_y)])
+    return out
 
 
 @st.composite
@@ -469,10 +515,7 @@ def _order0_contractions(draw):
     or inf."""
     letters = "abcd"
     dims = {c: draw(st.integers(1, 3)) for c in letters}
-    in_a, in_b = (_operand_letters(draw, letters) for _ in range(2))
-    union = sorted(set(in_a + in_b))
-    outs = "".join(c for c in draw(st.permutations(union))
-                   if draw(st.booleans()))
+    in_a, in_b, outs = _pattern_letters(draw, letters)
     nvars = draw(st.integers(1, 3))
     order_a, order_b = draw(st.integers(0, 3)), draw(st.integers(0, 3))
     order = draw(st.just(0) | st.none()) if min(order_a, order_b) == 0 else 0
@@ -493,22 +536,31 @@ def _order0_contractions(draw):
 
 
 class TestOrderZero:
-    """At output order 0 `contract` is the einsum of the two values."""
+    """At output order 0 `contract` is the einsum of the two values: each
+    output entry sums its terms."""
 
     @settings(max_examples=200, deadline=None)
     @given(_order0_contractions())
     def test_matches_einsum_of_values(self, case):
+        # against the terms summed one by one: a real NaN or +-inf lands
+        # where theirs does; complex products may put NaN or inf in other
+        # parts of a number, but make the same outputs non-finite
         pattern, a, b, order = case
         outs = pattern.split("->")[1]
         out = contract(pattern, a, b, order)
-        want = _batched_einsum(pattern, a.value(), b.value())
+        want = _sum_of_terms(pattern, a.value(), b.value())
         assert out.basis is basis(a.basis.nvars, 0)
         assert out.batch_ndim == max(a.batch_ndim, b.batch_ndim)
         assert out.coeffs.shape == want.shape + (1,)
         assert out.coeffs.ndim == out.batch_ndim + len(outs) + 1
         assert out.coeffs.dtype == np.result_type(a.coeffs, b.coeffs)
-        np.testing.assert_allclose(out.coeffs[..., 0], want, rtol=1e-12,
-                                   atol=1e-12, equal_nan=True)
+        got = out.coeffs[..., 0]
+        if np.iscomplexobj(want):
+            finite = np.isfinite(want)
+            assert np.array_equal(np.isfinite(got), finite)
+            got, want = got[finite], want[finite]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12,
+                                   equal_nan=True)
         assert out.coeffs.flags.writeable
         assert not np.shares_memory(out.coeffs, a.coeffs)
         assert not np.shares_memory(out.coeffs, b.coeffs)
@@ -627,7 +679,7 @@ class TestJetMul:
 
     @pytest.mark.parametrize("pattern", ["ab,bc->ac", ",ab->ab", "ab,b->a"])
     def test_complex_operands_on_both_kernels(self, pattern):
-        # the order-0 einsum and the support kernel
+        # the order-0 matmul and the support kernel
         rng = np.random.default_rng(13)
         b = basis(2, 2)
         ins = pattern.split("->")[0].split(",")
@@ -801,7 +853,7 @@ class TestMatrixInverse:
     def test_product_with_metric_is_identity(self, nvars, dim, order, batch,
                                              seed):
         g = _spd_metric_jet(nvars, dim, order, batch, seed)
-        prod = contract("ab,bc->ac", g, poly_matrix_inverse(g, order), order)
+        prod = contract("ab,bc->ac", g, poly_matrix_inverse(g), order)
         ident = np.zeros_like(prod.coeffs)
         ident[..., 0] = np.eye(dim)
         assert np.abs(prod.coeffs - ident).max() <= 1e-12
@@ -810,7 +862,7 @@ class TestMatrixInverse:
                                                  (3, 2, 3), (6, 6, 2)])
     def test_matches_linear_iteration(self, nvars, dim, order):
         g = _spd_metric_jet(nvars, dim, order, 3, seed=order)
-        got = poly_matrix_inverse(g, order)
+        got = poly_matrix_inverse(g)
         want = _inverse_by_iteration(g, order)
         assert got.basis is want.basis
         np.testing.assert_allclose(got.coeffs, want.coeffs, rtol=0,
@@ -825,7 +877,8 @@ class TestMatrixInverse:
             return contract(*args, **kwargs)
 
         monkeypatch.setattr(jets, "contract", counting)
-        poly_matrix_inverse(_spd_metric_jet(3, 3, 4, 2, seed=1), order)
+        g = _spd_metric_jet(3, 3, 4, 2, seed=1)
+        poly_matrix_inverse(g.truncate(order))
         assert len(calls) == order
 
     def test_higher_degrees_fill_zeros_of_the_value(self):
@@ -837,7 +890,7 @@ class TestMatrixInverse:
         coeffs[..., 0] = np.diag([2.0, 3.0, 4.0])
         coeffs[..., 1] = 1.0 - np.eye(3)
         g = PolyTensor(coeffs, b)
-        x = poly_matrix_inverse(g, 4)
+        x = poly_matrix_inverse(g)
         ident = np.zeros((3, 3, b.size))
         ident[..., 0] = np.eye(3)
         for y in (x, PolyTensor(x.coeffs.copy(), b)):
@@ -852,7 +905,7 @@ class TestMatrixInverse:
         coeffs[..., 0] = np.eye(3) + 0.05 * rng.standard_normal((2, 3, 3))
         coeffs[..., 0] += coeffs[..., 0].swapaxes(-1, -2) + 2 * np.eye(3)
         g = PolyTensor(coeffs, b, 1)
-        gi = poly_matrix_inverse(g, 4)
+        gi = poly_matrix_inverse(g)
         prod = contract("ae,eb->ab", g, gi, 4)
         ident = np.zeros_like(prod.coeffs)
         ident[..., 0] = np.eye(3)
