@@ -8,14 +8,15 @@ coordinates (t, x^1..x^n, rho) is
 which solves Ric~ = 0 exactly.  Everything here runs the generic jet
 curvature pipeline of `geometry.Geometry` on this metric; the closed-form
 Christoffel blocks and the push-pull Laplacian identity are kept as
-independent cross-checks.
+independent cross-checks.  Its route to P_{l,n} batches points by jet
+bytes (`geometry.point_batches`), so no dimension cap limits which n it takes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .geometry import Geometry, Model
+from .geometry import Geometry, Model, point_batches
 from .jets import PolyTensor, coordinate_poly
 from .invariants import (i_ell_operator, pf_ell_poly, pf_ell_weyl_field,
                          raise_last_two)
@@ -213,22 +214,23 @@ def ambient_iterated_laplacian(chart: AmbientChart, field_fn, m: int,
     """i*(Delta~^m of field_fn(ambient geometry)) at base points x.
 
     `field_fn(geo) -> scalar PolyTensor` must be an ambient-evaluable
-    invariant formula (fixed coefficients) of a metric jet of order 2.  Points are lifted to
-    (1, x, 0); the jets are expanded there, so the pullback is just the
-    value after m Laplacians.
+    invariant formula (fixed coefficients) of a metric jet of order 2.
+    Points are lifted to (1, x, 0), one `Geometry` per `point_batches`
+    slice; the jets are expanded there, so the pullback is just the value
+    after m Laplacians.
     """
     if x_points is None:
         x_points = chart.base.base_point[None, :]
     pts = chart.embed_base_points(x_points)
     order = 2 + 2 * m
-    vals = []
-    for row in pts:  # one point at a time: ambient jets are memory-heavy
-        geo = chart.geometry(row[None, :], order=order)
+    vals = [np.empty(0)]  # so that no points give an empty array
+    for sl in point_batches(chart, len(pts), order):
+        geo = chart.geometry(pts[sl], order=order)
         u = field_fn(geo)
         for _ in range(m):
             u = geo.laplacian(u)
-        vals.append(u.value()[0])
-    return np.array(vals)
+        vals.append(u.value())
+    return np.concatenate(vals)
 
 
 def p_ell_n_ambient(chart: AmbientChart, ell: int, x_points=None):
@@ -237,8 +239,6 @@ def p_ell_n_ambient(chart: AmbientChart, ell: int, x_points=None):
     n = chart.n
     if n % 2 or not 2 <= ell <= n // 2:
         raise ValueError("need even n and 2 <= l <= n/2")
-    if n > 8:
-        raise ValueError("jet order capped at n <= 8")
 
     def field(geo):
         tud = raise_last_two(geo.riemann, geo.ginv)
@@ -252,8 +252,6 @@ def p_ell_n_einstein(model: Model, ell: int, x_points=None):
     iterated-Laplacian operator acting on Pf_l(W) (the base route of the
     straightening argument)."""
     n = model.dim
-    if model.lam is None:
-        raise ValueError("Einstein model required")
     if n % 2 or not 2 <= ell <= n // 2:
         raise ValueError("need even n and 2 <= l <= n/2")
 

@@ -52,6 +52,7 @@ from .jets import (PolyTensor, basis, const_poly, contract, coordinate_poly,
                    poly_matrix_inverse, scalars_to_poly)
 
 EPS_POLE = 1e-6  # chart clearance from coordinate degeneracies
+JET_BUDGET_BYTES = 128 * 2 ** 20  # estimated dense curvature jets per batch
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +266,21 @@ class Geometry:
     def sqrt_det_g(self) -> np.ndarray:
         """Riemannian volume density at the expansion points; shape (B,)."""
         return np.sqrt(np.linalg.det(self.g.value()))
+
+
+def point_batches(space, count, order):
+    """Slices of `count` points of `space` (a `Model` or an `AmbientChart`),
+    one `Geometry` at metric order `order` each, whose dense curvature jets
+    (dim^4 x basis size at order - 2 x 8 bytes a point) fit in
+    `JET_BUDGET_BYTES`.  One point over it raises `ValueError`."""
+    per_point = space.dim ** 4 * 8 * basis(space.dim - len(space.cyclic),
+                                           max(order - 2, 0)).size
+    if per_point > JET_BUDGET_BYTES:
+        raise ValueError(f"dense curvature jets of one point estimated at "
+                         f"{per_point / 2 ** 20:.0f} MiB, over the "
+                         f"{JET_BUDGET_BYTES / 2 ** 20:.0f} MiB budget")
+    step = JET_BUDGET_BYTES // per_point
+    return [slice(i, i + step) for i in range(0, count, step)]
 
 
 def _coordinate_jets(points, basis_, expanded):

@@ -7,8 +7,9 @@ weight that carries the Jacobian and the orbit volume of every symmetry the
 slice leaves out (cyclic azimuths, an isometry orbit).  `integrate_scalar`
 is the one integrator; on a homogeneous model it is value x volume, and
 routes that build their own jets (the ambient chart, the I_l operator)
-enter it as pointwise fields.  Finite parts are exact rational series
-bookkeeping in the cutoff, never a numeric limit.
+enter it as pointwise fields.  Its nodes run through the jets in the
+batches of `geometry.point_batches`.  Finite parts are exact rational
+series bookkeeping in the cutoff, never a numeric limit.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import numpy as np
 
 from .ambient import (AmbientChart, ambient_iterated_laplacian,
                       p_ell_n_ambient, p_ell_n_einstein)
-from .geometry import Geometry, Model, get_model, perturbed_sphere, raise_slots
+from .geometry import (Geometry, Model, get_model, perturbed_sphere,
+                       point_batches, raise_slots)
 from .jets import const_poly, contract as jcontract
 from .invariants import (
     STRAIGHTENABLE_FIELDS,
@@ -33,8 +35,6 @@ from .invariants import (
     weyl_norm2_field,
 )
 from .reports import CheckReport
-
-_CHUNK = 2048  # quadrature nodes per jet-pipeline batch
 
 
 class QuadratureRule:
@@ -76,12 +76,10 @@ def integrate_scalar(field_fn, model: Model, order=2, nodes_per_axis=24,
         return float(field_fn(geo).value()[0]) * model.volume
     rule = QuadratureRule(model, nodes_per_axis)
     total = 0.0
-    for start in range(0, len(rule.points), _CHUNK):
-        pts = rule.points[start:start + _CHUNK]
-        w = rule.weights[start:start + _CHUNK]
-        geo = model.geometry(pts, order)
+    for sl in point_batches(model, len(rule.points), order):
+        geo = model.geometry(rule.points[sl], order)
         vals = field_fn(geo).value() * geo.sqrt_det_g()
-        total += float(np.sum(w * vals))
+        total += float(np.sum(rule.weights[sl] * vals))
     return total
 
 
@@ -168,9 +166,9 @@ _P_ELL_CACHE: dict = {}
 
 def p_ell_n_base(model: Model, ell: int, ambient_route: bool):
     """P_{l,n} at the base point of an Einstein model, by either route, as
-    a length-1 array.  Cached per model, l and route: the n = 8 ambient
-    jets are expensive, and `route-equivalence` and `gbc` read the same
-    values.  The route functions themselves stay uncached."""
+    a length-1 array.  Cached per model, l and route: `route-equivalence`
+    reads again the six values `gbc` computes at the defaults.  The route
+    functions themselves stay uncached."""
     key = (model.name, ell, ambient_route)
     if key not in _P_ELL_CACHE:
         _P_ELL_CACHE[key] = (p_ell_n_ambient(AmbientChart(model), ell)
@@ -195,7 +193,7 @@ def verify_gbc(model: Model, tol=1e-6):
     _require(model.compact and model.lam is not None
              and model.homogeneous, "compact homogeneous Einstein required")
     n = model.dim
-    _require(n % 2 == 0 and n <= 8, "even dimension <= 8 required")
+    _require(n % 2 == 0, "even dimension required")
     _require(model.chi is not None, "Euler characteristic unknown")
     lhs = (2 * math.pi) ** (n // 2) * model.chi
     c = (2 * model.lam) ** (n // 2) * double_factorial(n - 1)

@@ -16,7 +16,7 @@ from rcint.ambient import (
     p_ell_n_ambient,
     p_ell_n_einstein,
 )
-from rcint.geometry import get_model
+from rcint.geometry import JET_BUDGET_BYTES, get_model, product_of_spheres
 from rcint.invariants import raise_last_two, weyl_norm2_field
 
 
@@ -165,3 +165,38 @@ class TestRouteEquivalence:
 
         val = ambient_iterated_laplacian(s2xs2_chart, field, 0)
         assert val[0] == pytest.approx(2.0 / 3.0, rel=1e-10)
+
+
+class TestPointBatches:
+    @pytest.mark.parametrize("base,ell", [("S2xS2", 2), ("S2xS2xS2", 2),
+                                          ("S2xS2xS2", 3)])
+    def test_batched_route_matches_stacked_points(self, base, ell):
+        model = get_model(base)
+        chart = AmbientChart(model)
+        rng = np.random.default_rng(11)
+        x = model.base_point + rng.uniform(-0.25, 0.25, (6, model.dim))
+        batched = p_ell_n_ambient(chart, ell, x)
+        stacked = np.concatenate([p_ell_n_ambient(chart, ell, row[None, :])
+                                  for row in x])
+        assert batched.shape == (6,)
+        np.testing.assert_allclose(batched, stacked, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(batched, p_ell_n_einstein(model, ell, x),
+                                   rtol=1e-12, atol=0)
+
+    def test_p_4_10_routes_agree(self):
+        # (S2)^5: the ambient jets at l = 4 fit the budget, whatever n is
+        model = product_of_spheres(5)
+        amb = p_ell_n_ambient(AmbientChart(model), 4)
+        ein = p_ell_n_einstein(model, 4)
+        np.testing.assert_allclose(amb, ein, rtol=1e-12, atol=0)
+
+    def test_p_2_10_refused_by_bytes_before_any_geometry(self, monkeypatch):
+        def unbuilt(self, points, order):
+            raise AssertionError("Geometry built before the budget check")
+
+        monkeypatch.setattr(AmbientChart, "geometry", unbuilt)
+        chart = AmbientChart(product_of_spheres(5))
+        # 12^4 components x 1716 order-6 monomials in 7 variables x 8 bytes
+        budget = f"{JET_BUDGET_BYTES / 2 ** 20:.0f} MiB budget"
+        with pytest.raises(ValueError, match=f"271 MiB, over the {budget}"):
+            p_ell_n_ambient(chart, 2)

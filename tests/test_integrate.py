@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import rcint.cli as cli
+import rcint.geometry as geometry
 import rcint.integrate as integ
 from rcint.geometry import (EPS_POLE, Model, chart_slice, get_model,
                             sphere_volume)
@@ -99,6 +100,28 @@ class TestQuadrature:
             got = integrate_scalar(field, m, order=2, nodes_per_axis=20)
             want = integrate_scalar(field, chart, order=2, nodes_per_axis=20)
             assert got == pytest.approx(want, rel=1e-11)
+
+    def test_batches_cover_each_node_once_and_keep_the_value(
+            self, monkeypatch):
+        def lap_w2(geo):
+            return geo.laplacian(weyl_norm2_field(geo))
+
+        m = get_model("perturbed-S4")
+        one = integrate_scalar(lap_w2, m, order=4, nodes_per_axis=8)
+        batches, build = [], Model.geometry
+
+        def recorded(self, points=None, order=2):
+            batches.append(points)
+            return build(self, points, order)
+
+        # 20 points' order-4 jets (4^4 x 10 monomials x 8 bytes each)
+        monkeypatch.setattr(geometry, "JET_BUDGET_BYTES", 20 * 4 ** 4 * 10 * 8)
+        monkeypatch.setattr(Model, "geometry", recorded)
+        split = integrate_scalar(lap_w2, m, order=4, nodes_per_axis=8)
+        assert [len(b) for b in batches] == [20, 20, 20, 4]
+        np.testing.assert_array_equal(np.concatenate(batches),
+                                      QuadratureRule(m, 8).points)
+        assert split == pytest.approx(one, rel=1e-13, abs=1e-13)
 
     def test_no_slice_rejected(self):
         m = dataclasses.replace(get_model("perturbed-S4"), slice=None)
