@@ -28,16 +28,26 @@ kernel, negation, `truncate`, `diff` and finite scalings pass it on, and any
 other tensor is scanned for it once, by the first contraction that joins it.
 Sums are scanned too, because they cancel exactly on some components
 (`riemann_up`'s `-t1 + t2` on its a = b slots): a union of the supports
-would keep those as extra pairs.  The contraction kernel and the scalar-jet
-product share one jet product, `_jet_mul`, which sums the jet pairs
-coefficient-major, with the coefficient axis first in its scratch arrays:
-`_pair_table` orders the pairs so that each pass adds whole contiguous rows
-into a prefix of the running sums.  The kernel keeps that layout, sums by
-one reshape-sum per block of equal pair counts and transposes once.
+would keep those as extra pairs.  Below an operand's order, the join reads
+the rows of its support that are nonzero to the product's order.  A join
+depends on the two supports, the shapes and the chunking alone, so `_JOINS`
+keeps each one, up to `_JOIN_LIMIT` of them: a pipeline repeated on points
+of the same sparsity joins nothing again.  The contraction kernel and the
+scalar-jet product share one jet product, `_jet_mul`, which sums the jet
+pairs coefficient-major, with the coefficient axis first in its scratch
+arrays: `_pair_table` orders the pairs so that each pass adds whole
+contiguous rows into a prefix of the running sums.  The kernel keeps that
+layout, sums by one reshape-sum per block of equal pair counts and
+transposes once.
+
+Importing this module fixes glibc's mmap and trim thresholds for the whole
+process (at 32 and 128 MiB), so freed jet arrays stay in the heap and the
+next product reuses them instead of faulting new pages in.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import numbers
 from collections import namedtuple
@@ -45,6 +55,19 @@ from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
+
+# glibc returns a freed block above its mmap threshold to the kernel and
+# trims the top of its heap beyond its trim threshold, so each repetition of
+# the pipeline would fault its multi-MB jet arrays in again.  Fixed
+# thresholds keep those blocks in the heap for reuse, for the whole process.
+# Both are set: either alone faults more than the defaults do.
+try:
+    _mallopt = ctypes.CDLL(None).mallopt
+except (AttributeError, OSError, TypeError):  # no glibc
+    pass
+else:
+    _mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    _mallopt(-1, 128 << 20)  # M_TRIM_THRESHOLD
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +409,14 @@ def scalars_to_poly(entries, basis_, batch_ndim=0) -> PolyTensor:
             raise ValueError("entries must be a rectangular nested list")
         grid += (n,)
         leaves = [x for row in leaves for x in row]
-    # a number, or per-point array, is the value of a constant jet: its
-    # jet over the one-monomial basis, written into the value slot
+    # a number, or per-point array, is the value of a constant jet: one
+    # coefficient, written into the value slot and promoted with 0.0 as
+    # `const_poly` promotes it
     cols = [e.coeffs if isinstance(e, PolyTensor)
-            else const_poly(e, basis(0, 0)).coeffs for e in leaves]
+            else np.asarray(e)[..., None] for e in leaves]
     lead = np.broadcast_shapes(*(v.shape[:-1] for v in cols))
-    coeffs = np.zeros(lead + (len(cols), basis_.size), np.result_type(*cols))
+    coeffs = np.zeros(lead + (len(cols), basis_.size),
+                      np.result_type(*cols, 0.0))
     for i, v in enumerate(cols):
         coeffs[..., i, :v.shape[-1]] = v
     return PolyTensor(coeffs.reshape(lead + grid + (basis_.size,)), basis_,
@@ -414,9 +439,10 @@ def contract(pattern: str, a: PolyTensor, b: PolyTensor, order: int | None = Non
 
     The product has the lower order of the two operands, the most their
     coefficients determine; `order` may lower it, and any other order
-    raises `ValueError`.  A lowered order gives the bits of truncated
-    operands when truncation keeps their supports; else a component zero
-    up to `order` still joins, so a NaN or inf partner makes it NaN.
+    raises `ValueError`.  The supports are joined to the product's order
+    (`_support_to`), so the result has the bits, inf and NaN included, of
+    the product of the jets truncated to it with their supports scanned
+    afresh.
 
     At output order 0 the result is one batched matmul of the two values
     (`_value_product`) in a fresh array.  A real NaN or inf reaches every
@@ -426,11 +452,12 @@ def contract(pattern: str, a: PolyTensor, b: PolyTensor, order: int | None = Non
     At higher orders only component pairs whose jets are both nonzero at
     some batch point can contribute.  The pairs of the two supports
     (`_support`, read from each operand and scanned at most once per
-    tensor) are joined on the shared letters, only those pairs are
-    multiplied, by `_jet_mul`, and the output components they reach become
-    the result's `support`.  NaN and inf count as nonzero, so a non-finite
-    jet reaches every output its partners in the supports reach.  The
-    result keeps the operands' dtype, complex included.
+    tensor) are joined on the shared letters, once per distinct input
+    (`_JOINS`), only those pairs are multiplied, by `_jet_mul`, and the
+    output components they reach become the result's `support`.  NaN and
+    inf count as nonzero, so a non-finite jet reaches every output its
+    partners in the supports reach.  The result keeps the operands' dtype,
+    complex included.
     """
     top = min(a.basis.order, b.basis.order)
     order = top if order is None else order
@@ -438,13 +465,14 @@ def contract(pattern: str, a: PolyTensor, b: PolyTensor, order: int | None = Non
         raise ValueError(f"contract at order {order}; operands of order "
                          f"{a.basis.order} and {b.basis.order} give a jet "
                          f"product of order >= 0 and <= {top}")
-    plan = _contract_plan(pattern, a.coeffs.shape[:-1], a.batch_ndim,
-                          b.coeffs.shape[:-1], b.batch_ndim)
+    shapes = (pattern, a.coeffs.shape[:-1], a.batch_ndim, b.coeffs.shape[:-1],
+              b.batch_ndim)
+    plan = _contract_plan(*shapes)
     bout, nbatch = basis(a.basis.nvars, order), len(plan.batch_shape)
     if order == 0:  # one jet pair, (0, 0): the product of the values
         val = _value_product(plan, a.value(), b.value())
         return PolyTensor(val[..., None], bout, nbatch)
-    out, support = _contract_support(plan, a, b, order)
+    out, support = _contract_support(shapes, plan, a, b, order)
     return PolyTensor(out, bout, nbatch, support)
 
 
@@ -523,14 +551,46 @@ def _support(x: PolyTensor, letters: str):
     return len(x.support), dict(zip(letters, coords))
 
 
-def _support_join(in_a, in_b, a, b, dims):
-    """Join the supports of `a` and `b` on the letters they share.
+def _support_to(x: PolyTensor, order: int):
+    """The support of `x` truncated to `order`: the components whose jet
+    to `order` is nonzero, NaN or inf at some batch point.  At the order of
+    `x` it is `_support`'s; below it, one scan of the coefficients to
+    `order`, of the rows of `x.support` alone when that is known."""
+    if order == x.basis.order:
+        _support(x, "")
+        return x.support
+    lead = x.coeffs.shape[: x.batch_ndim]
+    rows = x.coeffs.reshape(lead + (math.prod(x.comp_shape), x.basis.size))
+    rows = rows[..., : basis(x.basis.nvars, order).size]
+    if x.support is not None:
+        rows = rows[..., x.support, :]
+    live = np.any(rows != 0, axis=tuple(range(x.batch_ndim)) + (-1,))
+    return np.flatnonzero(live) if x.support is None else x.support[live]
 
-    Returns (coords_a, coords_b, counts, lo, order_b): support entry i of `a`
-    pairs with the entries order_b[lo[i] : lo[i] + counts[i]] of `b`.
-    """
-    (na, ca), (nb, cb) = _support(a, in_a), _support(b, in_b)
-    key_a, key_b = np.zeros(na, np.int64), np.zeros(nb, np.int64)
+
+#: `_join`'s result: the pairs (support entries `ia` of `a` and `ib` of
+#: `b`) run by the pair count of their output component, then by
+#: component `comp`; `chunks` holds (p0, p1, blocks), the pairs p0:p1 of
+#: one `_jet_mul` product and its blocks (q0, q1, pair count); `support`
+#: is the sorted output components reached
+_Join = namedtuple("_Join", "ia ib comp chunks support")
+
+#: `_contract_support`'s joins by everything they depend on, oldest first;
+#: each holds index arrays of O(pairs) size.  A dict, not an `lru_cache`:
+#: perfbench replays the arguments of every `lru_cache` from JSON, and these
+#: keys hold bytes
+_JOINS = {}
+_JOIN_LIMIT = 512
+
+
+def _join(plan: _Plan, sa, sb, step):
+    """Join the supports `sa` of `a` and `sb` of `b` on their shared
+    letters, as a `_Join` in chunks of whole components, each starting at
+    the first component of its window of `step` pairs."""
+    in_a, in_b, outs, dims, _, _ = plan
+    ca, cb = (dict(zip(s, np.unravel_index(sup, [dims[c] for c in s])))
+              if s else {} for s, sup in ((in_a, sa), (in_b, sb)))
+    key_a, key_b = np.zeros(len(sa), np.int64), np.zeros(len(sb), np.int64)
     for c in in_a:
         if c in cb:
             key_a = key_a * dims[c] + ca[c]
@@ -538,31 +598,6 @@ def _support_join(in_a, in_b, a, b, dims):
     order_b = np.argsort(key_b, kind="stable")
     lo = np.searchsorted(key_b[order_b], key_a, side="left")
     counts = np.searchsorted(key_b[order_b], key_a, side="right") - lo
-    return ca, cb, counts, lo, order_b
-
-
-def _support_rows(x: PolyTensor, nbatch: int):
-    """The jets of the support of `x`, coefficient-major and contiguous:
-    shape (P, support, *reversed batch), the batch first padded to
-    `nbatch` axes.  A full support is every row: no gather."""
-    lead = (1,) * (nbatch - x.batch_ndim) + x.coeffs.shape[: x.batch_ndim]
-    flat = x.coeffs.reshape(lead + (math.prod(x.comp_shape), x.basis.size))
-    if len(x.support) < flat.shape[-2]:
-        flat = flat[..., x.support, :]
-    return np.ascontiguousarray(flat.T)
-
-
-def _contract_support(plan: _Plan, a, b, order):
-    """Multiply only the joined pairs and sum them by output component.
-
-    The pairs run by the pair count L of their output component, then by
-    component: a block of equal L is whole components of L pairs.  A chunk
-    of whole components makes one `_jet_mul` product, and a reshape-sum
-    over each block's L axis writes its components.  Returns the output
-    and the distinct output components reached.
-    """
-    in_a, in_b, outs, dims, batch_shape, _ = plan
-    ca, cb, counts, lo, order_b = _support_join(in_a, in_b, a, b, dims)
     total = int(counts.sum())
     starts = np.cumsum(counts) - counts
     ia = np.repeat(np.arange(len(counts)), counts)
@@ -573,31 +608,75 @@ def _contract_support(plan: _Plan, a, b, order):
     runs = np.bincount(comp)  # the pair count of each output component
     by_run = np.argsort(runs[comp] * len(runs) + comp, kind="stable")
     ia, ib, comp = ia[by_run], ib[by_run], comp[by_run]
-    nv, oa, ob = a.basis.nvars, a.basis.order, b.basis.order
-    # a chunk's scratch is about `step` pairs times the batch times the jet
-    # pairs of one product: it starts at the first component of its window
-    jet_pairs = len(_pair_table(nv, oa, ob, order)[0])
-    step = max(1, _CHUNK // max(math.prod(batch_shape) * jet_pairs, 1))
     new = comp[1:] != comp[:-1]  # components start where comp changes
     heads = np.flatnonzero(np.concatenate(([total > 0], new)))
     blocks = heads[1:][np.diff(runs[comp[heads]]) != 0].tolist()
-    chunks = [*heads[:1], *heads[1:][np.diff(heads // step) != 0]]
-    out = np.zeros((basis(nv, order).size,
+    chunks = [*heads[:1].tolist(),
+              *heads[1:][np.diff(heads // step) != 0].tolist()]
+    spans = []
+    for p0, p1 in zip(chunks, chunks[1:] + [total]):
+        cuts = [p0, *(q for q in blocks if p0 < q < p1), p1]
+        spans.append((p0, p1, [(q0, q1, int(runs[comp[q0]]))
+                               for q0, q1 in zip(cuts, cuts[1:])]))
+    return _Join(ia, ib, comp, spans, np.sort(comp[heads]))
+
+
+def _support_rows(x: PolyTensor, support, nbatch: int, size: int):
+    """The jets of `support` in `x` to coefficient `size`, coefficient-major
+    and contiguous: shape (size, support, *reversed batch), the batch first
+    padded to `nbatch` axes.  A full support is every row: no gather."""
+    lead = (1,) * (nbatch - x.batch_ndim) + x.coeffs.shape[: x.batch_ndim]
+    flat = x.coeffs.reshape(lead + (math.prod(x.comp_shape), x.basis.size))
+    flat = flat[..., :size]
+    if len(support) < flat.shape[-2]:
+        flat = flat[..., support, :]
+    return np.ascontiguousarray(flat.T)
+
+
+def _contract_support(shapes, plan: _Plan, a, b, order):
+    """Multiply only the joined pairs and sum them by output component.
+
+    The supports of `a` and `b` to `order` are joined once per distinct
+    input: `_JOINS` keeps each `_join` by `shapes` (the pattern and operand
+    shapes `plan` was read for), the bytes of both supports, the number of
+    jet variables, both operand orders, `order` and the chunk step, and
+    drops the oldest beyond `_JOIN_LIMIT`.  The pairs run by the pair count
+    L of their output component, then by component: a block of equal L is
+    whole components of L pairs.  A chunk of whole components makes one
+    `_jet_mul` product, and a reshape-sum over each block's L axis writes
+    its components.  Returns the output and the distinct output components
+    reached.
+    """
+    outs, dims, batch_shape = plan.outs, plan.dims, plan.batch_shape
+    nv, oa, ob = a.basis.nvars, a.basis.order, b.basis.order
+    sa, sb = _support_to(a, order), _support_to(b, order)
+    # a chunk's scratch is about `step` pairs times the batch times the jet
+    # pairs of one product
+    jet_pairs = len(_pair_table(nv, oa, ob, order)[0])
+    step = max(1, _CHUNK // max(math.prod(batch_shape) * jet_pairs, 1))
+    key = (shapes, sa.tobytes(), sb.tobytes(), nv, oa, ob, order, step)
+    join = _JOINS.get(key)
+    if join is None:
+        join = _JOINS[key] = _join(plan, sa, sb, step)
+        while len(_JOINS) > _JOIN_LIMIT:
+            del _JOINS[next(iter(_JOINS))]
+    size = basis(nv, order).size
+    out = np.zeros((size,
                     math.prod(dims[c] for c in outs)) + batch_shape[::-1],
                    np.result_type(a.coeffs, b.coeffs, 0.0))
     # the `.T` of a gathered chunk is contiguous, so `_jet_mul` copies none
-    ra, rb = (_support_rows(x, len(batch_shape)) for x in (a, b))
-    for p0, p1 in zip(chunks, chunks[1:] + [total]):
+    ra, rb = (_support_rows(x, s, len(batch_shape), size)
+              for x, s in ((a, sa), (b, sb)))
+    ia, ib, comp = join.ia, join.ib, join.comp
+    for p0, p1, blocks in join.chunks:
         prod = _jet_mul(ra.take(ia[p0:p1], 1).T, rb.take(ib[p0:p1], 1).T,
                         nv, oa, ob, order)
-        cuts = [p0, *(q for q in blocks if p0 < q < p1), p1]
-        for q0, q1 in zip(cuts, cuts[1:]):
-            n = int(runs[comp[q0]])
+        for q0, q1, n in blocks:
             seg = prod[:, q0 - p0:q1 - p0]
             out[:, comp[q0:q1:n]] = seg.reshape(
                 (len(seg), -1, n) + seg.shape[2:]).sum(2)
-    shape = batch_shape + tuple(dims[c] for c in outs) + (len(out),)
-    return out.T.reshape(shape), np.sort(comp[heads])
+    shape = batch_shape + tuple(dims[c] for c in outs) + (size,)
+    return out.T.reshape(shape), join.support
 
 
 def poly_matrix_inverse(g: PolyTensor) -> PolyTensor:

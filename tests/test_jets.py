@@ -1,6 +1,7 @@
 """Truncated multivariate Taylor (jet) arithmetic."""
 
 import math
+import platform
 import re
 import warnings
 from collections import Counter
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 
 from rcint import jets
 from rcint.geometry import MODEL_NAMES, _coordinate_jets, get_model
-from rcint.invariants import pf_ell_poly, raise_last_two
+from rcint.integrate import integrate_scalar
+from rcint.invariants import pf_ell_poly, raise_last_two, weyl_norm2_field
 from rcint.jets import (
     PolyTensor,
     basis,
@@ -330,6 +332,49 @@ class TestOrderRule:
             assert got.coeffs.shape == want.coeffs.shape
             assert got.coeffs.tobytes() == want.coeffs.tobytes()
 
+    def test_lowered_order_joins_the_truncated_supports(self):
+        # x's second component is zero to order 1, so its inf partner in y
+        # meets it only beyond the product's order
+        b = basis(1, 2)
+        x = PolyTensor(np.array([[1.0, 2, 3], [0, 0, 5]]), b)
+        y = PolyTensor(np.array([[1.0, 1, 1], [np.inf, 1, 1]]), b)
+        want = contract("a,a->", x.truncate(1), y.truncate(1))
+        assert want.coeffs.tolist() == [1.0, 3.0]
+        for stored in (False, True):
+            x_, y_ = (_with_support(v) if stored else v for v in (x, y))
+            got = contract("a,a->", x_, y_, 1)
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+            assert np.array_equal(got.support, want.support)
+        assert x.support.tolist() == y.support.tolist() == [0, 1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(_contractions(), st.sampled_from([0, 0.02]),
+           st.sampled_from([np.nan, np.inf, -np.inf]), st.booleans())
+    def test_lowered_order_is_truncating_the_jets(self, case, share, bad,
+                                                   stored):
+        # components zero to some degree, then NaN or inf coefficients:
+        # the product to order m is that of the jets truncated to m, their
+        # supports scanned afresh, whether the operands' were stored or not
+        pattern, a, b, _, _ = case
+        rng = np.random.default_rng(len(pattern))
+        for x in (a, b):
+            lows = rng.integers(0, x.basis.order + 1, size=x.comp_shape)
+            x.coeffs *= (np.arange(x.basis.size)
+                         >= x.basis.deg_start[lows][..., None])
+            _spoil(x, share, bad, rng)
+            if stored:
+                _with_support(x)
+        for m in range(1, min(a.basis.order, b.basis.order) + 1):
+            fresh = [PolyTensor(x.coeffs[..., : basis(x.basis.nvars, m).size],
+                                basis(x.basis.nvars, m), x.batch_ndim)
+                     for x in (a, b)]
+            with np.errstate(invalid="ignore", over="ignore"):
+                got = contract(pattern, a, b, m)
+                want = contract(pattern, *fresh)
+            assert got.coeffs.shape == want.coeffs.shape
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+            assert np.array_equal(got.support, want.support)
+
     def test_order_above_an_operand_is_rejected(self):
         x = _random_poly(basis(2, 3), (3,), seed=1)
         y = _random_poly(basis(2, 2), (3,), seed=2)
@@ -338,6 +383,84 @@ class TestOrderRule:
             with pytest.raises(ValueError, match=f"at order {order}; "
                                "operands of order 3 and 2"):
                 contract("a,a->", x, y, order)
+
+
+class TestJoinMemo:
+    """`_contract_support` joins two supports once per distinct input and
+    keeps the join in `jets._JOINS`."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_contractions())
+    def test_hit_gives_the_bits_of_a_fresh_join(self, case):
+        pattern, a, b, order, chunk = case
+        first = _contract_in_chunks(pattern, a, b, order, chunk)
+        keys = set(jets._JOINS)
+        hit = _contract_in_chunks(pattern, a, b, order, chunk)
+        assert set(jets._JOINS) == keys  # a hit adds no entry
+        jets._JOINS.clear()
+        fresh = _contract_in_chunks(pattern, a, b, order, chunk)
+        for out in (first, hit):
+            assert out.coeffs.tobytes() == fresh.coeffs.tobytes()
+            assert out.support.tobytes() == fresh.support.tobytes()
+
+    def test_inputs_that_differ_never_share_an_entry(self):
+        # equal component shapes and supports, and each of the number of
+        # jet variables, both operand orders, the output order, the batch
+        # shape and the chunk step changed in turn; a chunk of one pair
+        # keeps the step at 1 whatever the jet pairs and the batch
+        mask = np.array([[1, 0, 1], [0, 1, 1], [1, 1, 0]], bool)[..., None]
+
+        def operand(nvars, order, batch, seed):
+            rng = np.random.default_rng(seed)
+            b = basis(nvars, order)
+            return PolyTensor(rng.standard_normal(batch + (3, 3, b.size))
+                              * mask, b, len(batch))
+
+        base = dict(nvars=2, order_a=2, order_b=2, order=None, batch=(),
+                    chunk=1)
+        cases = [base, {**base, "nvars": 1}, {**base, "order_a": 3},
+                 {**base, "order_b": 3}, {**base, "order": 1},
+                 {**base, "batch": (4,)}, {**base, "chunk": jets._CHUNK}]
+        jets._JOINS.clear()
+        for i, c in enumerate(cases):
+            x = operand(c["nvars"], c["order_a"], c["batch"], 2 * i)
+            y = operand(c["nvars"], c["order_b"], c["batch"], 2 * i + 1)
+            for _ in range(2):  # a second call hits the entry of the first
+                _assert_matches_oracle("ab,bc->ac", x, y, c["order"],
+                                       c["chunk"])
+                assert len(jets._JOINS) == i + 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(_contractions(), st.integers(1, 4))
+    def test_table_stays_within_its_bound(self, case, limit):
+        saved, jets._JOIN_LIMIT = jets._JOIN_LIMIT, limit
+        jets._JOINS.clear()  # the bound holds from an empty table on
+        try:
+            for order in range(1, min(case[1].basis.order,
+                                      case[2].basis.order) + 1):
+                _assert_matches_oracle(*case[:3], order, case[4])
+                assert len(jets._JOINS) <= limit
+        finally:
+            jets._JOIN_LIMIT = saved
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the heap thresholds are set through glibc")
+    def test_warm_quadrature_faults_in_no_new_pages(self):
+        # importing rcint.jets keeps freed blocks up to 32 MiB in the heap,
+        # so a repetition reuses the arrays the one before it freed
+        import resource
+
+        model = get_model("CP2")
+
+        def integral():
+            return integrate_scalar(weyl_norm2_field, model, nodes_per_axis=6,
+                                    force_quadrature=True)
+
+        integral()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        integral()
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 100, faults
 
 
 def _scanned(x: PolyTensor):
