@@ -8,15 +8,18 @@ coordinates (t, x^1..x^n, rho) is
 which solves Ric~ = 0 exactly.  Everything here runs the generic jet
 curvature pipeline of `geometry.Geometry` on this metric; the closed-form
 Christoffel blocks and the push-pull Laplacian identity are kept as
-independent cross-checks.  Its route to P_{l,n} batches points by jet
-bytes (`geometry.point_batches`), so no dimension cap limits which n it takes.
+independent cross-checks.  Its route to P_{l,n} runs through
+`geometry.laplacian_values`, the evaluator the Einstein route shares, which
+batches points by jet bytes, so no dimension cap limits which n it takes.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
-from .geometry import Geometry, Model, point_batches
+from .geometry import Geometry, Model, laplacian_values
 from .jets import PolyTensor, coordinate_poly
 from .invariants import (i_ell_operator, pf_ell_poly, pf_ell_weyl_field,
                          raise_last_two)
@@ -215,50 +218,40 @@ def ambient_iterated_laplacian(chart: AmbientChart, field_fn, m: int,
 
     `field_fn(geo) -> scalar PolyTensor` must be an ambient-evaluable
     invariant formula (fixed coefficients) of a metric jet of order 2.
-    Points are lifted to (1, x, 0), one `Geometry` per `point_batches`
-    slice; the jets are expanded there, so the pullback is just the value
-    after m Laplacians.
+    Points are lifted to (1, x, 0) and run through `laplacian_values`; the
+    jets are expanded there, so the pullback is just the value after m
+    Laplacians.
     """
-    if x_points is None:
-        x_points = chart.base.base_point[None, :]
-    pts = chart.embed_base_points(x_points)
-    order = 2 + 2 * m
-    vals = [np.empty(0)]  # so that no points give an empty array
-    for sl in point_batches(chart, len(pts), order):
-        geo = chart.geometry(pts[sl], order=order)
-        u = field_fn(geo)
-        for _ in range(m):
-            u = geo.laplacian(u)
-        vals.append(u.value())
-    return np.concatenate(vals)
+    x = chart.base.base_point if x_points is None else x_points
+    return laplacian_values(chart, chart.embed_base_points(x), field_fn, m)
+
+
+def _laplacian_count(n: int, ell: int) -> int:
+    """n/2 - l, the Laplacians P_{l,n} takes; raises unless n is even and
+    2 <= l <= n/2."""
+    if n % 2 or not 2 <= ell <= n // 2:
+        raise ValueError("need even n and 2 <= l <= n/2")
+    return n // 2 - ell
 
 
 def p_ell_n_ambient(chart: AmbientChart, ell: int, x_points=None):
     """P_{l,n} = i*(Delta~^{n/2-l} Pf_l(Rm~)) at base points, n the base
     dimension."""
-    n = chart.n
-    if n % 2 or not 2 <= ell <= n // 2:
-        raise ValueError("need even n and 2 <= l <= n/2")
+    m = _laplacian_count(chart.n, ell)
 
     def field(geo):
-        tud = raise_last_two(geo.riemann, geo.ginv)
-        return pf_ell_poly(tud, ell)
+        return pf_ell_poly(raise_last_two(geo.riemann, geo.ginv), ell)
 
-    return ambient_iterated_laplacian(chart, field, n // 2 - ell, x_points)
+    return ambient_iterated_laplacian(chart, field, m, x_points)
 
 
 def p_ell_n_einstein(model: Model, ell: int, x_points=None):
     """P_{l,n} at an Einstein base of dimension n via the
     iterated-Laplacian operator acting on Pf_l(W) (the base route of the
     straightening argument)."""
-    n = model.dim
-    if n % 2 or not 2 <= ell <= n // 2:
-        raise ValueError("need even n and 2 <= l <= n/2")
-
-    def field(geo):
-        return pf_ell_weyl_field(geo, ell)
-
-    return i_ell_operator(field, ell, n // 2 - ell, model, x_points)
+    m = _laplacian_count(model.dim, ell)
+    return i_ell_operator(partial(pf_ell_weyl_field, ell=ell), ell, m, model,
+                          x_points)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ polynomials around a batch of points and derives Christoffel symbols,
 curvature, Schouten/Weyl/Cotton tensors, covariant derivatives and
 Laplacians, all as `PolyTensor`s.  Each derivative costs one order of the
 jet, so a caller that needs k derivatives of curvature builds the metric at
-order >= k + 2.  `raise_slots` is the one index-raising path.
+order >= k + 2.  `raise_slots` is the one index-raising path.  Many points
+run through `point_values`, one `Geometry` per slice that fits
+`JET_BUDGET_BYTES`, and both P_{l,n} routes through `laplacian_values`.
 
 Each field is built only to the order it keeps.  For a metric jet of order
 K: g at K; g^{-1} and Gamma at K - 1; Rm, Ric, Scal, Schouten and Weyl at
@@ -268,11 +270,13 @@ class Geometry:
         return np.sqrt(np.linalg.det(self.g.value()))
 
 
-def point_batches(space, count, order):
-    """Slices of `count` points of `space` (a `Model` or an `AmbientChart`),
-    one `Geometry` at metric order `order` each, whose dense curvature jets
-    (dim^4 x basis size at order - 2 x 8 bytes a point) fit in
-    `JET_BUDGET_BYTES`.  One point over it raises `ValueError`."""
+def point_values(space, points, order, fn):
+    """`fn(geo)` at `points` of `space` (a `Model` or an `AmbientChart`),
+    concatenated; one `Geometry` at metric order `order` per slice whose
+    dense curvature jets (dim^4 x basis size at order - 2 x 8 bytes a
+    point) fit in `JET_BUDGET_BYTES`.  One point over it raises
+    `ValueError` before any `Geometry` is built."""
+    points = np.atleast_2d(points)
     per_point = space.dim ** 4 * 8 * basis(space.dim - len(space.cyclic),
                                            max(order - 2, 0)).size
     if per_point > JET_BUDGET_BYTES:
@@ -280,7 +284,23 @@ def point_batches(space, count, order):
                          f"{per_point / 2 ** 20:.0f} MiB, over the "
                          f"{JET_BUDGET_BYTES / 2 ** 20:.0f} MiB budget")
     step = JET_BUDGET_BYTES // per_point
-    return [slice(i, i + step) for i in range(0, count, step)]
+    return np.concatenate([np.empty(0)] + [  # no points: an empty array
+        fn(space.geometry(points[i:i + step], order))
+        for i in range(0, len(points), step)])
+
+
+def laplacian_values(space, points, field_fn, m, shifts=None):
+    """`point_values` at metric order 2 + 2m of `field_fn(geo)`, a scalar
+    jet read at order 2, after m steps u <- Delta u, or u <- Delta u - c u
+    with c the step's entry of `shifts`."""
+    def values(geo):
+        u = field_fn(geo)
+        for j in range(m):
+            lap = geo.laplacian(u)
+            u = lap if shifts is None else lap - shifts[j] * u
+        return u.value()
+
+    return point_values(space, points, 2 + 2 * m, values)
 
 
 def _coordinate_jets(points, basis_, expanded):
@@ -357,8 +377,7 @@ class Model:
     cyclic: tuple = ()             # chart coordinates the metric never reads
 
     def geometry(self, points=None, order=2) -> Geometry:
-        if points is None:
-            points = self.base_point[None, :]
+        points = self.base_point if points is None else points
         return Geometry(self.metric_fn, self.dim, points, order, self.cyclic)
 
     @property
@@ -576,11 +595,9 @@ def hyperbolic_metric_fn(n):
         rows[0][0] = rinv2
         f = 1.0 - 0.25 * (r * r)
         conf = rinv2 * f * f
-        inner = round_fn(coords[1:])
+        inner = round_fn(coords[1:])  # the round metric is diagonal
         for i in range(n - 1):
-            for j in range(n - 1):
-                if not isinstance(inner[i][j], float) or inner[i][j] != 0.0:
-                    rows[1 + i][1 + j] = conf * inner[i][j]
+            rows[1 + i][1 + i] = conf * inner[i][i]
         return rows
     return fn
 

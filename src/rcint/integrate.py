@@ -7,9 +7,10 @@ weight that carries the Jacobian and the orbit volume of every symmetry the
 slice leaves out (cyclic azimuths, an isometry orbit).  `integrate_scalar`
 is the one integrator; on a homogeneous model it is value x volume, and
 routes that build their own jets (the ambient chart, the I_l operator)
-enter it as pointwise fields.  Its nodes run through the jets in the
-batches of `geometry.point_batches`.  Finite parts are exact rational
-series bookkeeping in the cutoff, never a numeric limit.
+enter it as pointwise fields.  Its nodes run through the jets by
+`geometry.point_values`, in slices that fit its jet byte budget.  Finite
+parts are exact rational series bookkeeping in the cutoff, never a numeric
+limit.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from .ambient import (AmbientChart, ambient_iterated_laplacian,
                       p_ell_n_ambient, p_ell_n_einstein)
 from .geometry import (Geometry, Model, get_model, perturbed_sphere,
-                       point_batches, raise_slots)
+                       point_values, raise_slots)
 from .jets import const_poly, contract as jcontract
 from .invariants import (
     STRAIGHTENABLE_FIELDS,
@@ -75,12 +76,9 @@ def integrate_scalar(field_fn, model: Model, order=2, nodes_per_axis=24,
         geo = model.geometry(order=order)
         return float(field_fn(geo).value()[0]) * model.volume
     rule = QuadratureRule(model, nodes_per_axis)
-    total = 0.0
-    for sl in point_batches(model, len(rule.points), order):
-        geo = model.geometry(rule.points[sl], order)
-        vals = field_fn(geo).value() * geo.sqrt_det_g()
-        total += float(np.sum(rule.weights[sl] * vals))
-    return total
+    vals = point_values(model, rule.points, order,
+                        lambda geo: field_fn(geo).value() * geo.sqrt_det_g())
+    return float(np.sum(rule.weights * vals))
 
 
 def _pointwise(values_fn):

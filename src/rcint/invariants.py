@@ -41,7 +41,8 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .jets import PolyTensor, basis, const_poly, contract as jcontract
-from .geometry import Geometry, pt_symmetrize, pt_trace, raise_slots
+from .geometry import (Geometry, laplacian_values, pt_symmetrize, pt_trace,
+                       raise_slots)
 from .reports import CheckReport
 
 
@@ -473,19 +474,17 @@ def i_ell_operator(field_fn, k: int, ell: int, model, points=None):
     """I_ell = prod_{j=0}^{ell-1} (Delta - 4(k+j)(n-2k-2j-1) J / n) I.
 
     `field_fn(geo) -> scalar PolyTensor` builds I from a Geometry with a
-    metric jet of order 2.  Returns the values of I_ell at the points
-    (shape (B,)).
+    metric jet of order 2.  Returns `laplacian_values` with the constants
+    above as shifts at the points (default: the base point), shape (B,).
     """
     if model.lam is None:
         raise ValueError(f"{model.name} has no Einstein constant")
     n = model.dim
     J = model.j_value
-    geo = model.geometry(points, order=2 + 2 * ell)
-    u = field_fn(geo)
-    for j in range(ell):
-        c = 4.0 * (k + j) * (n - 2 * k - 2 * j - 1) / n * J
-        u = geo.laplacian(u) - c * u
-    return u.value()
+    shifts = [4.0 * (k + j) * (n - 2 * k - 2 * j - 1) / n * J
+              for j in range(ell)]
+    return laplacian_values(model, model.base_point if points is None
+                            else points, field_fn, ell, shifts)
 
 
 # ---------------------------------------------------------------------------

@@ -24,12 +24,13 @@ few nonzero base components.  `contract` therefore joins the supports of its
 operands, the components that are nonzero at some batch point, on their
 shared letters, and multiplies only those pairs.  `PolyTensor` stores its
 coefficients densely but carries its support once known: the contraction
-kernel, negation, `truncate`, `diff` and finite scalings pass it on, and any
-other tensor is scanned for it once, by the first contraction that joins it.
-Sums are scanned too, because they cancel exactly on some components
-(`riemann_up`'s `-t1 + t2` on its a = b slots): a union of the supports
-would keep those as extra pairs.  Below an operand's order, the join reads
-the rows of its support that are nonzero to the product's order.  A join
+kernel, negation, `diff` and finite scalings pass it on, `truncate` keeps
+the rows of it that are nonzero to the new order, and any other tensor is
+scanned for it once, by the first contraction that joins it.  Sums are
+scanned too, because they cancel exactly on some components (`riemann_up`'s
+`-t1 + t2` on its a = b slots): a union of the supports would keep those as
+extra pairs.  Below an operand's order, the join reads the support of the
+operand truncated to the product's order.  A join
 depends on the two supports, the shapes and the chunking alone, so `_JOINS`
 keeps each one, up to `_JOIN_LIMIT` of them: a pipeline repeated on points
 of the same sparsity joins nothing again.  The contraction kernel and the
@@ -125,9 +126,6 @@ class PolyBasis:
 
     def index(self, alpha):
         return int(self.lookup(np.asarray(alpha).reshape(1, -1))[0])
-
-    def __repr__(self):
-        return f"PolyBasis(nvars={self.nvars}, order={self.order})"
 
 
 @lru_cache(maxsize=None)
@@ -250,13 +248,17 @@ class PolyTensor:
         return self.coeffs[..., 0]
 
     def truncate(self, order: int) -> "PolyTensor":
+        """The jets to `order`.  Below their order, a known support is
+        narrowed to the components still nonzero, NaN or inf."""
         if not 0 <= order <= self.basis.order:
             raise ValueError(f"cannot truncate to order {order}")
         if order == self.basis.order:
             return self
         b = basis(self.basis.nvars, order)
-        return PolyTensor(self.coeffs[..., : b.size], b, self.batch_ndim,
-                          self.support)
+        out = PolyTensor(self.coeffs[..., : b.size], b, self.batch_ndim)
+        if self.support is not None:  # rows may vanish to `order`: rescan
+            _support(out, "")
+        return out
 
     def diff(self, var: int) -> "PolyTensor":
         if self.basis.order == 0:
@@ -441,8 +443,7 @@ def contract(pattern: str, a: PolyTensor, b: PolyTensor, order: int | None = Non
     coefficients determine; `order` may lower it, and any other order
     raises `ValueError`.  The supports are joined to the product's order
     (`_support_to`), so the result has the bits, inf and NaN included, of
-    the product of the jets truncated to it with their supports scanned
-    afresh.
+    the product of the operands truncated to it.
 
     At output order 0 the result is one batched matmul of the two values
     (`_value_product`) in a fresh array.  A real NaN or inf reaches every
@@ -552,20 +553,11 @@ def _support(x: PolyTensor, letters: str):
 
 
 def _support_to(x: PolyTensor, order: int):
-    """The support of `x` truncated to `order`: the components whose jet
-    to `order` is nonzero, NaN or inf at some batch point.  At the order of
-    `x` it is `_support`'s; below it, one scan of the coefficients to
-    `order`, of the rows of `x.support` alone when that is known."""
-    if order == x.basis.order:
-        _support(x, "")
-        return x.support
-    lead = x.coeffs.shape[: x.batch_ndim]
-    rows = x.coeffs.reshape(lead + (math.prod(x.comp_shape), x.basis.size))
-    rows = rows[..., : basis(x.basis.nvars, order).size]
-    if x.support is not None:
-        rows = rows[..., x.support, :]
-    live = np.any(rows != 0, axis=tuple(range(x.batch_ndim)) + (-1,))
-    return np.flatnonzero(live) if x.support is None else x.support[live]
+    """The support of `x.truncate(order)`, stored on `x` only at its own
+    order."""
+    t = x.truncate(order)
+    _support(t, "")
+    return t.support
 
 
 #: `_join`'s result: the pairs (support entries `ia` of `a` and `ib` of

@@ -4,6 +4,7 @@ routes for the renormalized integrands P_{l,n}."""
 import numpy as np
 import pytest
 
+import rcint.geometry as geometry
 from rcint.ambient import (
     AmbientChart,
     ambient_christoffel_check,
@@ -16,7 +17,8 @@ from rcint.ambient import (
     p_ell_n_ambient,
     p_ell_n_einstein,
 )
-from rcint.geometry import JET_BUDGET_BYTES, get_model, product_of_spheres
+from rcint.geometry import (JET_BUDGET_BYTES, Model, get_model,
+                            product_of_spheres)
 from rcint.invariants import raise_last_two, weyl_norm2_field
 
 
@@ -200,3 +202,33 @@ class TestPointBatches:
         budget = f"{JET_BUDGET_BYTES / 2 ** 20:.0f} MiB budget"
         with pytest.raises(ValueError, match=f"271 MiB, over the {budget}"):
             p_ell_n_ambient(chart, 2)
+
+    def test_einstein_route_slices_by_bytes(self, monkeypatch):
+        model = get_model("S2xS2xS2")
+        rng = np.random.default_rng(5)
+        x = model.base_point + rng.uniform(-0.25, 0.25, (5, model.dim))
+        single = np.concatenate([p_ell_n_einstein(model, 2, row[None, :])
+                                 for row in x])
+        sizes = []
+        build = Model.geometry
+
+        def recorded(self, points, order):
+            sizes.append(len(points))
+            return build(self, points, order)
+
+        # 2 points' order-4 jets (6^4 x 10 monomials in 3 variables x 8 bytes)
+        monkeypatch.setattr(geometry, "JET_BUDGET_BYTES", 2 * 6 ** 4 * 10 * 8)
+        monkeypatch.setattr(Model, "geometry", recorded)
+        batched = p_ell_n_einstein(model, 2, x)
+        assert sizes == [2, 2, 1]
+        np.testing.assert_allclose(batched, single, rtol=1e-13, atol=0)
+
+    def test_einstein_route_refused_by_bytes_before_any_geometry(
+            self, monkeypatch):
+        def unbuilt(self, points, order):
+            raise AssertionError("Geometry built before the budget check")
+
+        monkeypatch.setattr(geometry, "JET_BUDGET_BYTES", 6 ** 4 * 10 * 8 - 1)
+        monkeypatch.setattr(Model, "geometry", unbuilt)
+        with pytest.raises(ValueError, match="estimated at .* MiB, over the"):
+            p_ell_n_einstein(get_model("S2xS2xS2"), 2)

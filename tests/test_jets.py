@@ -347,6 +347,20 @@ class TestOrderRule:
             assert np.array_equal(got.support, want.support)
         assert x.support.tolist() == y.support.tolist() == [0, 1]
 
+    def test_truncating_drops_the_rows_zero_to_the_new_order(self):
+        # the example above once both supports are stored by a full-order
+        # product: truncating first gives the lowered-order product
+        b = basis(1, 2)
+        x = PolyTensor(np.array([[1.0, 2, 3], [0, 0, 5]]), b)
+        y = PolyTensor(np.array([[1.0, 1, 1], [np.inf, 1, 1]]), b)
+        with np.errstate(invalid="ignore"):  # 0 * inf beyond order 1
+            contract("a,a->", x, y)
+        assert x.support.tolist() == y.support.tolist() == [0, 1]
+        got = contract("a,a->", x.truncate(1), y.truncate(1))
+        assert got.coeffs.tolist() == [1.0, 3.0]
+        assert x.truncate(1).support.tolist() == [0]
+        assert y.truncate(1).support.tolist() == [0, 1]
+
     @settings(max_examples=100, deadline=None)
     @given(_contractions(), st.sampled_from([0, 0.02]),
            st.sampled_from([np.nan, np.inf, -np.inf]), st.booleans())
@@ -523,7 +537,8 @@ class TestSupport:
         for out in outs:
             _assert_support_covers(out)
         assert (-x).support is x.support
-        assert x.truncate(0).support is x.support
+        assert np.array_equal(x.truncate(0).support,
+                              _scanned(x.truncate(0)))
 
     def test_inf_per_point_factor_reaches_zero_components(self):
         b = basis(2, 1)
