@@ -21,8 +21,7 @@ import numpy as np
 
 from .geometry import Geometry, Model, laplacian_values
 from .jets import PolyTensor, coordinate_poly
-from .invariants import (i_ell_operator, pf_ell_poly, pf_ell_weyl_field,
-                         raise_last_two)
+from .invariants import i_ell_operator, pf_ell_poly, pf_ell_weyl_field
 from .reports import CheckReport
 
 
@@ -240,7 +239,7 @@ def p_ell_n_ambient(chart: AmbientChart, ell: int, x_points=None):
     m = _laplacian_count(chart.n, ell)
 
     def field(geo):
-        return pf_ell_poly(raise_last_two(geo.riemann, geo.ginv), ell)
+        return pf_ell_poly(geo.riemann_ud, ell)
 
     return ambient_iterated_laplacian(chart, field, m, x_points)
 

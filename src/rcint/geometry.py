@@ -11,7 +11,8 @@ run through `point_values`, one `Geometry` per slice that fits
 
 Each field is built only to the order it keeps.  For a metric jet of order
 K: g at K; g^{-1} and Gamma at K - 1; Rm, Ric, Scal, Schouten and Weyl at
-K - 2; Cotton at K - 3.  Every consumer of g^{-1} reads it at K - 1 or
+K - 2, and so are the mixed R_{ab}{}^{cd} and W_{ab}{}^{cd} that Pf_l and
+|W|^2 read; Cotton at K - 3.  Every consumer of g^{-1} reads it at K - 1 or
 below.
 
 A chart may declare cyclic coordinates: coordinates the metric never reads,
@@ -168,14 +169,21 @@ class Geometry:
 
     @cached_property
     def riemann_up(self) -> PolyTensor:
-        """R_{abc}{}^d, axes (a, b, c, d); order - 2."""
+        """R_{abc}{}^d, axes (a, b, c, d); order - 2.  Summed as
+        -t1 + t2 + (q1 - q2), in place, so at most three dense rank-4 jets
+        are held at once: d Gamma, q1 - q2 and the running sum."""
         gam = self.christoffel
         dgam = self.gradient(gam)  # (e, d, a, b) = d_e Gamma^d_{ab}
         t1 = pt_transpose(dgam, (0, 2, 3, 1))  # [a,b,c,d] = d_a Gamma^d_{bc}
         t2 = pt_transpose(dgam, (2, 0, 3, 1))  # [a,b,c,d] = d_b Gamma^d_{ac}
         q1 = contract("fac,dbf->abcd", gam, gam, t1.basis.order)
         q2 = pt_transpose(q1, (1, 0, 2, 3))  # Gamma^f_{bc} Gamma^d_{af}
-        return -t1 + t2 + (q1 - q2)
+        q = q1.coeffs - q2.coeffs
+        del q1, q2
+        r = np.negative(t1.coeffs, order="C")  # not t1's transposed strides
+        r += t2.coeffs
+        r += q
+        return PolyTensor(r, t1.basis, t1.batch_ndim)
 
     @cached_property
     def riemann(self) -> PolyTensor:
@@ -206,6 +214,28 @@ class Geometry:
         kn = (x - pt_transpose(x, (0, 1, 3, 2)) + pt_transpose(x, (1, 0, 3, 2))
               - pt_transpose(x, (1, 0, 2, 3)))
         return self.riemann - kn
+
+    @cached_property
+    def riemann_ud(self) -> PolyTensor:
+        """R_{ab}{}^{cd}, axes (a, b, c, d); order - 2.  One raise of the
+        third slot of `riemann_up`."""
+        return raise_slots(self.riemann_up, self.ginv, (2,))
+
+    @cached_property
+    def weyl_ud(self) -> PolyTensor:
+        """W_{ab}{}^{cd} = R_{ab}{}^{cd} - P_a^c delta_b^d + P_a^d delta_b^c
+        + P_b^c delta_a^d - P_b^d delta_a^c; order - 2.  The delta terms
+        are written into a copy of the coefficients of `riemann_ud`, one
+        strided update per term and index value, with no product by g."""
+        rud = self.riemann_ud
+        p = raise_slots(self.schouten, self.ginv, (1,)).coeffs  # P_a^c
+        w = rud.coeffs.copy()
+        for i in range(self.dim):  # w axes: (*batch, a, b, c, d, jet)
+            w[..., :, i, :, i, :] -= p  # P_a^c delta_b^d
+            w[..., :, i, i, :, :] += p  # P_a^d delta_b^c
+            w[..., i, :, :, i, :] += p  # P_b^c delta_a^d
+            w[..., i, :, i, :, :] -= p  # P_b^d delta_a^c
+        return PolyTensor(w, rud.basis, rud.batch_ndim)
 
     @cached_property
     def cotton(self) -> PolyTensor:
@@ -475,9 +505,8 @@ def cp2_metric_fn():
     def fn(coords):
         x1, y1, x2, y2 = coords
         b = x1.basis
-        i_unit = const_poly(1j, b)
-        z = [x1 + i_unit * y1, x2 + i_unit * y2]
-        zb = [x1 - i_unit * y1, x2 - i_unit * y2]
+        z = [x1 + 1j * y1, x2 + 1j * y2]
+        zb = [x1 - 1j * y1, x2 - 1j * y2]
         s = zb[0] * z[0] + zb[1] * z[1]
         denom = (1.0 + s) ** (-2)
         h = [[((1.0 + s if i == j else 0.0) - zb[i] * z[j]) * denom

@@ -237,7 +237,7 @@ def pfaffian_field(geo: Geometry) -> PolyTensor:
     """Pf_{n/2}(Rm), the Gauss-Bonnet integrand normalization."""
     if geo.dim % 2:
         raise ValueError("Pfaffian requires even dimension")
-    return pf_ell_poly(raise_last_two(geo.riemann, geo.ginv), geo.dim // 2)
+    return pf_ell_poly(geo.riemann_ud, geo.dim // 2)
 
 
 def pf_ell_poly(Tud: PolyTensor, ell: int) -> PolyTensor:
@@ -395,12 +395,11 @@ def einstein_pfaffian_expansion(model, tol=1e-9) -> CheckReport:
     geo = model.geometry(order=2)
     J = model.j_value
     lhs = pfaffian_field(geo).value()
-    Wud = raise_last_two(geo.weyl, geo.ginv)
     rhs = 0.0
     for ell in range(n // 2 + 1):
         rhs = rhs + (double_factorial(n - 2 * ell - 1)
                      * (2 * J / n) ** (n // 2 - ell)
-                     * pf_ell_poly(Wud, ell).value())
+                     * pf_ell_poly(geo.weyl_ud, ell).value())
     return CheckReport.compare(f"einstein-pfaffian-{model.name}", "Lemma 5.1",
                                lhs, rhs, tol)
 
@@ -522,15 +521,19 @@ def divergence_construction(geo: Geometry, T: PolyTensor,
 
 
 def weyl_norm2_field(geo: Geometry) -> PolyTensor:
-    """|W|^2; weight -4 (k = 2)."""
-    return geo.norm_squared(geo.weyl)
+    """|W|^2 = W_{ab}{}^{cd} W_{cd}{}^{ab}, by the pair symmetry
+    W_{abcd} = W_{cdab}: one contraction of `Geometry.weyl_ud` with
+    itself; weight -4 (k = 2)."""
+    return jcontract("abcd,cdab->", geo.weyl_ud, geo.weyl_ud)
 
 
 def weyl_contraction_field(geo: Geometry, k, i, raised) -> PolyTensor:
     """W_{k,i} of `WEYL_BASIS` on jets (i from 1), weight -2k: every factor
-    is W with its slots `raised` raised, contracted left to right."""
+    is W with its slots `raised` raised, contracted left to right; with
+    (2, 3) raised that is `Geometry.weyl_ud`."""
     factors = WEYL_BASIS[k][i - 1][0].split(",")
-    Wr = raise_slots(geo.weyl, geo.ginv, raised)
+    Wr = (geo.weyl_ud if tuple(raised) == (2, 3)
+          else raise_slots(geo.weyl, geo.ginv, raised))
     acc, t = factors[0], Wr
     for f in factors[1:]:
         out = "".join(c for c in acc + f if (acc + f).count(c) == 1)
@@ -546,8 +549,7 @@ w32_field = partial(weyl_contraction_field, k=3, i=2, raised=(1, 3))
 
 def pf_ell_weyl_field(geo: Geometry, ell: int) -> PolyTensor:
     """Pf_l(W); weight -2l (k = l)."""
-    Wud = raise_last_two(geo.weyl, geo.ginv)
-    return pf_ell_poly(Wud, ell)
+    return pf_ell_poly(geo.weyl_ud, ell)
 
 
 #: name -> (field_fn, k); each field reads a metric jet of order 2

@@ -162,6 +162,60 @@ class TestCurvatureIdentities:
         assert np.abs(div - 0.5 * dscal).max() < 1e-8
 
 
+#: (space, metric order): perturbed-S4 is the one non-Einstein case, and
+#: the only one where P_a^c is not a multiple of delta_a^c, so the only one
+#: where a delta on the wrong index pair of W_{ab}^{cd} changes a value
+_MIXED_CASES = [(name, order) for name in ("perturbed-S4", "CP2",
+                                           "S2xS2xS2", "ambient-S2xS2")
+                for order in (2, 4)]
+
+
+def _mixed_geometry(name, order):
+    if name.startswith("ambient-"):
+        chart = AmbientChart(get_model(name.removeprefix("ambient-")))
+        return chart.geometry(chart.sample_points(3, seed=7), order)
+    m = get_model(name)
+    return m.geometry(_sample_points(m, count=3, seed=5, spread=0.1), order)
+
+
+def _assert_close(got, want, scale=None, rtol=1e-13):
+    """`got` equals `want` to `rtol` of `scale`, by default the largest
+    coefficient of `want`."""
+    scale = np.abs(want.coeffs).max() if scale is None else scale
+    assert got.basis is want.basis
+    assert np.abs(got.coeffs - want.coeffs).max() <= rtol * scale
+
+
+class TestMixedCurvature:
+    """R_{ab}^{cd} and W_{ab}^{cd}, built with one raise, against the
+    lower tensors raised in both last slots."""
+
+    @pytest.mark.parametrize("name,order", _MIXED_CASES)
+    def test_riemann_ud_is_riemann_raised(self, name, order):
+        geo = _mixed_geometry(name, order)
+        _assert_close(geo.riemann_ud,
+                      invariants.raise_last_two(geo.riemann, geo.ginv))
+
+    @pytest.mark.parametrize("name,order", _MIXED_CASES)
+    def test_weyl_ud_is_weyl_raised_and_lowers_to_weyl(self, name, order):
+        geo = _mixed_geometry(name, order)
+        got = geo.weyl_ud
+        # W is a difference of R-sized terms, so raising W raises their
+        # roundoff too: on perturbed-S4, |W| is about |R| / 200
+        want = invariants.raise_last_two(geo.weyl, geo.ginv)
+        _assert_close(got, want, np.abs(geo.riemann_ud.coeffs).max())
+        # lowering by g adds no such roundoff: W's own scale
+        low = contract("abed,ec->abcd",
+                       contract("abef,fd->abed", got, geo.g), geo.g)
+        _assert_close(low, geo.weyl)
+
+    @pytest.mark.parametrize("name,order", _MIXED_CASES)
+    def test_weyl_norm2_is_norm_squared_of_weyl(self, name, order):
+        geo = _mixed_geometry(name, order)
+        _assert_close(invariants.weyl_norm2_field(geo),
+                      geo.norm_squared(geo.weyl))
+
+
 def _random_metric_jet(dim=4, order=2, batch=2, seed=0):
     """A symmetric, positive-definite metric jet at `batch` points."""
     rng = np.random.default_rng(seed)
