@@ -500,34 +500,26 @@ def cp2_metric_fn():
 
     In real coordinates (x1, y1, x2, y2) with z_j = x_j + i y_j the Hermitian
     components are h_{ij} = (delta_ij (1+s) - conj(z_i) z_j)/(1+s)^2 with
-    s = |z|^2, and the real metric blocks are Re h and Im h.
+    s = |z|^2, and the real metric blocks are Re h and Im h.  They are
+    built in real arithmetic, with no complex jets: Re conj(z_i) z_j =
+    x_i x_j + y_i y_j and Im conj(z_i) z_j = x_i y_j - y_i x_j, so h_11 =
+    (1 + |z_2|^2)/(1+s)^2, h_22 = (1 + |z_1|^2)/(1+s)^2, and
+    h_12 = -(x_1 x_2 + y_1 y_2 + i (x_1 y_2 - y_1 x_2))/(1+s)^2.
     """
     def fn(coords):
         x1, y1, x2, y2 = coords
-        b = x1.basis
-        z = [x1 + 1j * y1, x2 + 1j * y2]
-        zb = [x1 - 1j * y1, x2 - 1j * y2]
-        s = zb[0] * z[0] + zb[1] * z[1]
-        denom = (1.0 + s) ** (-2)
-        h = [[((1.0 + s if i == j else 0.0) - zb[i] * z[j]) * denom
-              for j in range(2)] for i in range(2)]
-
-        def re(t):
-            return PolyTensor(t.coeffs.real.copy(), b, t.batch_ndim)
-
-        def im(t):
-            return PolyTensor(t.coeffs.imag.copy(), b, t.batch_ndim)
-
+        r11, r22 = x1 * x1 + y1 * y1, x2 * x2 + y2 * y2  # Re conj(z_i) z_i
+        denom = (1.0 + r11 + r22) ** (-2)
+        h11, h22 = (1.0 + r22) * denom, (1.0 + r11) * denom
+        re12 = -(x1 * x2 + y1 * y2) * denom
+        im12 = (y1 * x2 - x1 * y2) * denom
         # coordinate order (x1, y1, x2, y2); g(dx_i, dx_j) = g(dy_i, dy_j)
-        # = Re h_ij, g(dx_i, dy_j) = Im h_ij, g(dy_i, dx_j) = -Im h_ij.
-        rows = [[None] * 4 for _ in range(4)]
-        for i in range(2):
-            for j in range(2):
-                rows[2 * i][2 * j] = re(h[i][j])
-                rows[2 * i + 1][2 * j + 1] = re(h[i][j])
-                rows[2 * i][2 * j + 1] = im(h[i][j])
-                rows[2 * i + 1][2 * j] = -im(h[i][j])
-        return rows
+        # = Re h_ij, g(dx_i, dy_j) = Im h_ij, g(dy_i, dx_j) = -Im h_ij, and
+        # h is Hermitian with a real diagonal
+        return [[h11, 0.0, re12, im12],
+                [0.0, h11, -im12, re12],
+                [re12, -im12, h22, 0.0],
+                [im12, re12, 0.0, h22]]
     return fn
 
 

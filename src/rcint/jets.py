@@ -16,30 +16,33 @@ scalar jet with operator overloading and the analytic functions the metric
 catalog needs (sin, cos, real powers); `const_poly` and `coordinate_poly`
 build the constant and coordinate jets.
 
-One cached plan per pattern (`_contract_plan`) serves both paths of
-`contract`.  At output order 0 it is one batched matmul of the values.  At
-higher orders, curvature tensors are mostly zero components: the ambient
-curvature vanishes on every t- and rho-slot, and a product of spheres has
-few nonzero base components.  `contract` therefore joins the supports of its
-operands, the components that are nonzero at some batch point, on their
-shared letters, and multiplies only those pairs.  `PolyTensor` stores its
-coefficients densely but carries its support once known: the contraction
-kernel, negation, `diff` and finite scalings pass it on, `truncate` keeps
-the rows of it that are nonzero to the new order, and any other tensor is
-scanned for it once, by the first contraction that joins it.  Sums are
-scanned too, because they cancel exactly on some components (`riemann_up`'s
-`-t1 + t2` on its a = b slots): a union of the supports would keep those as
-extra pairs.  Below an operand's order, the join reads the support of the
-operand truncated to the product's order.  A join
-depends on the two supports, the shapes and the chunking alone, so `_JOINS`
-keeps each one, up to `_JOIN_LIMIT` of them: a pipeline repeated on points
-of the same sparsity joins nothing again.  The contraction kernel and the
-scalar-jet product share one jet product, `_jet_mul`, which sums the jet
-pairs coefficient-major, with the coefficient axis first in its scratch
-arrays: `_pair_table` orders the pairs so that each pass adds whole
-contiguous rows into a prefix of the running sums.  The kernel keeps that
-layout, sums by one reshape-sum per block of equal pair counts and
-transposes once.
+One cached plan per pattern (`_contract_plan`) serves the three ways a
+contraction runs.  At output order 0 it is one batched matmul of the values.
+At higher orders `contract` reads the supports of its operands, the
+components that are nonzero at some batch point, truncated to the product's
+order.  When both are full, as for a dense chart or random metric at many
+points, it runs `_jet_mul`'s passes with one batched matmul over the
+components each (`_full_product`).  Otherwise it joins the supports on
+their shared letters and multiplies only those pairs: curvature tensors are
+mostly zero components, since the ambient curvature vanishes on every t- and
+rho-slot and a product of spheres has few nonzero base components.
+`PolyTensor` stores its coefficients densely but carries its support once
+known: both higher-order paths, negation, `diff` and finite scalings pass it
+on, `truncate` keeps the rows of it that are nonzero to the new order, and
+any other tensor is scanned for it once, by the first contraction that reads
+it.  The scan reads the first batch point first and stops there if every
+component is nonzero; otherwise it reduces the batch axes, then the
+coefficient axis.  Sums are scanned too, because they cancel exactly on some
+components (`riemann_up`'s `-t1 + t2` on its a = b slots): a union of the
+supports would keep those as extra pairs.  A join depends on the two
+supports, the shapes and the chunking alone, so `_JOINS` keeps each one, up
+to `_JOIN_LIMIT` of them: a pipeline repeated on points of the same sparsity
+joins nothing again.  The support kernel and the scalar-jet product share
+one jet product, `_jet_mul`, which sums the jet pairs coefficient-major,
+with the coefficient axis first in its scratch arrays: `_pair_table` orders
+the pairs so that each pass adds whole contiguous rows into a prefix of the
+running sums.  The kernel keeps that layout, sums by one reshape-sum per
+block of equal pair counts and transposes once.
 
 Importing this module fixes glibc's mmap and trim thresholds for the whole
 process (at 32 and 128 MiB), so freed jet arrays stay in the heap and the
@@ -441,7 +444,7 @@ def contract(pattern: str, a: PolyTensor, b: PolyTensor, order: int | None = Non
 
     The product has the lower order of the two operands, the most their
     coefficients determine; `order` may lower it, and any other order
-    raises `ValueError`.  The supports are joined to the product's order
+    raises `ValueError`.  The supports are read to the product's order
     (`_support_to`), so the result has the bits, inf and NaN included, of
     the product of the operands truncated to it.
 
@@ -451,11 +454,15 @@ def contract(pattern: str, a: PolyTensor, b: PolyTensor, order: int | None = Non
     outputs non-finite, though it may leave NaN and inf in other parts.
 
     At higher orders only component pairs whose jets are both nonzero at
-    some batch point can contribute.  The pairs of the two supports
-    (`_support`, read from each operand and scanned at most once per
-    tensor) are joined on the shared letters, once per distinct input
-    (`_JOINS`), only those pairs are multiplied, by `_jet_mul`, and the
-    output components they reach become the result's `support`.  NaN and
+    some batch point can contribute; the supports (`_support`, read from
+    each operand and scanned at most once per tensor) name them.  When both
+    supports hold every component, `_full_product` multiplies all pairs by
+    one batched matmul per pass of `_pair_table`, and the result's
+    `support` is every component.  Otherwise the supports are joined on the
+    shared letters, once per distinct input (`_JOINS`), only those pairs
+    are multiplied, by `_jet_mul`, and the output components they reach
+    become the result's `support`.  The choice rests on the supports
+    alone, so a stored and a scanned support give the same bits.  NaN and
     inf count as nonzero, so a non-finite jet reaches every output its
     partners in the supports reach.  The result keeps the operands' dtype,
     complex included.
@@ -473,7 +480,13 @@ def contract(pattern: str, a: PolyTensor, b: PolyTensor, order: int | None = Non
     if order == 0:  # one jet pair, (0, 0): the product of the values
         val = _value_product(plan, a.value(), b.value())
         return PolyTensor(val[..., None], bout, nbatch)
-    out, support = _contract_support(shapes, plan, a, b, order)
+    sa, sb = _support_to(a, order), _support_to(b, order)
+    if (len(sa) == math.prod(a.comp_shape)
+            and len(sb) == math.prod(b.comp_shape)):
+        out = _full_product(plan, a, b, order)
+        return PolyTensor(out, bout, nbatch,
+                          np.arange(math.prod(out.shape[nbatch:-1])))
+    out, support = _contract_support(shapes, plan, a, b, order, sa, sb)
     return PolyTensor(out, bout, nbatch, support)
 
 
@@ -538,16 +551,57 @@ def _value_product(plan: _Plan, x, y):
     return val.reshape(shape).transpose(axes)
 
 
+def _full_product(plan: _Plan, a, b, order):
+    """`contract` at `order` >= 1 of operands whose supports to `order` are
+    full: `_jet_mul`'s passes, each one batched `np.matmul` of the jet rows
+    it pairs, in `plan.layout`.  Shape (*batch, *output components, basis
+    size), a view with the coefficient axis first in memory."""
+    nv, nbatch = a.basis.nvars, len(plan.batch_shape)
+    I, J, slot, offs = _pair_table(nv, a.basis.order, b.basis.order, order)
+    dtype = np.result_type(a.coeffs, b.coeffs, 0.0)
+    # each operand copied once: coefficient axis first, then the padded
+    # batch and its matrix axes
+    xt, yt = (np.ascontiguousarray(
+        x.coeffs[..., : len(slot)].transpose((x.coeffs.ndim - 1,) + axes),
+        dtype).reshape((len(slot),) + (1,) * (nbatch - x.batch_ndim) + mat)
+        for x, (axes, mat) in zip((a, b), plan.layout))
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 is NaN
+        sums = np.matmul(_rows(xt, I[: offs[1]]), _rows(yt, J[: offs[1]]))
+        part = np.empty_like(sums)
+        for lo, hi in zip(offs[1:-1], offs[2:]):
+            np.matmul(_rows(xt, I[lo:hi]), _rows(yt, J[lo:hi]),
+                      out=part[: hi - lo])
+            sums[: hi - lo] += part[: hi - lo]
+    shape, axes = plan.layout[2]
+    out = sums.take(slot, 0).reshape((len(slot),) + shape)
+    return out.transpose(tuple(k + 1 for k in axes) + (0,))
+
+
+def _rows(t, idx):
+    """`t.take(idx, 0)`, or a view of the one row `idx` repeats, which
+    `np.matmul` broadcasts: the first pass of every jet product pairs the
+    constant term of the first operand with each row of the second."""
+    return t[idx[0], None] if (idx == idx[0]).all() else t.take(idx, 0)
+
+
 def _support(x: PolyTensor, letters: str):
     """Size and coordinates (one array per letter) of the support of `x`:
     the components whose jet is nonzero, NaN or inf at some batch point.
 
-    Read from `x.support`; when that is unknown, one scan of `x.coeffs`
-    finds it and stores it there.
+    Read from `x.support`; when that is unknown, a scan of `x.coeffs`
+    finds it and stores it there.  The scan reads the first batch point,
+    and stops if every component is nonzero there, as at one point; else
+    it reduces the batch axes, then the coefficient axis.  No batch point
+    means an empty support.
     """
     if x.support is None:
-        axes = tuple(range(x.batch_ndim)) + (x.coeffs.ndim - 1,)
-        x.support = np.flatnonzero(np.any(x.coeffs != 0, axis=axes))
+        c, nb = x.coeffs, x.batch_ndim
+        points = math.prod(c.shape[:nb])
+        hit = (c[(0,) * nb].any(-1) if points
+               else np.zeros(x.comp_shape, bool))
+        if points > 1 and not hit.all():
+            hit = c.any(tuple(range(nb))).any(-1)
+        x.support = np.flatnonzero(hit)
     coords = np.unravel_index(x.support, x.comp_shape) if letters else ()
     return len(x.support), dict(zip(letters, coords))
 
@@ -625,14 +679,16 @@ def _support_rows(x: PolyTensor, support, nbatch: int, size: int):
     return np.ascontiguousarray(flat.T)
 
 
-def _contract_support(shapes, plan: _Plan, a, b, order):
-    """Multiply only the joined pairs and sum them by output component.
+def _contract_support(shapes, plan: _Plan, a, b, order, sa, sb):
+    """Multiply only the joined pairs and sum them by output component:
+    `contract` at `order` >= 1 when the supports `sa` of `a` and `sb` of
+    `b` to `order` are not both full.
 
-    The supports of `a` and `b` to `order` are joined once per distinct
-    input: `_JOINS` keeps each `_join` by `shapes` (the pattern and operand
-    shapes `plan` was read for), the bytes of both supports, the number of
-    jet variables, both operand orders, `order` and the chunk step, and
-    drops the oldest beyond `_JOIN_LIMIT`.  The pairs run by the pair count
+    The supports are joined once per distinct input: `_JOINS` keeps each
+    `_join` by `shapes` (the pattern and operand shapes `plan` was read
+    for), the bytes of both supports, the number of jet variables, both
+    operand orders, `order` and the chunk step, and drops the oldest
+    beyond `_JOIN_LIMIT`.  The pairs run by the pair count
     L of their output component, then by component: a block of equal L is
     whole components of L pairs.  A chunk of whole components makes one
     `_jet_mul` product, and a reshape-sum over each block's L axis writes
@@ -641,7 +697,6 @@ def _contract_support(shapes, plan: _Plan, a, b, order):
     """
     outs, dims, batch_shape = plan.outs, plan.dims, plan.batch_shape
     nv, oa, ob = a.basis.nvars, a.basis.order, b.basis.order
-    sa, sb = _support_to(a, order), _support_to(b, order)
     # a chunk's scratch is about `step` pairs times the batch times the jet
     # pairs of one product
     jet_pairs = len(_pair_table(nv, oa, ob, order)[0])

@@ -10,6 +10,7 @@ from rcint.ambient import AmbientChart, p_ell_n_ambient
 from rcint.geometry import (
     MODEL_NAMES,
     Geometry,
+    _coordinate_jets,
     get_model,
     perturbed_sphere,
     product_of_spheres,
@@ -97,6 +98,30 @@ class TestEinsteinCatalog:
         assert geo.scalar_curvature.value()[0] == pytest.approx(24.0, rel=1e-10)
         w2 = geo.norm_squared(geo.weyl).value()[0]
         assert w2 == pytest.approx(96.0, rel=1e-9)
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_cp2_chart_matches_complex_arithmetic(self, order):
+        # h_ij = (delta_ij (1+s) - conj(z_i) z_j)/(1+s)^2 in complex jets,
+        # with g(dx_i, dx_j) = Re h_ij and g(dx_i, dy_j) = Im h_ij
+        m = get_model("CP2")
+        pts = _sample_points(m, count=5, seed=7, spread=0.3)
+        geo = m.geometry(pts, order=order)
+        x1, y1, x2, y2 = _coordinate_jets(pts, geo.basis, range(4))
+        z = [x1 + 1j * y1, x2 + 1j * y2]
+        zb = [x1 - 1j * y1, x2 - 1j * y2]
+        s = zb[0] * z[0] + zb[1] * z[1]
+        want = np.zeros(geo.g.coeffs.shape)
+        for i in range(2):
+            for j in range(2):
+                h = (((1.0 + s) if i == j else 0.0) - zb[i] * z[j]) * (
+                    (1.0 + s) ** (-2))
+                for a, b, part in ((2 * i, 2 * j, h.coeffs.real),
+                                   (2 * i + 1, 2 * j + 1, h.coeffs.real),
+                                   (2 * i, 2 * j + 1, h.coeffs.imag),
+                                   (2 * i + 1, 2 * j, -h.coeffs.imag)):
+                    want[:, a, b] = part
+        assert geo.g.coeffs.dtype == np.float64
+        assert np.abs(geo.g.coeffs - want).max() < 1e-13 * np.abs(want).max()
 
     def test_s2xs2_weyl_norm(self):
         # |W|^2 = 16/3 pointwise on S^2 x S^2 with unit factors

@@ -185,6 +185,16 @@ def _assert_matches_oracle(pattern, a, b, order=None, chunk=jets._CHUNK):
                                atol=1e-12)
 
 
+def _forbid_joins(monkeypatch):
+    """Make any join of supports in this test raise, the table emptied so
+    that no kept join stands in for one."""
+    def join(*args):
+        raise AssertionError("full supports reached the join")
+
+    monkeypatch.setattr(jets, "_JOINS", {})
+    monkeypatch.setattr(jets, "_join", join)
+
+
 def _operand_letters(draw, letters):
     """One operand's letters: distinct, at most three."""
     return "".join(draw(st.lists(st.sampled_from(letters), max_size=3,
@@ -213,10 +223,12 @@ def _contractions(draw):
     order = draw(st.none() | st.integers(1, min(order_a, order_b)))
     batches = st.sampled_from([(), (1,), (3,)])
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    # density 1 gives full supports, which `contract` multiplies by matmul
+    densities = st.floats(0, 1) | st.just(1.0)
     a = _sparse_poly(basis(nvars, order_a), tuple(dims[c] for c in in_a),
-                     draw(batches), draw(st.floats(0, 1)), rng)
+                     draw(batches), draw(densities), rng)
     b = _sparse_poly(basis(nvars, order_b), tuple(dims[c] for c in in_b),
-                     draw(batches), draw(st.floats(0, 1)), rng)
+                     draw(batches), draw(densities), rng)
     chunk = draw(st.sampled_from([jets._CHUNK, 1, 40]))
     return f"{in_a},{in_b}->{outs}", a, b, order, chunk
 
@@ -239,8 +251,9 @@ class TestContractPaths:
         "aa,ab->b", "aba,b->a",  # a diagonal: rejected, a trace is pt_trace
     ])
     @pytest.mark.parametrize("batches", [((), ()), ((), (4,)), ((1,), (4,)),
-                                         ((4,), (4,))])
-    def test_patterns_and_batches(self, pattern, batches):
+                                         ((4,), (4,)), ((1,), ()), ((3,), ()),
+                                         ((4,), ())])
+    def test_patterns_and_batches(self, pattern, batches, monkeypatch):
         rng = np.random.default_rng(len(pattern))
         ins = pattern.split("->")[0].split(",")
         b = basis(2, 3)
@@ -259,6 +272,59 @@ class TestContractPaths:
             return
         _assert_matches_oracle(pattern, a_, b_)
         _assert_matches_oracle(pattern, a_, b_, 2)
+        # full supports: the matmul path, never the join
+        a_, b_ = (_sparse_poly(b, (3,) * len(s), batch, 1, rng)
+                  for s, batch in zip(ins, batches))
+        _forbid_joins(monkeypatch)
+        for order in (None, 2, 1):
+            _assert_matches_oracle(pattern, a_, b_, order)
+            out = contract(pattern, a_, b_, order)
+            assert np.array_equal(out.support,
+                                  np.arange(math.prod(out.comp_shape)))
+
+    @pytest.mark.parametrize("order", [None, 1, 2])
+    def test_full_supports_never_join(self, order, monkeypatch):
+        # operands of orders 3 and 2, batched and unbatched, real and
+        # complex
+        _forbid_joins(monkeypatch)
+        rng = np.random.default_rng(21)
+        x = _sparse_poly(basis(3, 3), (3, 2), (5,), 1, rng)
+        y = _sparse_poly(basis(3, 2), (2, 4), (), 1, rng)
+        z = PolyTensor(y.coeffs + 1j * rng.standard_normal(y.coeffs.shape),
+                       y.basis)
+        for other in (y, z):
+            _assert_matches_oracle("ab,bc->ac", x, other, order)
+            out = contract("ab,bc->ac", x, other, order)
+            assert np.array_equal(out.support, np.arange(12))
+
+    @pytest.mark.parametrize("order", [None, 1])
+    def test_one_zero_component_joins(self, order, monkeypatch):
+        # one component of x zero at every point: the support kernel
+        # joins the supports, once, and stores the components reached
+        rng = np.random.default_rng(22)
+        x = _sparse_poly(basis(2, 2), (3, 2), (4,), 1, rng)
+        y = _sparse_poly(basis(2, 2), (2, 3), (4,), 1, rng)
+        x.coeffs[:, 1, 0] = 0.0
+        monkeypatch.setattr(jets, "_JOINS", {})
+        _assert_matches_oracle("ab,ba->", x, y, order)
+        assert len(jets._JOINS) == 1
+        out = contract("ab,bc->ac", x, y, order)
+        assert len(jets._JOINS) == 2
+        assert np.array_equal(out.support, np.arange(9))
+
+    def test_zero_to_the_product_order_joins(self, monkeypatch):
+        # a component zero to degree 1 and nonzero at degree 2 is full at
+        # order 2 and missing at order 1
+        rng = np.random.default_rng(23)
+        b = basis(2, 2)
+        x = _sparse_poly(b, (2, 2), (3,), 1, rng)
+        y = _sparse_poly(b, (2, 2), (3,), 1, rng)
+        x.coeffs[:, 0, 1, : basis(2, 1).size] = 0.0
+        monkeypatch.setattr(jets, "_JOINS", {})
+        _assert_matches_oracle("ab,bc->ac", x, y, 1)
+        assert len(jets._JOINS) == 1
+        _assert_matches_oracle("ab,bc->ac", x, y, 2)
+        assert len(jets._JOINS) == 1
 
     @pytest.mark.parametrize("pattern", ["ab,bc->ac", ",ab->ab", ",->"])
     def test_all_zero_operand(self, pattern):
@@ -457,6 +523,20 @@ class TestJoinMemo:
         finally:
             jets._JOIN_LIMIT = saved
 
+    def test_cp2_quadrature_joins_no_full_supports(self, monkeypatch):
+        # |W|^2 on CP2 at 6^4 nodes, metric order 2: every contraction at
+        # order 1 but one has full supports, so the table keeps one join,
+        # g^{-1}'s degree-1 step: g is zero at the four (x_i, y_i) slots
+        # (Im h_ii = 0), so its support holds 12 of 16 components
+        monkeypatch.setattr(jets, "_JOINS", {})
+        val = integrate_scalar(weyl_norm2_field, get_model("CP2"),
+                               nodes_per_axis=6, force_quadrature=True)
+        assert val == pytest.approx(48 * math.pi ** 2, rel=1e-6)
+        [(shapes, sa, sb, *_)] = jets._JOINS
+        assert shapes[0] == "ab,bc->ac"
+        assert (len(np.frombuffer(sa, np.intp)),
+                len(np.frombuffer(sb, np.intp))) == (12, 16)
+
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="the heap thresholds are set through glibc")
     def test_warm_quadrature_faults_in_no_new_pages(self):
@@ -605,6 +685,46 @@ class TestSupport:
                                        rtol=1e-12, atol=1e-13)
         else:
             assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+    @pytest.mark.parametrize("batch", [(), (1,), (3,), (2, 2)])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e-300, 1j,
+                                       complex(0, np.nan), -0.0])
+    def test_scan_counts_nonfinite_and_complex_not_negative_zero(
+            self, value, batch):
+        # one coefficient of component 1 set, at the last batch point, of
+        # a jet that is zero at the first: the scan reads every point
+        b = basis(2, 2)
+        coeffs = np.zeros(batch + (3, b.size), np.result_type(value, 0.0))
+        coeffs[(-1,) * len(batch) + (1, 2)] = value
+        x = PolyTensor(coeffs, b, len(batch))
+        want = [] if value == 0 else [1]
+        assert jets._support(x, "a")[1]["a"].tolist() == want
+        assert x.support.tolist() == _scanned(x).tolist() == want
+
+    def test_zero_at_the_first_point_only_is_still_full(self, monkeypatch):
+        # the first point misses component (1, 0); the second has it
+        rng = np.random.default_rng(24)
+        b = basis(2, 2)
+        x = _sparse_poly(b, (2, 2), (3,), 1, rng)
+        x.coeffs[0, 1, 0] = 0.0
+        y = _sparse_poly(b, (2, 2), (3,), 1, rng)
+        assert jets._support(x, "")[0] == 4
+        assert np.array_equal(x.support, _scanned(x))
+        _forbid_joins(monkeypatch)
+        for order in (None, 1):
+            fresh = contract("ab,bc->ac", PolyTensor(x.coeffs, b, 1), y,
+                             order)
+            got = contract("ab,bc->ac", x, y, order)
+            assert got.coeffs.tobytes() == fresh.coeffs.tobytes()
+
+    def test_empty_batch_has_an_empty_support(self):
+        b = basis(2, 2)
+        x = PolyTensor(np.ones((0, 3, 3, b.size)), b, 1)
+        y = _random_poly(b, (3, 3), seed=25)
+        assert jets._support(x, "")[0] == 0
+        out = contract("ab,bc->ac", x, y)
+        assert out.coeffs.shape == (0, 3, 3, b.size)
+        assert len(out.support) == 0
 
     def test_pf_plan_scans_each_tensor_at_most_once(self, monkeypatch):
         geo = get_model("S2xS2xS2").geometry(order=4)
@@ -816,23 +936,31 @@ class TestJetMul:
         np.testing.assert_array_equal((p * q).coeffs, [1.0, 0.0, 1.0])
 
     @pytest.mark.parametrize("pattern", ["ab,bc->ac", ",ab->ab", "ab,b->a"])
-    def test_complex_operands_on_both_kernels(self, pattern):
-        # the order-0 matmul and the support kernel
+    def test_complex_operands_on_both_kernels(self, pattern, monkeypatch):
+        # the order-0 matmul, the support kernel (density 0.5) and the
+        # full-support matmul (density 1), on equal and broadcast batches
         rng = np.random.default_rng(13)
         b = basis(2, 2)
         ins = pattern.split("->")[0].split(",")
-        re_, im_ = ([_sparse_poly(b, (3,) * len(s), (2,), 0.5, rng)
-                     for s in ins] for _ in range(2))
-        z = [PolyTensor(r.coeffs + 1j * i.coeffs, b, 1)
-             for r, i in zip(re_, im_)]
-        for order in (0, None):
-            want = (contract(pattern, re_[0], re_[1], order).coeffs
-                    - contract(pattern, im_[0], im_[1], order).coeffs
-                    + 1j * (contract(pattern, re_[0], im_[1], order).coeffs
-                            + contract(pattern, im_[0], re_[1], order).coeffs))
-            got = contract(pattern, *z, order)
-            np.testing.assert_allclose(got.coeffs, want, rtol=1e-12,
-                                       atol=1e-12)
+        for density, batches in [(0.5, ((2,), (2,))), (1, ((2,), (2,))),
+                                 (1, ((), ())), (1, ((1,), ())),
+                                 (1, ((3,), ())), (1, ((4,), ()))]:
+            re_, im_ = ([_sparse_poly(b, (3,) * len(s), batch, density, rng)
+                         for s, batch in zip(ins, batches)] for _ in range(2))
+            z = [PolyTensor(r.coeffs + 1j * i.coeffs, b, r.batch_ndim)
+                 for r, i in zip(re_, im_)]
+            if density == 1:
+                _forbid_joins(monkeypatch)
+            for order in (0, None):
+                want = (contract(pattern, re_[0], re_[1], order).coeffs
+                        - contract(pattern, im_[0], im_[1], order).coeffs
+                        + 1j * (contract(pattern, re_[0], im_[1], order).coeffs
+                                + contract(pattern, im_[0], re_[1],
+                                           order).coeffs))
+                got = contract(pattern, *z, order)
+                assert got.coeffs.dtype == np.complex128
+                np.testing.assert_allclose(got.coeffs, want, rtol=1e-12,
+                                           atol=1e-12)
 
 
 class TestDiff:
