@@ -5,7 +5,8 @@ polynomials around a batch of points and derives Christoffel symbols,
 curvature, Schouten/Weyl/Cotton tensors, covariant derivatives and
 Laplacians, all as `PolyTensor`s.  Each derivative costs one order of the
 jet, so a caller that needs k derivatives of curvature builds the metric at
-order >= k + 2.  `raise_slots` is the one index-raising path.  Many points
+order >= k + 2.  `raise_slots` is the one index-raising path (g lowers)
+and `minus_kulkarni_nomizu` the one writer of W.  Many points
 run through `point_values`, one `Geometry` per slice that fits
 `JET_BUDGET_BYTES`, and both P_{l,n} routes through `laplacian_values`.
 
@@ -36,8 +37,8 @@ Conventions (verified against round spheres in the test suite):
   Ric = 2*lam*(n-1)*g for the constant `lam` stored on the model.
 * Delta = g^{ab} nabla_a nabla_b (negative spectrum on compact manifolds).
 * Schouten P = (Ric - J g)/(n-2) with J = Scal/(2(n-1));
-  Weyl W_{abcd} = R_{abcd} - P_{ac}g_{bd} + P_{ad}g_{bc}
-                 + P_{bc}g_{ad} - P_{bd}g_{ac};
+  Weyl W_{ab}{}^{cd} = R_{ab}{}^{cd} - P_a^c delta_b^d + P_a^d delta_b^c
+                      + P_b^c delta_a^d - P_b^d delta_a^c, lowered by g;
   Cotton C_{abc} = nabla_a P_{bc} - nabla_b P_{ac}.
 """
 
@@ -94,7 +95,8 @@ def _letters(n):
 
 
 def raise_slots(t: PolyTensor, ginv: PolyTensor, slots) -> PolyTensor:
-    """Raise the listed component axes of `t` with the inverse metric.
+    """Raise the listed component axes of `t` with the inverse metric (or
+    lower them with g).
 
     One contraction per slot, T^{..x..} = T_{..d..} g^{dx}; the raised
     index stays in the slot's place.  The result has the lower order of
@@ -106,6 +108,20 @@ def raise_slots(t: PolyTensor, ginv: PolyTensor, slots) -> PolyTensor:
         out = idx[:s] + new + idx[s + 1:]
         t = contract(f"{idx},{idx[s]}{new}->{out}", t, ginv)
     return t
+
+
+def minus_kulkarni_nomizu(r, p):
+    """W_{ab}{}^{cd} from arrays R_{ab}{}^{cd}, axes (*batch, a, b, c, d,
+    jet), and P_a^c, axes (*batch, a, c, jet), as in the conventions above;
+    a dense tensor has a jet axis of length 1.  Each delta term is one
+    strided update per index value of a copy of `r`: no metric product."""
+    w = r.copy()
+    for i in range(r.shape[-2]):
+        w[..., :, i, :, i, :] -= p  # P_a^c delta_b^d
+        w[..., :, i, i, :, :] += p  # P_a^d delta_b^c
+        w[..., i, :, :, i, :] += p  # P_b^c delta_a^d
+        w[..., i, :, i, :, :] -= p  # P_b^d delta_a^c
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -209,11 +225,8 @@ class Geometry:
 
     @cached_property
     def weyl(self) -> PolyTensor:
-        # P (.) g from x = P_ac g_bd: P_ad g_bc, P_bd g_ac, P_bc g_ad permute x
-        x = contract("ac,bd->abcd", self.schouten, self.g)
-        kn = (x - pt_transpose(x, (0, 1, 3, 2)) + pt_transpose(x, (1, 0, 3, 2))
-              - pt_transpose(x, (1, 0, 2, 3)))
-        return self.riemann - kn
+        """W_{abcd}: `weyl_ud` with its upper pair lowered by g; order - 2."""
+        return raise_slots(self.weyl_ud, self.g, (2, 3))
 
     @cached_property
     def riemann_ud(self) -> PolyTensor:
@@ -223,19 +236,12 @@ class Geometry:
 
     @cached_property
     def weyl_ud(self) -> PolyTensor:
-        """W_{ab}{}^{cd} = R_{ab}{}^{cd} - P_a^c delta_b^d + P_a^d delta_b^c
-        + P_b^c delta_a^d - P_b^d delta_a^c; order - 2.  The delta terms
-        are written into a copy of the coefficients of `riemann_ud`, one
-        strided update per term and index value, with no product by g."""
+        """W_{ab}{}^{cd}: `riemann_ud` minus the Kulkarni-Nomizu terms of
+        P_a^c (`minus_kulkarni_nomizu`); order - 2."""
         rud = self.riemann_ud
-        p = raise_slots(self.schouten, self.ginv, (1,)).coeffs  # P_a^c
-        w = rud.coeffs.copy()
-        for i in range(self.dim):  # w axes: (*batch, a, b, c, d, jet)
-            w[..., :, i, :, i, :] -= p  # P_a^c delta_b^d
-            w[..., :, i, i, :, :] += p  # P_a^d delta_b^c
-            w[..., i, :, :, i, :] += p  # P_b^c delta_a^d
-            w[..., i, :, i, :, :] -= p  # P_b^d delta_a^c
-        return PolyTensor(w, rud.basis, rud.batch_ndim)
+        p = raise_slots(self.schouten, self.ginv, (1,))  # P_a^c
+        return PolyTensor(minus_kulkarni_nomizu(rud.coeffs, p.coeffs),
+                          rud.basis, rud.batch_ndim)
 
     @cached_property
     def cotton(self) -> PolyTensor:

@@ -321,7 +321,7 @@ def _w3_rank2_fields(geo: Geometry):
     """
     W = geo.weyl
     gi = geo.ginv
-    Wuuu = geo.raise_all(W)
+    Wuuu = raise_slots(geo.weyl_ud, gi, (0, 1))      # W^abcd
     Wfu = raise_slots(W, gi, (0,))                    # W^a_cde
     B = jcontract("cefg,defg->cd", Wuuu, Wfu)         # B^cd
     T1 = jcontract("acbd,cd->ab", W, B)
@@ -350,8 +350,8 @@ def weyl_squared_divergence_scalar(geo: Geometry):
     scalar of the weight -2 tensor W_acde W_b^cde; equals
     (n-4) grad^a (W_abcd C^cdb), hence zero in dimension four and at all
     Einstein metrics."""
-    W = geo.weyl
-    T = jcontract("acde,bcde->ab", W, raise_slots(W, geo.ginv, (1, 2, 3)))
+    T = jcontract("acde,bcde->ab", geo.weyl,
+                  raise_slots(geo.weyl_ud, geo.ginv, (1,)))  # W_b^cde
     return _divergence_scalar(geo, T, -2)
 
 

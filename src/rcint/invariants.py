@@ -41,8 +41,8 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .jets import PolyTensor, basis, const_poly, contract as jcontract
-from .geometry import (Geometry, laplacian_values, pt_symmetrize, pt_trace,
-                       raise_slots)
+from .geometry import (Geometry, laplacian_values, minus_kulkarni_nomizu,
+                       pt_symmetrize, pt_trace, raise_slots)
 from .reports import CheckReport
 
 
@@ -432,20 +432,15 @@ def weyl_project(T):
 
     The background metric is the identity.  Applied after
     curvature_project, removes the Kulkarni-Nomizu part carrying the Ricci
-    trace, mirroring the Weyl tensor construction.
+    trace by `geometry.minus_kulkarni_nomizu`, as every Weyl tensor is.
     """
     T = curvature_project(T)
     dim = T.shape[-1]
     ric = np.einsum("...acbc->...ab", T)
     scal = np.einsum("...aa->...", ric)
     Jt = scal / (2 * (dim - 1))
-    eye = np.broadcast_to(np.eye(dim), T.shape[:-4] + (dim, dim))
-    P = (ric - Jt[..., None, None] * eye) / (dim - 2)
-    kn = (np.einsum("...ac,...bd->...abcd", P, eye)
-          - np.einsum("...ad,...bc->...abcd", P, eye)
-          + np.einsum("...bd,...ac->...abcd", P, eye)
-          - np.einsum("...bc,...ad->...abcd", P, eye))
-    return T - kn
+    P = (ric - Jt[..., None, None] * np.eye(dim)) / (dim - 2)
+    return minus_kulkarni_nomizu(T[..., None], P[..., None])[..., 0]
 
 
 def random_weyl(dim: int, seed, nsamples=None):

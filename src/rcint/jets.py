@@ -26,15 +26,13 @@ components each (`_full_product`).  Otherwise it joins the supports on
 their shared letters and multiplies only those pairs: curvature tensors are
 mostly zero components, since the ambient curvature vanishes on every t- and
 rho-slot and a product of spheres has few nonzero base components.
-`PolyTensor` stores its coefficients densely but carries its support once
-known: both higher-order paths, negation, `diff` and finite scalings pass it
-on, `truncate` keeps the rows of it that are nonzero to the new order, and
-any other tensor is scanned for it once, by the first contraction that reads
-it.  The scan reads the first batch point first and stops there if every
-component is nonzero; otherwise it reduces the batch axes, then the
-coefficient axis.  Sums are scanned too, because they cancel exactly on some
-components (`riemann_up`'s `-t1 + t2` on its a = b slots): a union of the
-supports would keep those as extra pairs.  A join depends on the two
+`PolyTensor` stores its coefficients densely.  Its support is the one the
+higher-order path that made it stored, or else `_support` scans it the
+first time a contraction reads it at its own order and stores that; a read
+at a lower order scans the coefficients to it and stores nothing.  No other
+operation passes one on, so negations, scalings, `diff`, `truncate` and
+sums are scanned; a sum must be, as it cancels exactly on some components
+(`riemann_up`'s `-t1 + t2` on its a = b slots).  A join depends on the two
 supports, the shapes and the chunking alone, so `_JOINS` keeps each one, up
 to `_JOIN_LIMIT` of them: a pipeline repeated on points of the same sparsity
 joins nothing again.  The support kernel and the scalar-jet product share
@@ -221,9 +219,9 @@ class PolyTensor:
 
     `support` is None or the sorted flat indices (into `comp_shape`) of a
     superset of the components whose jet is nonzero, NaN or inf at some
-    batch point.  Operations that know it pass it on, and `_support` fills
-    it on first use, so writing into `coeffs` once it is set leaves it
-    stale: build a new PolyTensor instead.
+    batch point.  Only `contract` sets it, on the tensor it makes and, by
+    `_support`, on an operand it scans, so writing into `coeffs` once it is
+    set leaves it stale: build a new PolyTensor instead.
     """
 
     __slots__ = ("coeffs", "basis", "batch_ndim", "support")
@@ -251,17 +249,13 @@ class PolyTensor:
         return self.coeffs[..., 0]
 
     def truncate(self, order: int) -> "PolyTensor":
-        """The jets to `order`.  Below their order, a known support is
-        narrowed to the components still nonzero, NaN or inf."""
+        """The jets to `order`, a view of the coefficients."""
         if not 0 <= order <= self.basis.order:
             raise ValueError(f"cannot truncate to order {order}")
         if order == self.basis.order:
             return self
         b = basis(self.basis.nvars, order)
-        out = PolyTensor(self.coeffs[..., : b.size], b, self.batch_ndim)
-        if self.support is not None:  # rows may vanish to `order`: rescan
-            _support(out, "")
-        return out
+        return PolyTensor(self.coeffs[..., : b.size], b, self.batch_ndim)
 
     def diff(self, var: int) -> "PolyTensor":
         if self.basis.order == 0:
@@ -269,7 +263,7 @@ class PolyTensor:
         gather, factor = _diff_table(self.basis.nvars, self.basis.order, var)
         b = basis(self.basis.nvars, self.basis.order - 1)
         return PolyTensor(self.coeffs[..., gather] * factor, b,
-                          self.batch_ndim, self.support)
+                          self.batch_ndim)
 
     # -- arithmetic ----------------------------------------------------------
     def _align(self, other):
@@ -304,17 +298,12 @@ class PolyTensor:
         return self._jet(other) - self
 
     def __neg__(self):
-        return PolyTensor(-self.coeffs, self.basis, self.batch_ndim,
-                          self.support)
+        return PolyTensor(-self.coeffs, self.basis, self.batch_ndim)
 
     def __mul__(self, other):
         if not isinstance(other, PolyTensor):
-            support = None  # 0 * inf is NaN: only a finite factor keeps it
-            if self.support is not None and np.isfinite(other).all():
-                support = self.support
             return PolyTensor(self.coeffs * self._per_point(other)[..., None],
-                              self.basis, max(self.batch_ndim, np.ndim(other)),
-                              support)
+                              self.basis, max(self.batch_ndim, np.ndim(other)))
         if self.rank or other.rank:
             raise ValueError("* multiplies scalar jets; contract tensors")
         nv, oa, ob = self.basis.nvars, self.basis.order, other.basis.order
@@ -445,8 +434,8 @@ def contract(pattern: str, a: PolyTensor, b: PolyTensor, order: int | None = Non
     The product has the lower order of the two operands, the most their
     coefficients determine; `order` may lower it, and any other order
     raises `ValueError`.  The supports are read to the product's order
-    (`_support_to`), so the result has the bits, inf and NaN included, of
-    the product of the operands truncated to it.
+    (`_support(x, order)`), so the result has the bits, inf and NaN
+    included, of the product of the operands truncated to it.
 
     At output order 0 the result is one batched matmul of the two values
     (`_value_product`) in a fresh array.  A real NaN or inf reaches every
@@ -454,8 +443,7 @@ def contract(pattern: str, a: PolyTensor, b: PolyTensor, order: int | None = Non
     outputs non-finite, though it may leave NaN and inf in other parts.
 
     At higher orders only component pairs whose jets are both nonzero at
-    some batch point can contribute; the supports (`_support`, read from
-    each operand and scanned at most once per tensor) name them.  When both
+    some batch point can contribute; the supports name them.  When both
     supports hold every component, `_full_product` multiplies all pairs by
     one batched matmul per pass of `_pair_table`, and the result's
     `support` is every component.  Otherwise the supports are joined on the
@@ -480,7 +468,7 @@ def contract(pattern: str, a: PolyTensor, b: PolyTensor, order: int | None = Non
     if order == 0:  # one jet pair, (0, 0): the product of the values
         val = _value_product(plan, a.value(), b.value())
         return PolyTensor(val[..., None], bout, nbatch)
-    sa, sb = _support_to(a, order), _support_to(b, order)
+    sa, sb = _support(a, order), _support(b, order)
     if (len(sa) == math.prod(a.comp_shape)
             and len(sb) == math.prod(b.comp_shape)):
         out = _full_product(plan, a, b, order)
@@ -584,34 +572,28 @@ def _rows(t, idx):
     return t[idx[0], None] if (idx == idx[0]).all() else t.take(idx, 0)
 
 
-def _support(x: PolyTensor, letters: str):
-    """Size and coordinates (one array per letter) of the support of `x`:
-    the components whose jet is nonzero, NaN or inf at some batch point.
+def _support(x: PolyTensor, order: int):
+    """The sorted flat indices (into `comp_shape`) of the components of
+    `x` whose jet to `order` is nonzero, NaN or inf at some batch point.
 
-    Read from `x.support`; when that is unknown, a scan of `x.coeffs`
-    finds it and stores it there.  The scan reads the first batch point,
-    and stops if every component is nonzero there, as at one point; else
-    it reduces the batch axes, then the coefficient axis.  No batch point
-    means an empty support.
+    At the order of `x` it is `x.support`, stored by the `contract` that
+    made `x` or by a scan the first time it is read.  Below it, rows may
+    vanish: a scan of the coefficients to `order`, stored nowhere.  The
+    scan reads the first batch point, and stops if every component is
+    nonzero there, as at one point; else it reduces the batch axes, then
+    the coefficient axis.  No batch point means an empty support.
     """
-    if x.support is None:
-        c, nb = x.coeffs, x.batch_ndim
-        points = math.prod(c.shape[:nb])
-        hit = (c[(0,) * nb].any(-1) if points
-               else np.zeros(x.comp_shape, bool))
-        if points > 1 and not hit.all():
-            hit = c.any(tuple(range(nb))).any(-1)
-        x.support = np.flatnonzero(hit)
-    coords = np.unravel_index(x.support, x.comp_shape) if letters else ()
-    return len(x.support), dict(zip(letters, coords))
-
-
-def _support_to(x: PolyTensor, order: int):
-    """The support of `x.truncate(order)`, stored on `x` only at its own
-    order."""
-    t = x.truncate(order)
-    _support(t, "")
-    return t.support
+    if order == x.basis.order and x.support is not None:
+        return x.support
+    c, nb = x.coeffs[..., : basis(x.basis.nvars, order).size], x.batch_ndim
+    points = math.prod(c.shape[:nb])
+    hit = (c[(0,) * nb].any(-1) if points else np.zeros(x.comp_shape, bool))
+    if points > 1 and not hit.all():
+        hit = c.any(tuple(range(nb))).any(-1)
+    if order < x.basis.order:
+        return np.flatnonzero(hit)
+    x.support = np.flatnonzero(hit)
+    return x.support
 
 
 #: `_join`'s result: the pairs (support entries `ia` of `a` and `ib` of
