@@ -11,10 +11,11 @@ antisymmetric is
 where delta is the *normalized* generalized Kronecker delta
 (1/k!) det(delta^{a_i}_{b_j}).  Expanding delta as a signed sum over
 S_{2l} gives (2l)! complete contractions; the optimized evaluators group
-permutations into equivalence classes under relabelings that preserve the
-term value for any T with the pair symmetries (conjugation by pair-block
-permutations and inversion), so only one complete contraction per class is
-needed.  A plan made once per l computes each distinct self-trace and
+permutations into classes whose signed terms are equal for any T with the
+pair symmetries (conjugation by pair-block permutations, a swap within an
+upper pair, and inversion: a group of order 2 4^l l!), so only one
+complete contraction per class is needed, 1, 3, 8, 25 and 82 of them for
+l = 1 ... 5.  A plan made once per l computes each distinct self-trace and
 pairwise contraction of the class terms once, and `pf_ell_poly` runs it
 with `pt_trace`, `contract` and, for two scalars, the scalar jet product;
 `pf_ell` runs it on a dense array as an order-0 jet.  `pf_ell_brute` is
@@ -78,39 +79,49 @@ def _perm_sign(perm):
 
 
 #: the first two entries a class representative can have (`_pf_classes`)
-_PF_HEADS = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 3), (2, 4))
+_PF_HEADS = ((0, 1), (0, 2), (2, 3), (2, 4))
 
-#: group elements times candidates compared per step of `_pf_classes`
+#: group elements times (candidates + key table rows) per step of `_pf_classes`
 _PF_CHUNK = 1 << 14
 
 
 @lru_cache(maxsize=None)
 def _pf_classes(ell: int):
-    """Group S_{2l} into classes with equal contraction value.
+    """Group S_{2l} into classes with equal signed contraction value.
 
-    For T antisymmetric in each index pair and symmetric under pair
-    exchange, the complete contraction defined by sigma is unchanged under
-    sigma -> pi o sigma o pi^{-1} for pi in the pair-block group (dummy
-    index relabeling; the two antisymmetry sign flips cancel) and under
-    sigma -> sigma^{-1} (pair-exchange symmetry).  Signs are constant on
-    each class, so the delta expansion collapses to one term per class.
+    sigma gives the term whose factor j has the letters 2j, 2j+1 in its
+    lower pair and sigma(2j), sigma(2j+1) in its upper pair.  For T
+    antisymmetric in each pair, sgn(sigma) times that term is unchanged by
+    sigma -> pi o sigma o pi^{-1}, pi in the pair-block group of 2^l l!
+    permutations (dummy index relabeling; the two antisymmetry sign flips
+    cancel), and by sigma -> sigma o (2j 2j+1), which swaps the upper pair
+    of factor j (T and sgn sigma both flip).  It is also unchanged by
+    sigma -> sigma^{-1}, which exchanges the upper and lower pair of every
+    factor, when T_{abcd} = T_{cdab} once lowered; for l <= 4 the other
+    moves already map sigma^{-1} into the class of sigma, and at l = 5
+    inversion merges 85 classes into 82.  The classes are the orbits of
+    the group of order 2 4^l l! these generate: 1, 3, 8, 25 and 82 for
+    l = 1 ... 5.
 
-    Each class is represented by its lexicographically first member, whose
-    first two entries are one of `_PF_HEADS`: a relabeling makes sigma
-    start with 0 if it fixes a letter, then 1 if it also fixes the partner
-    and else 2; failing that with 1 if it sends a letter to its partner,
-    then 0 if the partner is sent back and else 2; and otherwise with 2,
-    then 3 if the partner goes into the same pair and else 4.  The
-    6 (2l-2)! permutations with these heads are the candidates, one int8
-    array in lexicographic order whose tails come from `np.fromiter`.  A candidate is a representative if no element
-    g of the group (a pair-block conjugation, with or without inversion)
-    maps it lower, and its class then has |group| / #{g : g.sigma = sigma}
-    members.  Images are compared by integer lexicographic keys (see
-    `_pf_key_table`), a chunk of group elements against all remaining
-    candidates at a time; a candidate drops out at its first lower image,
-    and the elements moving fewest letters, which reject the most, go
-    first.  Nothing of size (2l)! is made: l = 5 (241,920 candidates)
-    takes under a second and peaks below 100 MB in a fresh process.
+    A class is represented by its lexicographically least member, whose
+    upper pairs are sorted and whose first two entries are one of
+    `_PF_HEADS`: a relabeling with a swap makes sigma start with 0 if some
+    factor has one of its lower letters upstairs, then 1 if some factor
+    has its whole lower pair upstairs and else 2; otherwise with 2, then 3
+    if some factor has another's whole lower pair upstairs and else 4.
+    The 4 (2l-2)! / 2^(l-1) permutations of that form are the candidates,
+    one int8 array in lexicographic order.  The class of sigma is
+    {pi sigma^{+-1} pi^{-1} t}, t swapping within pairs, and its least
+    member over t has its pairs sorted.  So a candidate is a representative
+    if no pi, with or without inversion, maps it to a pair-sorted image
+    below it, and its class has 2 4^l l! / #{(pi, +-1) : pair-sorted
+    image = sigma} members.  Images are compared by integer lexicographic
+    keys (`_pf_key_table`), a chunk of group elements against all
+    remaining candidates at a time; a candidate drops out at its first
+    lower image, and the pi moving fewest letters, which reject the most,
+    go first.  Nothing of size (2l)! is made: in a fresh process l = 5
+    (10,080 candidates) takes about 0.06 s, and l = 6 (453,600) 2.3 s and
+    320 MB.
 
     Returns a list of (signed_multiplicity, representative sigma), in the
     lexicographic order of the representatives.
@@ -119,48 +130,59 @@ def _pf_classes(ell: int):
     tail = np.fromiter(itertools.chain.from_iterable(
         itertools.permutations(range(m - 2))), np.int8).reshape(
         math.factorial(m - 2), m - 2)
+    tail = tail[(tail[:, ::2] < tail[:, 1::2]).all(axis=1)]
     cands = np.concatenate([
         np.hstack((np.tile(np.int8(head), (len(tail), 1)),
                    np.delete(np.arange(m, dtype=np.int8), head)[tail]))
         for head in _PF_HEADS if max(head) < m])
-    table = _pf_key_table(ell)
-    rows = cands.T.copy() + np.arange(0, m * m, m)[:, None]  # j m + sigma(j)
-    key = table[:, 0][rows].sum(axis=0)  # column 0 is the identity
-    stab = np.zeros(len(cands), np.int64)
-    done = 0
-    while done < table.shape[1]:
-        keys = table[:, done:done + max(1, _PF_CHUNK // len(cands))][rows]
-        keys = keys.sum(axis=0)
-        keep = (keys >= key[:, None]).all(axis=1)
-        stab += (keys == key[:, None]).sum(axis=1)
-        cands, rows, key, stab = cands[keep], rows[:, keep], key[keep], stab[keep]
-        done += keys.shape[1]
-    return [(_perm_sign(sigma) * (table.shape[1] // int(n)), sigma)
-            for sigma, n in zip(map(tuple, cands.tolist()), stab)]
-
-
-def _pf_key_table(ell: int):
-    """Lexicographic keys of the images of a permutation sigma of 2l
-    letters under the group of `_pf_classes`.
-
-    Returns a (2l * 2l, 2 * 2^l * l!) int64 array K whose column for g
-    holds, summed over j, the key sum_k (g.sigma)(k) (2l)^(2l-1-k) as
-    K[j * 2l + sigma(j)].  Columns 2i and 2i + 1 are the conjugation by the
-    i-th pair-block permutation pi without and with inversion; the pi
-    moving fewest letters come first, so column 0 is the identity.
-    """
-    m = 2 * ell
     blocks = np.array(list(itertools.permutations(range(ell))))
     flips = np.array(list(itertools.product((0, 1), repeat=ell)))
     pis = (2 * blocks[:, None, :, None]
            + (np.arange(2) ^ flips[None, :, :, None])).reshape(-1, m)
     pis = pis[np.argsort((pis != np.arange(m)).sum(axis=1), kind="stable")]
+    # the pairs of sigma and of sigma^-1 as rows k (2l)^2 + lo 2l + hi
+    both = np.stack((cands, np.argsort(cands, axis=1))).astype(np.int64)
+    lo = np.minimum(both[..., ::2], both[..., 1::2])
+    hi = np.maximum(both[..., ::2], both[..., 1::2])
+    rows = np.moveaxis(np.arange(0, ell * m * m, m * m) + lo * m + hi, -1, 0)
+    key = _pf_key_table(ell, pis[:1])[0][rows[:, 0]].sum(axis=0)  # pis[0] = id
+    stab = np.zeros(len(cands), np.int64)
+    done = 0
+    while done < len(pis):
+        chunk = max(1, _PF_CHUNK // (len(cands) + ell * m * m))
+        table = _pf_key_table(ell, pis[done:done + chunk])
+        keys = table[:, rows[0]]  # (group element, +-1, candidate)
+        for r in rows[1:]:
+            keys += table[:, r]
+        keep = (keys >= key).all(axis=(0, 1))
+        stab += (keys == key).sum(axis=(0, 1))
+        cands, rows, key, stab = cands[keep], rows[..., keep], key[keep], stab[keep]
+        done += len(table)
+    order = 2 * 4 ** ell * math.factorial(ell)
+    return [(_perm_sign(sigma) * (order // int(n)), sigma)
+            for sigma, n in zip(map(tuple, cands.tolist()), stab)]
+
+
+def _pf_key_table(ell: int, pis):
+    """Lexicographic keys of the pair-sorted images of a permutation sigma
+    of 2l letters with sorted pairs under the pair-block permutations
+    `pis`, as in `_pf_classes`.
+
+    Returns a (len(pis), l (2l)^2) int64 array K whose row for pi holds,
+    summed over the pairs k, the key sum_i s(i) (2l)^(2l-1-i) of the
+    image s = pi sigma pi^{-1} with its pairs sorted as
+    K[k (2l)^2 + sigma(2k) 2l + sigma(2k+1)]: pi moves factor k to
+    factor p = pi(2k) // 2, whose upper pair is pi(sigma(2k)) and
+    pi(sigma(2k+1)) in increasing order.  Read at the sorted pairs of
+    sigma^{-1}, the same row keys the image of the inverse.
+    """
+    m = 2 * ell
     weight = m ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    # (pi sigma pi^-1)(pi(j)) = pi(sigma(j)): sigma(j) = v adds
-    # weight[pi(j)] pi(v), and for sigma^-1 the same with j and v exchanged
-    conj = weight[pis][:, :, None] * pis[:, None, :]
-    table = np.stack((conj, conj.transpose(0, 2, 1)), axis=1)
-    return np.ascontiguousarray(table.reshape(-1, m * m).T)
+    lo = np.minimum(pis[:, :, None], pis[:, None, :])
+    hi = np.maximum(pis[:, :, None], pis[:, None, :])
+    p = pis[:, ::2, None, None] // 2
+    table = weight[2 * p] * lo[:, None] + weight[2 * p + 1] * hi[:, None]
+    return table.reshape(len(pis), -1)
 
 
 def _term_subscripts(sigma, ell):
@@ -182,10 +204,18 @@ def _pf_prefactor(ell):
     return 2.0 ** (-ell) * double_factorial(2 * ell - 1) / math.factorial(2 * ell)
 
 
+def _antisymmetrize_pairs(T):
+    """T antisymmetrized in each index pair of its last four axes."""
+    A = T - T.swapaxes(-4, -3)
+    return (A - A.swapaxes(-2, -1)) / 4
+
+
 def pf_ell(T, ell: int):
     """Generalized Pfaffian Pf_l(T) on a flat background, batched over
-    leading axes of T: `pf_ell_poly` of T as an order-0 jet."""
-    T = np.asarray(T, dtype=np.float64)
+    leading axes of T: `pf_ell_poly` of T antisymmetrized in each index
+    pair (exact, as delta is antisymmetric) as an order-0 jet.  For l >= 5
+    T must also be pair-exchange symmetric (see `_pf_classes`)."""
+    T = _antisymmetrize_pairs(np.asarray(T, dtype=np.float64))
     return pf_ell_poly(PolyTensor(T[..., None], basis(0, 0), T.ndim - 4),
                        ell).value()
 
@@ -207,8 +237,7 @@ def pf_ell_brute(T, ell: int):
     _check_pf_order(ell, d)
     if ell == 0:
         return np.ones(T.shape[:-4]) if T.ndim > 4 else 1.0
-    A = T - T.swapaxes(-4, -3)
-    A = (A - A.swapaxes(-2, -1)) / 4
+    A = _antisymmetrize_pairs(T)
     seqs = [p for p in itertools.permutations(range(2 * ell))
             if all(p[i] < p[i + 1] for i in range(0, 2 * ell, 2))]
     mus = [p for p in seqs if list(p[::2]) == sorted(p[::2])]
@@ -247,6 +276,12 @@ def pf_ell_poly(Tud: PolyTensor, ell: int) -> PolyTensor:
     `Tud`.  Each intermediate is released after its last use.  The
     multiplicity-weighted class terms are one stacked array, summed in
     class order by `np.add.accumulate`.
+
+    T must be antisymmetric in each index pair, as `riemann_ud` and
+    `weyl_ud` are by construction up to rounding; for l >= 5 it must also
+    be pair-exchange symmetric once lowered, as they are (see
+    `_pf_classes`).  Other input gives a wrong value silently; `pf_ell`
+    antisymmetrizes its dense input first.
 
     A scalar product multiplies every batch point, where `contract` skips
     a pair of jets that is zero at every point: a jet that is zero
@@ -288,7 +323,9 @@ def _pf_plan(ell: int):
     Renaming letters does not change the array a contraction computes, so
     each distinct key becomes one step and every class term keeps its
     value.  The traces of a factor and the pattern of a contraction are
-    worked out once per distinct letter string.
+    worked out once per distinct letter string.  For l = 2, 3, 4 the plan
+    has 6, 20 and 52 steps; at l = 3 two of its contractions return a
+    rank-4 tensor.
 
     Returns (steps, finals).  Value 0 is T_{ab}{}^{cd}, and step k computes
     value k + 1 as ("trace", (i, j), x), the trace of value x over axes i

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcint import invariants
+from rcint import geometry, invariants
 from rcint.ambient import AmbientChart, p_ell_n_ambient
 from rcint.geometry import (
     MODEL_NAMES,
@@ -239,6 +239,59 @@ class TestMixedCurvature:
         geo = _mixed_geometry(name, order)
         _assert_close(invariants.weyl_norm2_field(geo),
                       geo.norm_squared(geo.weyl))
+
+
+def _polynomial_metric_fn(dim, seed, scale=0.2):
+    """g_ij = delta_ij + B_ijk y_k + A_ijkl y_k y_l, with B and A symmetric
+    in ij and their entries `scale` times standard normal draws."""
+    rng = np.random.default_rng(seed)
+    B = scale * rng.normal(size=(dim, dim, dim))
+    A = scale * rng.normal(size=(dim, dim, dim, dim))
+    B, A = (B + B.swapaxes(0, 1)) / 2, (A + A.swapaxes(0, 1)) / 2
+
+    def fn(y):
+        yy = {(k, l): y[k] * y[l] for k in range(dim) for l in range(dim)}
+        return [[float(i == j) + sum(B[i, j, k] * y[k] for k in range(dim))
+                 + sum(A[i, j, k, l] * v for (k, l), v in yy.items())
+                 for j in range(dim)] for i in range(dim)]
+    return fn
+
+
+def _weyl_against_dense(dim, seed):
+    """`weyl_ud` lowered by g against W = R - P wedge g built by einsum from
+    the values of `riemann`, `ricci` and g, both divided by max |R|, on a
+    random polynomial metric at three points."""
+    points = np.random.default_rng(seed).uniform(-0.25, 0.25, (3, dim))
+    geo = Geometry(_polynomial_metric_fn(dim, seed), dim, points, order=2)
+    g, rm, ric = geo.g.value(), geo.riemann.value(), geo.ricci.value()
+    j = np.einsum("...ab,...ab->...", np.linalg.inv(g), ric) / (2 * (dim - 1))
+    p = (ric - j[:, None, None] * g) / (dim - 2)
+    kn = np.einsum("...ac,...bd->...abcd", p, g)
+    kn = kn - kn.swapaxes(-1, -2)
+    want = rm - kn + kn.swapaxes(-3, -4)
+    got = np.einsum("...abef,...ec,...fd->...abcd", geo.weyl_ud.value(), g, g)
+    return np.abs(got - want).max() / np.abs(rm).max()
+
+
+class TestWeylOnRandomMetrics:
+    """W on random polynomial metrics, against a dense formula that shares
+    no code with `geometry.minus_kulkarni_nomizu`."""
+
+    @pytest.mark.parametrize("dim", [4, 5, 6])
+    def test_lowered_weyl_ud_is_riemann_minus_kulkarni_nomizu(self, dim):
+        assert _weyl_against_dense(dim, seed=dim) <= 1e-13
+
+    def test_a_sign_flip_in_the_writer_fails(self, monkeypatch):
+        writer = geometry.minus_kulkarni_nomizu
+
+        def flipped(r, p):
+            w = writer(r, p)
+            for i in range(r.shape[-2]):
+                w[..., :, i, i, :, :] -= 2 * p  # P_a^d delta_b^c, sign flipped
+            return w
+
+        monkeypatch.setattr(geometry, "minus_kulkarni_nomizu", flipped)
+        assert _weyl_against_dense(4, seed=4) > 1e-3
 
 
 def _random_metric_jet(dim=4, order=2, batch=2, seed=0):

@@ -47,19 +47,20 @@ class TestHelpers:
             [1, 1, 1, 3, 15, 105]
 
     def test_class_counts(self):
-        # Conjugation by the pair-block group plus inversion collapses
-        # S_{2l} to these many contraction classes.
+        # Conjugation by the pair-block group, swaps within an upper pair
+        # and inversion collapse S_{2l} to these many contraction classes.
         assert [len(_pf_classes(ell)) for ell in (1, 2, 3, 4, 5)] == \
-            [2, 8, 34, 171, 1052]
+            [1, 3, 8, 25, 82]
 
     def test_class_multiplicities_cover_group(self):
-        # Each class is an orbit of the group of 2^l l! pair-block
-        # conjugations and inversion, listed by its least member.
+        # Each class is an orbit of the group of order 2 4^l l! that the
+        # 2^l l! pair-block conjugations, the l swaps within an upper pair
+        # and inversion generate, listed by its least member.
         for ell in (1, 2, 3, 4, 5):
             classes = _pf_classes(ell)
             total = sum(abs(mult) for mult, _ in classes)
             assert total == math.factorial(2 * ell)
-            order = 2 * 2 ** ell * math.factorial(ell)
+            order = 2 * 4 ** ell * math.factorial(ell)
             assert all(order % abs(mult) == 0 for mult, _ in classes)
             reps = [sigma for _, sigma in classes]
             assert reps == sorted(set(reps))
@@ -68,13 +69,50 @@ class TestHelpers:
 def _definition_pf(T, ell):
     """Pf_l as written: the prefactor times the signed sum over S_{2l} of
     the (2l)! complete contractions, one einsum each."""
+    return _definition_pf_of([T] * ell)
+
+
+def _definition_pf_of(factors):
+    """The sum of `_definition_pf` with factor j of every term read from
+    `factors[j]`, whose leading axes broadcast: multilinear in them."""
+    ell = len(factors)
     total = 0.0
     for sigma in itertools.permutations(range(2 * ell)):
         subs = _term_subscripts(sigma, ell)
         expr = ",".join("..." + s for s in subs) + "->..."
         total = total + _perm_sign(sigma) * np.einsum(
-            expr, *([T] * ell), optimize=True)
+            expr, *factors, optimize=True)
     return _pf_prefactor(ell) * total
+
+
+def _definition_pf_jet(Tud, ell):
+    """`_definition_pf` of a jet with one batch axis, coefficient-wise:
+    factor j carries the basis on an axis of its own, and the term of each
+    product of monomials is added into the coefficient of that product
+    when it is within the jet's order."""
+    b = Tud.basis
+    c = np.moveaxis(Tud.coeffs, -1, 1)  # (batch, basis, a, b, c, d)
+    factors = [c.reshape(c.shape[:1] + (1,) * j + (b.size,)
+                         + (1,) * (ell - 1 - j) + c.shape[2:])
+               for j in range(ell)]
+    terms = _definition_pf_of(factors)  # (batch,) + (basis,) * ell
+    out = np.zeros((len(c), b.size))
+    for idx in itertools.product(range(b.size), repeat=ell):
+        exp = b.exps[list(idx)].sum(axis=0)
+        if exp.sum() <= b.order:
+            out[:, b.index(exp)] += terms[(slice(None),) + idx]
+    return out
+
+
+def _pair_antisymmetric_jet(dim, nvars, seed, batch=2):
+    """Random order-2 jets antisymmetric in each index pair but not
+    symmetric under pair exchange."""
+    b = basis(nvars, 2)
+    T = np.random.default_rng(seed).normal(size=(batch, b.size) + (dim,) * 4)
+    T = T - T.swapaxes(-4, -3)
+    T = T - T.swapaxes(-2, -1)
+    assert np.abs(T - T.transpose(0, 1, 4, 5, 2, 3)).max() > 1
+    return PolyTensor(np.moveaxis(T, 1, -1), b, 1)
 
 
 class TestPfBrute:
@@ -107,6 +145,13 @@ class TestPfEll:
         W = random_weyl(dim, seed=10 * dim + ell, nsamples=3)
         assert pf_ell(W, ell) == pytest.approx(pf_ell_brute(W, ell),
                                                rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("ell", [1, 2, 3])
+    def test_arbitrary_input_matches_definition(self, ell):
+        # neither pair antisymmetric nor the pairs exchange-symmetric
+        T = np.random.default_rng(1).normal(size=(3, 6, 6, 6, 6))
+        assert pf_ell(T, ell) == pytest.approx(_definition_pf(T, ell),
+                                               rel=1e-12)
 
     def test_nonidentity_metric(self):
         rng = np.random.default_rng(7)
@@ -174,23 +219,28 @@ class TestPfEll:
 
 def _brute_pf_classes(ell):
     """The class list by explicit orbits: conjugate every permutation and
-    its inverse by each element of the pair-block group."""
+    its inverse by each element of the pair-block group, then compose each
+    result with every product of swaps within pairs on the right."""
     def invert(p):
         return tuple(sorted(range(len(p)), key=p.__getitem__))
 
-    group = []
+    group, swaps_right = [], []
     for blocks in itertools.permutations(range(ell)):
         for swaps in itertools.product((False, True), repeat=ell):
             pi = []
             for j, swap in zip(blocks, swaps):
                 pi += [2 * j + 1, 2 * j] if swap else [2 * j, 2 * j + 1]
             group.append(tuple(pi))
+            if blocks == tuple(range(ell)):
+                swaps_right.append(tuple(pi))
     seen, classes = set(), []
     for sigma in itertools.permutations(range(2 * ell)):
         if sigma in seen:
             continue
-        orbit = {tuple(pi[s[k]] for k in invert(pi))
-                 for pi in group for s in (sigma, invert(sigma))}
+        conj = {tuple(pi[s[k]] for k in invert(pi))
+                for pi in group for s in (sigma, invert(sigma))}
+        orbit = {tuple(c[t[k]] for k in range(2 * ell))
+                 for c in conj for t in swaps_right}
         seen |= orbit
         classes.append((_perm_sign(sigma) * len(orbit), sigma))
     return classes
@@ -271,6 +321,27 @@ class TestPfPlan:
         Tud = _weyl_jet(dim, 2, seed=dim + ell, live=live)
         got = pf_ell_poly(Tud, ell)
         assert np.array_equal(got.coeffs, _per_class_pf_poly(Tud, ell, 2).coeffs)
+
+    @pytest.mark.parametrize("ell,nvars", [(1, 3), (2, 3), (3, 2)])
+    def test_pair_antisymmetric_jets_match_definition(self, ell, nvars):
+        # the classes need no pair-exchange symmetry for l <= 4
+        Tud = _pair_antisymmetric_jet(6, nvars, seed=ell)
+        got = pf_ell_poly(Tud, ell).coeffs
+        want = _definition_pf_jet(Tud, ell)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_pair_antisymmetric_jets_match_brute_at_l4(self):
+        # Pf_4 of T0 + T1 y + T2 y^2 is a polynomial of degree 8 in y: the
+        # oracle at 9 Chebyshev nodes fixes it, and its coefficients of
+        # degree <= 2 are those of the order-2 jet
+        Tud = _pair_antisymmetric_jet(8, 1, seed=4)
+        y = np.cos(np.pi * (np.arange(9) + 0.5) / 9)
+        T = np.moveaxis(Tud.coeffs, -1, 0)  # (basis, batch, a, b, c, d)
+        Y = y.reshape(-1, 1, 1, 1, 1, 1)
+        values = pf_ell_brute(T[0] + T[1] * Y + T[2] * Y * Y, 4)  # (node, batch)
+        want = np.polynomial.polynomial.polyfit(y, values, 8)[:3].T
+        got = pf_ell_poly(Tud, 4).coeffs
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
     def test_ell4_order0(self):
         Tud = _weyl_jet(8, 0, seed=48, batch=3)
