@@ -60,7 +60,6 @@ _PFAFFIAN_DIMS = (4, 5, 6, 8)
 
 #: what a manifold must be, as tests on its catalog `Model`
 _PROPERTIES = {"compact": lambda m: m.compact,
-               "homogeneous": lambda m: m.homogeneous,
                "Einstein": lambda m: m.lam is not None,
                "of dimension >= 4": lambda m: m.dim >= 4}
 _EINSTEIN_4 = ("Einstein", "of dimension >= 4")
@@ -143,7 +142,7 @@ def _suite_cgb(cfg, model):
 
 @_suite("gbc", "Cor. 1.8",
         "Gauss-Bonnet with renormalized curvature corrections",
-        needs=("compact", "homogeneous", "Einstein"), models=_GBC_DEFAULTS)
+        needs=("compact", "Einstein"), models=_GBC_DEFAULTS)
 def _suite_gbc(cfg, model):
     yield from integ.verify_gbc(model)
 
@@ -202,12 +201,12 @@ def _suite_straightenable(cfg, model):
         "P_{l,n}: ambient route vs Einstein route", needs=_EINSTEIN_4,
         models=("S2xS2", "S2xS2xS2"))
 def _suite_route_equivalence(cfg, model):
-    n = model.dim
+    n, x = model.dim, model.base_point[None, :]
     for ell in range(2, n // 2 + 1):
         yield CheckReport.compare(
             f"route-P-{ell}-{n}-{model.name}", "Prop. 3.4",
-            integ.p_ell_n_base(model, ell, True),
-            integ.p_ell_n_base(model, ell, False), 1e-7)
+            integ.p_ell_n_values(model, ell, "ambient", x),
+            integ.p_ell_n_values(model, ell, "einstein", x), 1e-7)
 
 
 @_suite("divergence", "Remark 3.7", "divergence scalars vanish as predicted")
@@ -228,7 +227,8 @@ def _suite_main_theorem(cfg):
 
 @_suite("worked-examples", "§5 Examples",
         "integration-by-parts and Weyl-Laplacian identities",
-        needs=("of dimension >= 4",), models=("S2xS2", "perturbed-S4"))
+        needs=("compact", "of dimension >= 4"),
+        models=("S2xS2", "perturbed-S4"))
 def _suite_worked_examples(cfg, model):
     yield from integ.verify_worked_examples(model)
 

@@ -26,7 +26,8 @@ phi-independent metric.  A declaration the metric contradicts is rejected
 when the `Geometry` is built; a derivative of a jet of too low an order is
 rejected naming the metric order it needs.
 
-Each compact `Model` declares its quadrature domain once, as a `Slice`.
+Each compact `Model` declares its quadrature domain once, as a `Slice`,
+and a homogeneous one its base point, as a zero-axis `orbit_slice`.
 
 Conventions (verified against round spheres in the test suite):
 
@@ -48,7 +49,7 @@ import itertools
 import math
 import string
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -398,7 +399,7 @@ def chart_slice(dim, box, held, orbit) -> Slice:
 @dataclass
 class Model:
     """A catalog manifold: metric chart, exact reference constants and,
-    if compact, the `slice` that carries its quadrature's symmetry."""
+    if compact, the slices that carry its quadrature's symmetry."""
 
     name: str
     dim: int
@@ -406,11 +407,11 @@ class Model:
     lam: float | None          # Einstein constant: Ric = 2 lam (n-1) g
     chi: int | None            # Euler characteristic
     volume: float | None       # exact total volume (compact models)
-    homogeneous: bool
     compact: bool
     base_point: np.ndarray
-    slice: Slice | None = None     # quadrature domain (compact models)
+    slice: Slice | None = None     # quadrature domain over chart axes
     cyclic: tuple = ()             # chart coordinates the metric never reads
+    orbit_slice: Slice | None = None  # zero-axis slice: `with_orbit_point`
 
     def geometry(self, points=None, order=2) -> Geometry:
         points = self.base_point if points is None else points
@@ -420,6 +421,18 @@ class Model:
     def j_value(self):
         """J = Scal/(2(n-1)) = n*lam for the Einstein members."""
         return None if self.lam is None else self.dim * self.lam
+
+
+def with_orbit_point(model: Model) -> Model:
+    """`model`, homogeneous, with its zero-axis `orbit_slice`: the base
+    point alone, weighted by volume / sqrt det g there (computed once, on
+    first use, from an order-0 `Geometry` with no cyclic check)."""
+    weight = cache(lambda: model.volume / Geometry(
+        model.metric_fn, model.dim, model.base_point, 0).sqrt_det_g()[0])
+    model.orbit_slice = Slice((), lambda u: np.tile(model.base_point,
+                                                    (len(u), 1)),
+                              lambda u: np.full(len(u), weight()))
+    return model
 
 
 # -- round spheres -----------------------------------------------------------
@@ -450,19 +463,18 @@ def _polar(axes):
 
 def sphere(n) -> Model:
     base = np.linspace(0.6, 1.9, n)
-    return Model(
+    return with_orbit_point(Model(
         name=f"S{n}",
         dim=n,
         metric_fn=sphere_metric_fn(n),
         lam=0.5,
         chi=2 if n % 2 == 0 else 0,
         volume=sphere_volume(n),
-        homogeneous=True,
         compact=True,
         base_point=base,
         slice=chart_slice(n, _polar(range(n - 1)), math.pi, 2 * math.pi),
         cyclic=(n - 1,),
-    )
+    ))
 
 
 # -- products of unit 2-spheres ----------------------------------------------
@@ -482,20 +494,19 @@ def product_of_spheres(k) -> Model:
     n = 2 * k
     base = np.array([0.7 + 0.15 * i if i % 2 == 0 else 1.1 + 0.2 * i
                      for i in range(n)])
-    return Model(
+    return with_orbit_point(Model(
         name="x".join(["S2"] * k),
         dim=n,
         metric_fn=fn,
         lam=1.0 / (2 * (n - 1)),
         chi=2 ** k,
         volume=(4 * math.pi) ** k,
-        homogeneous=True,
         compact=True,
         base_point=base,
         slice=chart_slice(n, _polar(range(0, n, 2)), math.pi,
                           (2 * math.pi) ** k),
         cyclic=tuple(range(1, n, 2)),
-    )
+    ))
 
 
 # -- complex projective plane --------------------------------------------------
@@ -546,21 +557,20 @@ def _cp2_weight(u):
 
 
 def cp2() -> Model:
-    return Model(
+    return with_orbit_point(Model(
         name="CP2",
         dim=4,
         metric_fn=cp2_metric_fn(),
         lam=1.0,
         chi=3,
         volume=math.pi ** 2 / 2,
-        homogeneous=True,
         compact=True,
         base_point=np.array([0.31, -0.24, 0.47, 0.12]),
         slice=Slice(((EPS_POLE, math.pi / 2 - EPS_POLE),
                      (EPS_POLE, math.pi - EPS_POLE),
                      (EPS_POLE, math.pi - EPS_POLE),
                      (0.0, 2 * math.pi)), _cp2_embed, _cp2_weight),
-    )
+    ))
 
 
 # -- perturbed sphere ----------------------------------------------------------
@@ -595,7 +605,6 @@ def perturbed_sphere(n, amp=0.1) -> Model:
         lam=None,
         chi=2 if n % 2 == 0 else 0,
         volume=None,
-        homogeneous=False,
         compact=True,
         base_point=np.linspace(0.5, 2.0, n),
         # the perturbation reads only (theta_1, theta_2), so the isometries
@@ -638,7 +647,6 @@ def hyperbolic_normal_form(n) -> Model:
         lam=-0.5,
         chi=None,
         volume=None,
-        homogeneous=True,
         compact=False,
         base_point=base,
         cyclic=(n - 1,),

@@ -4,13 +4,13 @@ renormalized volumes, and the end-to-end Gauss--Bonnet-type checks.
 Integrals use product Gauss--Legendre rules over the `Slice` each compact
 catalog model declares: a box of slice variables, their chart points and a
 weight that carries the Jacobian and the orbit volume of every symmetry the
-slice leaves out (cyclic azimuths, an isometry orbit).  `integrate_scalar`
-is the one integrator; on a homogeneous model it is value x volume, and
-routes that build their own jets (the ambient chart, the I_l operator)
-enter it as pointwise fields.  Its nodes run through the jets by
-`geometry.point_values`, in slices that fit its jet byte budget.  Finite
-parts are exact rational series bookkeeping in the cutoff, never a numeric
-limit.
+slice leaves out (cyclic azimuths, an isometry orbit; a homogeneous model's
+`orbit_slice` is its base point alone).  `integrate_scalar` is the one
+integrator, with one path, and routes that build their own jets (the
+ambient chart, the I_l operator) enter it as pointwise fields.  Its nodes
+run through the jets by `geometry.point_values`, in slices that fit its jet
+byte budget.  Finite parts are exact rational series bookkeeping in the
+cutoff, never a numeric limit.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ from .reports import CheckReport
 
 
 class QuadratureRule:
-    """Product Gauss--Legendre rule over the box of a model's `slice`.
+    """Product Gauss--Legendre rule over the box of a `Slice` (by default
+    the model's `slice`; with no axes, one node of weight 1).
 
     `points` are the chart points of the nodes and `weights` the
     Gauss--Legendre weights times the slice weight.  Slice boxes exclude an
@@ -47,16 +48,19 @@ class QuadratureRule:
     far below the tolerance budget.
     """
 
-    def __init__(self, model: Model, nodes_per_axis):
-        sl = model.slice
+    def __init__(self, model: Model, nodes_per_axis, sl=None):
+        sl = model.slice if sl is None else sl
         if sl is None:
             raise ValueError(f"{model.name} declares no quadrature slice")
-        x, w = np.polynomial.legendre.leggauss(nodes_per_axis)
-        half = [(0.5 * (hi - lo), 0.5 * (hi + lo)) for lo, hi in sl.bounds]
-        u = np.stack(np.meshgrid(*[h * x + m for h, m in half],
-                                 indexing="ij"), axis=-1).reshape(-1, len(half))
-        gl = np.prod(np.meshgrid(*[h * w for h, _ in half], indexing="ij"),
-                     axis=0).ravel()
+        # a slice with no axes needs no nodes, nor numpy.polynomial loaded
+        x, w = (np.polynomial.legendre.leggauss(nodes_per_axis) if sl.bounds
+                else ((), ()))
+        u, gl = np.zeros((1, 0)), np.ones(1)
+        for lo, hi in sl.bounds:  # the first axis varies slowest
+            h, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+            u = np.column_stack((np.repeat(u, len(x), axis=0),
+                                 np.tile(h * x + mid, len(u))))
+            gl = np.outer(gl, h * w).ravel()
         self.points = sl.embed(u)
         self.weights = gl * sl.weight(u)
 
@@ -66,16 +70,11 @@ def integrate_scalar(field_fn, model: Model, order=2, nodes_per_axis=24,
     """Integral of a scalar invariant over a compact catalog model.
 
     `field_fn(geo) -> scalar PolyTensor`; `order` is the metric jet order
-    the field consumes.  Homogeneous models with a known exact volume
-    short-circuit to value x volume unless `force_quadrature`; this is the
-    only place a value is multiplied by a volume.
+    the field consumes.  The rule is over the model's `orbit_slice`, if
+    any and not `force_quadrature`, else over its `slice`.
     """
-    if not model.compact:
-        raise ValueError(f"{model.name} is not compact")
-    if model.homogeneous and model.volume is not None and not force_quadrature:
-        geo = model.geometry(order=order)
-        return float(field_fn(geo).value()[0]) * model.volume
-    rule = QuadratureRule(model, nodes_per_axis)
+    rule = QuadratureRule(model, nodes_per_axis,
+                          None if force_quadrature else model.orbit_slice)
     vals = point_values(model, rule.points, order,
                         lambda geo: field_fn(geo).value() * geo.sqrt_det_g())
     return float(np.sum(rule.weights * vals))
@@ -162,49 +161,45 @@ def verify_cgb(model: Model, tol=1e-6) -> CheckReport:
 _P_ELL_CACHE: dict = {}
 
 
-def p_ell_n_base(model: Model, ell: int, ambient_route: bool):
-    """P_{l,n} at the base point of an Einstein model, by either route, as
-    a length-1 array.  Cached per model, l and route: `route-equivalence`
-    reads again the six values `gbc` computes at the defaults.  The route
-    functions themselves stay uncached."""
-    key = (model.name, ell, ambient_route)
+def p_ell_n_values(model: Model, ell: int, route: str, points):
+    """P_{l,n} at `points` of an Einstein model by `route`, "einstein" or
+    "ambient", memoized by model name, l, route and points: at the
+    defaults `route-equivalence` reads again the six values `gbc` reads.
+    The route functions themselves stay uncached."""
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    key = (model.name, ell, route, points.tobytes())
     if key not in _P_ELL_CACHE:
-        _P_ELL_CACHE[key] = (p_ell_n_ambient(AmbientChart(model), ell)
-                             if ambient_route else p_ell_n_einstein(model, ell))
+        _P_ELL_CACHE[key] = (
+            p_ell_n_ambient(AmbientChart(model), ell, points)
+            if route == "ambient" else p_ell_n_einstein(model, ell, points))
     return _P_ELL_CACHE[key]
-
-
-def _p_ell_n_integrals(model: Model, ell: int, ambient_route: bool):
-    """Integral of P_{l,n} over a homogeneous Einstein model, by either
-    route: P_{l,n} is constant there, so its base-point value serves."""
-    return integrate_scalar(
-        _pointwise(lambda x: p_ell_n_base(model, ell, ambient_route)), model,
-        order=0)
 
 
 def verify_gbc(model: Model, tol=1e-6):
     """(2 pi)^{n/2} chi = (2 lam)^{n/2} (n-1)!! Vol
     + sum_{l=2}^{n/2} (-2)^{l-n/2} (l-1)!/(n/2-1)! * integral of P_{l,n}.
 
-    Returns one CheckReport per P_{l,n} route, Einstein then ambient.
+    One integral per P_{l,n} route, over the model's slice: the Laplacian
+    terms of P_{l,n} are divergences, so this holds on every closed
+    Einstein manifold.  Returns one CheckReport per route, Einstein then
+    ambient.
     """
-    _require(model.compact and model.lam is not None
-             and model.homogeneous, "compact homogeneous Einstein required")
+    _require(model.compact and model.lam is not None,
+             "compact Einstein model required")
     n = model.dim
     _require(n % 2 == 0, "even dimension required")
     _require(model.chi is not None, "Euler characteristic unknown")
     lhs = (2 * math.pi) ** (n // 2) * model.chi
     c = (2 * model.lam) ** (n // 2) * double_factorial(n - 1)
-    base = integrate_scalar(_pointwise(lambda x: np.full(len(x), c)), model,
-                            order=0)
+    coeffs = {ell: (-2.0) ** (ell - n // 2) * math.factorial(ell - 1)
+              / math.factorial(n // 2 - 1) for ell in range(2, n // 2 + 1)}
     reports = []
     for route in ("einstein", "ambient"):
-        rhs = base
-        for ell in range(2, n // 2 + 1):
-            coeff = ((-2.0) ** (ell - n // 2) * math.factorial(ell - 1)
-                     / math.factorial(n // 2 - 1))
-            rhs += coeff * _p_ell_n_integrals(model, ell,
-                                              route == "ambient")
+        def density(x, route=route):
+            return c + sum(k * p_ell_n_values(model, ell, route, x)
+                           for ell, k in coeffs.items())
+
+        rhs = integrate_scalar(_pointwise(density), model, order=0)
         reports.append(CheckReport.compare(
             f"gbc-{model.name}-{route}", "Cor. 1.8", lhs, rhs, tol))
     return reports
@@ -214,13 +209,14 @@ def verify_main_theorem_coefficient(model: Model, field_name: str,
                                     tol=1e-7) -> CheckReport:
     """Coefficient algebra of the renormalized-integral theorem, compact
     shadow: integral of I_{n/2-k} (computed ambiently) equals the
-    closed-form constant times the integral of I.
+    closed-form constant times the integral of I over the model's slice,
+    as the Laplacian terms of I_{n/2-k} are divergences.
     """
     _require(field_name in STRAIGHTENABLE_FIELDS,
              f"{field_name} is not a straightenable catalog scalar")
     field_fn, k = STRAIGHTENABLE_FIELDS[field_name]
-    _require(model.compact and model.homogeneous and model.lam is not None,
-             "compact homogeneous Einstein required")
+    _require(model.compact and model.lam is not None,
+             "compact Einstein model required")
     n = model.dim
     m = n // 2 - k
     _require(m >= 0, "need k <= n/2")
@@ -239,27 +235,25 @@ def verify_main_theorem_coefficient(model: Model, field_name: str,
 # worked examples and divergence identities
 
 
-def verify_worked_examples(model: Model, tol_pointwise=1e-8, tol_int=1e-6):
-    """Integration-by-parts closures and the curvature-Laplacian identity
-    for the Weyl tensor of an Einstein metric:
+def verify_worked_examples(model: Model, tol_pointwise=1e-8):
+    """Integration-by-parts closures over a compact model and, if it is
+    Einstein, the curvature-Laplacian identity for its Weyl tensor at the
+    base point:
 
         Delta W_abcd = 4 lam (n-1) W_abcd - W_ab^ef W_efcd
                        - 2 W_aecf W_b^e_d^f + 2 W_aedf W_b^e_c^f.
 
-    On homogeneous models the integral identities are evaluated pointwise
-    (gradients of invariants vanish) from one geometry and one Delta W; on
-    the perturbed chart they exercise genuine quadrature.  Gradients are
-    `Geometry.gradient`, whose slices at the model's cyclic coordinates are
-    zero by construction, so d|W|^2 is checked along the other coordinates.
-    The integral of Delta |W|^2 (Lemma 4.1) is checked by
-    `divergence_identity_checks` alone.
+    Over the model's slice, `ibp-nablaW` compares the integrals of
+    |grad W|^2 and -<W, Delta W>, each over the volume (so that W = 0
+    still compares), and `ibp-u` is the integral of |grad u|^2 + u Delta u
+    over that of u = |W|^2.  `Geometry.gradient` is zero at the cyclic
+    coordinates by construction.  The integral of Delta |W|^2 (Lemma 4.1)
+    is checked by `divergence_identity_checks` alone.
     """
     reports = []
-    if model.lam is not None or model.homogeneous:
+    if model.lam is not None:
         geo = model.geometry(order=4)
         W = geo.weyl
-        lap = geo.laplacian(W)
-    if model.lam is not None:
         W0 = W.truncate(0)  # the identity is checked on values
         Wud = raise_last_two(W0, geo.ginv)
         Wm = raise_slots(W0, geo.ginv, (1, 3))
@@ -269,35 +263,29 @@ def verify_worked_examples(model: Model, tol_pointwise=1e-8, tol_int=1e-6):
                - 2 * jcontract("aecf,bedf->abcd", W0, Wm)
                + 2 * jcontract("aedf,becf->abcd", W0, Wm))
         reports.append(CheckReport.compare(
-            f"delta-weyl-{model.name}", "Eq. (DeltaWeyl)", lap.value(),
-            rhs.value(), tol_pointwise))
+            f"delta-weyl-{model.name}", "Eq. (DeltaWeyl)",
+            geo.laplacian(W).value(), rhs.value(), tol_pointwise))
 
-    if model.homogeneous:
-        # |grad W|^2 + <W, Delta W> = (1/2) Delta |W|^2 = 0 pointwise on a
-        # homogeneous model, so the integral identity holds pointwise.
-        lhs = geo.norm_squared(geo.covariant_derivative(W)).value()[0]
-        rhs = -jcontract("abcd,abcd->", geo.raise_all(W), lap).value()[0]
-        reports.append(CheckReport.compare(
-            f"ibp-nablaW-{model.name}", "§5 Examples", lhs, rhs,
-            tol_pointwise))
-        # int |grad|W|^2|^2 = -int |W|^2 Delta|W|^2: both integrands vanish
+    def w_lap_w(geo):
+        W = geo.weyl
+        return -jcontract("abcd,abcd->", geo.raise_all(W), geo.laplacian(W))
+
+    def ibp_u(geo):
         u = weyl_norm2_field(geo)
-        grad_w2 = np.abs(geo.gradient(u).value()).max()
-        lap_w2 = np.abs(geo.laplacian(u).value()).max()
-        reports.append(CheckReport.compare(
-            f"ibp-u-{model.name}", "§5 Examples",
-            max(grad_w2 ** 2, lap_w2), 0.0, tol_pointwise))
-    else:
-        # integration by parts with u = |W|^2: int <grad u, grad u> + u Du = 0
-        def ibp_field(geo):
-            u = weyl_norm2_field(geo)
-            return geo.norm_squared(geo.gradient(u)) + u * geo.laplacian(u)
+        return geo.norm_squared(geo.gradient(u)) + u * geo.laplacian(u)
 
-        val = integrate_scalar(ibp_field, model, order=4)
-        scale = abs(integrate_scalar(weyl_norm2_field, model, order=2))
-        reports.append(CheckReport.compare(
-            f"ibp-u-{model.name}", "§5 Examples", val / max(scale, 1e-30),
-            0.0, tol_int))
+    volume = integrate_scalar(_pointwise(lambda x: np.ones(len(x))), model,
+                              order=0)
+    reports.append(CheckReport.compare(
+        f"ibp-nablaW-{model.name}", "§5 Examples",
+        integrate_scalar(lambda geo: geo.norm_squared(
+            geo.covariant_derivative(geo.weyl)), model, order=3) / volume,
+        integrate_scalar(w_lap_w, model, order=4) / volume, tol_pointwise))
+    scale = abs(integrate_scalar(weyl_norm2_field, model, order=2))
+    reports.append(CheckReport.compare(
+        f"ibp-u-{model.name}", "§5 Examples",
+        integrate_scalar(ibp_u, model, order=4) / max(scale, 1e-30), 0.0,
+        tol_pointwise))
     return reports
 
 
@@ -334,9 +322,9 @@ def _w3_rank2_fields(geo: Geometry):
 def remark_divergence_scalars(model: Model, tol=1e-8):
     """The two weight -8 straightenable divergence scalars built from
     three Weyl factors (each T_ab of weight -4) vanish pointwise on the
-    homogeneous n = 8 catalog model."""
-    _require(model.homogeneous and model.lam is not None,
-             "homogeneous Einstein model required")
+    n = 8 catalog model, an Einstein model with an orbit slice."""
+    _require(model.orbit_slice is not None and model.lam is not None,
+             "Einstein model with an orbit slice required")
     geo = model.geometry(order=4)
     return [CheckReport.compare(f"w8-divergence-{i}-{model.name}",
                                 "Remark 3.7",

@@ -22,9 +22,9 @@ from rcint.ambient import (
 )
 from rcint.geometry import get_model
 from rcint.integrate import (
-    _p_ell_n_integrals,
     divergence_identity_checks,
     integrate_scalar,
+    p_ell_n_values,
     renormalized_volume,
     renormalized_volume_exact,
     verify_cgb,
@@ -39,6 +39,7 @@ from rcint.invariants import (
     random_weyl,
     weyl_norm2_field,
 )
+from rcint.jets import const_poly
 from rcint.tensor import kronecker_recursion_residual
 
 
@@ -106,22 +107,32 @@ def test_criterion_05_ambient_space():
         assert np.abs(lhs - rhs).max() <= 1e-8
 
 
+def _p_ell_n_integral(model, ell, route):
+    """Integral of P_{l,n} by `route` over the model's slice, from the
+    memoized route values that `verify_gbc` integrates."""
+    def field(geo):
+        values = p_ell_n_values(model, ell, route, geo.points)
+        return const_poly(values, geo.basis, 1)
+
+    return integrate_scalar(field, model, order=0)
+
+
 def test_criterion_06_route_equivalence():
     # P_{l,n} by the ambient iterated-Laplacian route vs the intrinsic
-    # Einstein-operator route, all 2 <= l <= n/2 for n in {4, 6, 8}.  On
-    # these homogeneous models the pointwise statement is equivalent to the
-    # integral one, so this reuses the criterion-4 cache.
+    # Einstein-operator route, all 2 <= l <= n/2 for n in {4, 6, 8}.  These
+    # models declare one-point orbit slices, so the integrals read the
+    # route values memoized by criterion 4.
     cases = {4: "S2xS2", 6: "S2xS2xS2", 8: "S2xS2xS2xS2"}
     for n, name in cases.items():
         model = get_model(name)
         for ell in range(2, n // 2 + 1):
-            amb = _p_ell_n_integrals(model, ell, ambient_route=True)
-            ein = _p_ell_n_integrals(model, ell, ambient_route=False)
+            amb = _p_ell_n_integral(model, ell, "ambient")
+            ein = _p_ell_n_integral(model, ell, "einstein")
             err = abs(amb - ein)
             assert err <= 1e-7 or err / abs(ein) <= 1e-7, (n, ell, amb, ein)
     # P_{2,4} = (1/8)|W|^2
     m = get_model("S2xS2")
-    per_point = _p_ell_n_integrals(m, 2, ambient_route=True) / m.volume
+    per_point = _p_ell_n_integral(m, 2, "ambient") / m.volume
     geo = m.geometry(order=2)
     assert per_point == pytest.approx(
         geo.norm_squared(geo.weyl).value()[0] / 8.0, rel=1e-7)

@@ -12,8 +12,8 @@ import pytest
 import rcint.cli as cli
 import rcint.geometry as geometry
 import rcint.integrate as integ
-from rcint.geometry import (EPS_POLE, Model, chart_slice, get_model,
-                            sphere_volume)
+from rcint.geometry import (EPS_POLE, MODEL_NAMES, Model, chart_slice,
+                            get_model, sphere_volume)
 from rcint.integrate import (
     LaurentSeries,
     QuadratureRule,
@@ -33,6 +33,11 @@ from rcint.jets import const_poly, contract
 
 def _one(geo):
     return const_poly(np.ones(geo.g.value().shape[0]), geo.basis, 1)
+
+
+#: the catalog models that declare a zero-axis orbit slice
+_ORBIT_MODELS = [name for name in MODEL_NAMES
+                 if get_model(name).orbit_slice is not None]
 
 
 def _g_squares(geo):
@@ -67,6 +72,43 @@ class TestQuadrature:
                                 force_quadrature=True)
         assert fast == pytest.approx(slow, rel=1e-9)
         assert fast == pytest.approx(256 * math.pi ** 2 / 3, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["perturbed-S4", "CP2"])
+    def test_rule_is_the_product_rule_with_the_first_axis_slowest(self,
+                                                                   name):
+        m = get_model(name)
+        x, w = np.polynomial.legendre.leggauss(3)
+        half = [(0.5 * (hi - lo), 0.5 * (hi + lo)) for lo, hi in m.slice.bounds]
+        u = np.stack(np.meshgrid(*[h * x + c for h, c in half],
+                                 indexing="ij"), axis=-1).reshape(-1, len(half))
+        gl = np.prod(np.meshgrid(*[h * w for h, _ in half], indexing="ij"),
+                     axis=0).ravel()
+        rule = QuadratureRule(m, 3)
+        np.testing.assert_array_equal(rule.points, m.slice.embed(u))
+        np.testing.assert_array_equal(rule.weights, gl * m.slice.weight(u))
+
+    @pytest.mark.parametrize("name", _ORBIT_MODELS)
+    def test_orbit_slice_is_the_base_point_weighted_to_the_volume(self,
+                                                                   name):
+        m = get_model(name)
+        rule = QuadratureRule(m, 24, m.orbit_slice)
+        np.testing.assert_array_equal(rule.points, m.base_point[None, :])
+        assert integrate_scalar(_one, m, order=0) == pytest.approx(
+            m.volume, rel=1e-14)
+
+    @pytest.mark.parametrize("name", [name for name in _ORBIT_MODELS
+                                      if get_model(name).dim >= 3])
+    def test_orbit_slice_weyl_norm_matches_chart_rule(self, name):
+        # |W|^2 is constant on these models, so its chart integral over
+        # that of 1 at the same nodes reads its value at any node count
+        m = get_model(name)
+        k = max(2, int(300 ** (1 / len(m.slice.bounds))))
+        chart = [integrate_scalar(f, m, order=o, nodes_per_axis=k,
+                                  force_quadrature=True)
+                 for f, o in ((weyl_norm2_field, 2), (_one, 0))]
+        assert integrate_scalar(weyl_norm2_field, m, order=2) == \
+            pytest.approx(chart[0] / chart[1] * m.volume, rel=1e-9,
+                          abs=1e-9 * m.volume)
 
     @pytest.mark.parametrize("name", ["S2xS2", "S4"])
     def test_collapsed_rule_matches_full_rule(self, name):
@@ -184,6 +226,37 @@ class TestGaussBonnet:
         for rep in verify_gbc(get_model(name)):
             assert rep.passed, rep
 
+    def test_gbc_over_a_chart_slice_matches_the_orbit_slice(self):
+        # the same identity through the 2-d chart slice of S2xS2, 24^2
+        # nodes, with the orbit slice removed
+        orbit = get_model("S2xS2")
+        chart = dataclasses.replace(orbit, orbit_slice=None)
+        assert len(QuadratureRule(chart, 24).points) == 24 ** 2
+        for got, want in zip(verify_gbc(chart), verify_gbc(orbit)):
+            assert got.passed, got
+            assert got.check_id == want.check_id
+            assert got.rhs == pytest.approx(want.rhs, rel=1e-11)
+
+    def test_main_theorem_over_a_chart_slice_matches_the_orbit_slice(
+            self, monkeypatch):
+        # S2xS2xS2 through its 3-d chart slice at 3 nodes per axis: both
+        # sides, over the rule's own volume, read the orbit-slice values
+        orbit = get_model("S2xS2xS2")
+        chart = dataclasses.replace(orbit, orbit_slice=None)
+        want = verify_main_theorem_coefficient(orbit, "weyl-norm2")
+        integrate = integ.integrate_scalar
+
+        def few_nodes(field_fn, model, order=2, **kw):
+            return integrate(field_fn, model, order, nodes_per_axis=3, **kw)
+
+        monkeypatch.setattr(integ, "integrate_scalar", few_nodes)
+        got = verify_main_theorem_coefficient(chart, "weyl-norm2")
+        assert got.passed, got
+        volume = few_nodes(_one, chart, order=0)
+        for side in ("lhs", "rhs"):
+            assert getattr(got, side) / volume == pytest.approx(
+                getattr(want, side) / orbit.volume, rel=1e-11)
+
     def test_gbc_rejects_nonhomogeneous(self):
         with pytest.raises(ValueError):
             verify_gbc(get_model("perturbed-S4"))
@@ -224,7 +297,9 @@ class TestDivergenceIdentities:
 
     def test_lemma_4_1_is_integrated_once(self, monkeypatch, tmp_path):
         # divergence and worked-examples share the perturbed sphere; only
-        # `int-div-perturbed-S4` integrates Delta |W|^2 over it
+        # `int-div-perturbed-S4` integrates Delta |W|^2 over it, and the
+        # other two order-4 integrals are those of `ibp-u` and of
+        # <W, Delta W> in `ibp-nablaW`
         calls, integrate = [], integ.integrate_scalar
 
         def recorded(field_fn, model, order=2, **kw):
@@ -235,7 +310,7 @@ class TestDivergenceIdentities:
         out = tmp_path / "reports.jsonl"
         assert cli.main(["verify", "divergence", "worked-examples",
                          "--out", str(out)]) == cli.EXIT_OK
-        assert calls.count(("perturbed-S4", 4)) == 2
+        assert calls.count(("perturbed-S4", 4)) == 3
         ids = [json.loads(line)["check_id"]
                for line in out.read_text().splitlines()]
         assert ids.count("int-div-perturbed-S4") == 1
